@@ -12,6 +12,7 @@ reports discrepancies without ever correcting them.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -21,7 +22,7 @@ from typing import IO
 from .arith import factor_integer, is_probable_prime
 from .chain import GeneratorSet, StabilizerChain, build_chain
 from .perm import Permutation, format_cycles, parse_cycles
-from .signature import minimal_length
+from .signature import _read_text, _write_text, minimal_length
 
 __all__ = [
     "CatalogError",
@@ -75,6 +76,8 @@ def _cycle(points: list[int]) -> str:
 
 
 def _cyclic_spec(n: int) -> GroupSpec:
+    if n < 1:
+        raise CatalogError("cyclic groups C<n> need n >= 1")
     gens = (_cycle(list(range(1, n + 1))),) if n > 1 else ("()",)
     return GroupSpec("C%d" % n, max(n, 1), gens, n, "single n-cycle")
 
@@ -180,10 +183,13 @@ def load_group(name_or_path: str) -> GeneratorSet:
     try:
         spec = get_spec(name_or_path)
     except CatalogError:
-        import os
         if os.path.exists(name_or_path):
             return read_group_file(name_or_path)
         raise
+    return _generators(spec)
+
+
+def _generators(spec: GroupSpec) -> GeneratorSet:
     return GeneratorSet(spec.degree,
                         tuple(parse_cycles(c, spec.degree) for c in spec.generators),
                         name=spec.name)
@@ -195,10 +201,7 @@ def load_verified_chain(name: str, base_hint=None) -> StabilizerChain:
     A mismatch signals corrupted bundled data and raises CatalogError.
     """
     spec = get_spec(name)
-    gens = GeneratorSet(spec.degree,
-                        tuple(parse_cycles(c, spec.degree) for c in spec.generators),
-                        name=spec.name)
-    chain = build_chain(gens, base_hint)
+    chain = build_chain(_generators(spec), base_hint)
     if spec.expected_order is not None and chain.order != spec.expected_order:
         raise CatalogError("group %s built with order %d, expected %d "
                            "(corrupted data?)" % (name, chain.order, spec.expected_order))
@@ -237,24 +240,16 @@ def read_group_file_text(text: str, name: str | None = None) -> GeneratorSet:
 
 
 def read_group_file(source: str | IO[str]) -> GeneratorSet:
-    if isinstance(source, str):
-        import os
-        with open(source, encoding="utf-8") as fh:
-            return read_group_file_text(fh.read(),
-                                        name=os.path.splitext(os.path.basename(source))[0])
-    return read_group_file_text(source.read())
+    """Parse a generator file; a path also names the set after its stem."""
+    name = os.path.splitext(os.path.basename(source))[0] if isinstance(source, str) else None
+    return read_group_file_text(_read_text(source), name=name)
 
 
 def write_group_file(gens: GeneratorSet, sink: str | IO[str]) -> None:
     """Canonical form: degree header, one generator per line, no comments."""
     lines = ["degree %d" % gens.degree]
     lines += [format_cycles(g) for g in gens.gens]
-    text = "\n".join(lines) + "\n"
-    if isinstance(sink, str):
-        with open(sink, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sink.write(text)
+    _write_text("\n".join(lines) + "\n", sink)
 
 
 # -- sporadic-group claims ----------------------------------------------------

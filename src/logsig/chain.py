@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .perm import Permutation, _identity_raw, _inv_raw, _mul_raw
+from .perm import Permutation, _digits_of, _identity_raw, _inv_raw, _mul_raw, _products
 
 __all__ = [
     "GeneratorSet",
@@ -125,11 +125,7 @@ class StabilizerChain:
         """
         if not 0 <= index < self.order:
             raise IndexError("index %d out of range [0, %d)" % (index, self.order))
-        digits = []
-        for lv in reversed(self.levels):
-            index, d = divmod(index, len(lv.orbit))
-            digits.append(d)
-        digits.reverse()
+        digits = _digits_of(index, [len(lv.orbit) for lv in self.levels])
         raw = _identity_raw(self.degree)
         for lv, d in zip(self.levels, digits):
             raw = _mul_raw(raw, lv.transversal[lv.orbit[d]].img)
@@ -153,24 +149,13 @@ class StabilizerChain:
         return index
 
     def elements(self) -> Iterator[Permutation]:
-        """All group elements in ``element_at`` order (prefix-product walk)."""
-        for raw in self._iter_raw():
-            yield Permutation._wrap(raw)
+        """All group elements, lazily, in ``element_at`` order: the rank-order
+        products of the transversal blocks, last level varying fastest."""
+        return map(Permutation._wrap, self._iter_raw())
 
     def _iter_raw(self):
-        e = _identity_raw(self.degree)
-        levels = self.levels
-
-        def rec(i, pre):
-            if i == len(levels):
-                yield pre
-                return
-            lv = levels[i]
-            trans = lv.transversal
-            for p in lv.orbit:
-                yield from rec(i + 1, _mul_raw(pre, trans[p].img))
-
-        yield from rec(0, e)
+        blocks = [[lv.transversal[p].img for p in lv.orbit] for lv in self.levels]
+        return _products(blocks, _identity_raw(self.degree))
 
     # -- derived chains ----------------------------------------------------
 

@@ -179,6 +179,8 @@ def cmd_factorize(args) -> int:
     except FactorizationError as e:
         _emit(args, {"verdict": "fail", "detail": str(e)}, "fail: %s" % e)
         return FAIL
+    except ValueError as e:
+        raise _CliError(str(e))
     ok = reconstruct(ls, digits) == g
     record = {"verdict": "pass" if ok else "fail",
               "digits": list(digits), "reconstructs": ok}

@@ -12,7 +12,7 @@ from math import prod
 from .arith import factor_integer
 from .chain import GeneratorSet, StabilizerChain, build_chain, derived_series, is_solvable
 from .perm import Permutation, _order_raw
-from .signature import BlockAnnotation, LogSignature, Provenance
+from .signature import BlockAnnotation, LogSignature, Provenance, _cover_fault
 
 __all__ = [
     "CyclicSetSpec",
@@ -48,10 +48,7 @@ class CyclicSetSpec:
                              % (self.size, self.generator.order()))
 
     def elements(self) -> tuple[Permutation, ...]:
-        out = [Permutation.identity(self.generator.degree)]
-        for _ in range(self.size - 1):
-            out.append(self.generator * out[-1])
-        return tuple(out)
+        return _powers(self.generator, self.size)
 
 
 @dataclass(frozen=True)
@@ -85,6 +82,14 @@ def _prime_multiset(n: int) -> list[int]:
     return out
 
 
+def _powers(x: Permutation, n: int) -> tuple[Permutation, ...]:
+    """(x^0, x^1, ..., x^(n-1))."""
+    out = [Permutation.identity(x.degree)]
+    for _ in range(n - 1):
+        out.append(x * out[-1])
+    return tuple(out)
+
+
 def _cyclic_blocks(x: Permutation, size: int):
     """Power blocks realizing the mixed-radix split of {x^0..x^(size-1)}.
 
@@ -96,11 +101,7 @@ def _cyclic_blocks(x: Permutation, size: int):
     """
     w = 1
     for q in _prime_multiset(size):
-        step = x ** w
-        entries = [Permutation.identity(x.degree)]
-        for _ in range(q - 1):
-            entries.append(step * entries[-1])
-        yield tuple(entries), q, w
+        yield _powers(x ** w, q), q, w
         w *= q
 
 
@@ -138,9 +139,9 @@ def sharply_transitive_check(decomp, chain: StabilizerChain,
 
     ``decomp`` is either a :class:`ProductDecomposition` (which carries its
     level) or a plain sequence of element sets plus an explicit ``level``.
-    Expands the multiset {(a_1 * ... * a_m)(w)} point-wise, the rightmost
-    factor acting first, and accepts iff there are no repeats and the images
-    are exactly the level orbit.
+    Expands the multiset {(a_1 * ... * a_m)(w)} over the product set, the
+    rightmost factor acting first, and accepts iff there are no repeats and
+    the images are exactly the level orbit.
     """
     if isinstance(decomp, ProductDecomposition):
         if level is None:
@@ -158,10 +159,8 @@ def sharply_transitive_check(decomp, chain: StabilizerChain,
     if prod(len(s) for s in sets) != len(lv.orbit):
         raise ValueError("product of set sizes %d != orbit size %d"
                          % (prod(len(s) for s in sets), len(lv.orbit)))
-    images = [w]
-    for entries in reversed(sets):
-        images = [e.img[p] for e in entries for p in images]
-    return len(set(images)) == len(images) and set(images) == set(lv.orbit)
+    return _cover_fault([[e.img for e in s] for s in sets], w, lv.orbit,
+                        chain.degree) is None
 
 
 def _size_trials(primes: list[int], alternate: bool) -> list[tuple[int, ...]]:
@@ -375,13 +374,8 @@ def mls_solvable(chain: StabilizerChain) -> LogSignature:
     """Minimal signature of a solvable group: one cyclic transversal
     [t^0, ..., t^(q-1)] per composition step, outermost step first."""
     series = composition_series_solvable(chain)
-    blocks = []
-    for t, q in zip(series.witnesses, series.primes):
-        entries = [Permutation.identity(chain.degree)]
-        for _ in range(q - 1):
-            entries.append(t * entries[-1])
-        blocks.append(tuple(entries))
-    return LogSignature(degree=chain.degree, blocks=tuple(blocks),
+    blocks = tuple(_powers(t, q) for t, q in zip(series.witnesses, series.primes))
+    return LogSignature(degree=chain.degree, blocks=blocks,
                         group=chain.name, provenance=Provenance("solvable"))
 
 

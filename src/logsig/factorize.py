@@ -8,8 +8,8 @@ from __future__ import annotations
 from math import prod
 
 from .chain import StabilizerChain
-from .perm import Permutation, _identity_raw, _inv_raw, _mul_raw
-from .signature import LogSignature
+from .perm import Permutation, _digits_of, _identity_raw, _inv_raw, _mul_raw, _products
+from .signature import LogSignature, _levels_of
 
 __all__ = ["TameIndexer", "FactorizationError", "factorize_tame",
            "factorize_generic", "reconstruct"]
@@ -30,40 +30,29 @@ class TameIndexer:
     """
 
     def __init__(self, ls: LogSignature, chain: StabilizerChain):
-        ann = ls.provenance.annotations
-        if ls.provenance.tag not in ("chain", "refined") or ann is None:
-            raise ValueError("tame factorization needs chain or refined "
-                             "provenance with level annotations")
+        grouped = _levels_of(ls)
         if ls.degree != chain.degree:
             raise ValueError("degree mismatch")
         self.ls = ls
         self.chain = chain
-        grouped: dict[int, list[int]] = {}
-        for bi, a in enumerate(ann):
-            grouped.setdefault(a.level, []).append(bi)
         self._levels = []
-        for level in sorted(grouped):
-            block_ids = grouped[level]
+        for level, block_ids in sorted(grouped.items()):
+            if not 0 <= level < len(chain.levels):
+                raise ValueError("annotated level %d outside the chain's %d levels"
+                                 % (level, len(chain.levels)))
             lv = chain.levels[level]
-            table: dict[int, tuple[tuple[int, ...], object]] = {}
-            sizes = [len(ls.blocks[bi]) for bi in block_ids]
+            raws = [[e.img for e in ls.blocks[bi]] for bi in block_ids]
+            sizes = [len(r) for r in raws]
             if prod(sizes) != len(lv.orbit):
                 raise ValueError("level %d blocks enumerate %d products, orbit has %d"
                                  % (level, prod(sizes), len(lv.orbit)))
-            raws = [[e.img for e in ls.blocks[bi]] for bi in block_ids]
-
-            def expand(i, pre, digits):
-                if i == len(raws):
-                    image = pre[lv.point]
-                    if image in table:
-                        raise ValueError("level %d products repeat image %d; "
-                                         "signature is corrupt" % (level, image))
-                    table[image] = (digits, _inv_raw(pre))
-                    return
-                for j, e in enumerate(raws[i]):
-                    expand(i + 1, _mul_raw(pre, e), digits + (j,))
-
-            expand(0, _identity_raw(ls.degree), ())
+            table: dict[int, tuple[tuple[int, ...], object]] = {}
+            for rank, q in enumerate(_products(raws, _identity_raw(ls.degree))):
+                image = q[lv.point]
+                if image in table:
+                    raise ValueError("level %d products repeat image %d; "
+                                     "signature is corrupt" % (level, image))
+                table[image] = (_digits_of(rank, sizes), _inv_raw(q))
             self._levels.append((lv.point, table))
 
     def digits(self, g: Permutation) -> tuple[int, ...]:
@@ -118,48 +107,27 @@ def factorize_generic(g: Permutation, ls: LogSignature,
     total = prod(sizes)
     if total > budget:
         raise ValueError("%d products exceed the budget of %d" % (total, budget))
-    s = len(sizes)
-    if s == 0:
-        if g.is_identity():
-            return ()
-        raise FactorizationError("nonidentity element, empty signature")
-    split = min(range(s + 1),
+    split = min(range(len(sizes) + 1),
                 key=lambda t: (max(prod(sizes[:t]), prod(sizes[t:])), t))
     left_n, right_n = prod(sizes[:split]), prod(sizes[split:])
     if min(left_n, right_n) > store_cap:
         raise ValueError("smaller half-product %d exceeds store cap %d"
                          % (min(left_n, right_n), store_cap))
-
-    def tuples(block_ids):
-        # digit tuples and prefix products, last digit fastest
-        raws = [[e.img for e in ls.blocks[bi]] for bi in block_ids]
-
-        def rec(i, pre, digits):
-            if i == len(raws):
-                yield digits, pre
-                return
-            for j, e in enumerate(raws[i]):
-                yield from rec(i + 1, _mul_raw(pre, e), digits + (j,))
-
-        yield from rec(0, _identity_raw(ls.degree), ())
-
-    left_ids = list(range(split))
-    right_ids = list(range(split, s))
+    # store the smaller half's products by rank, then scan the other half in
+    # rank order for the partner that completes g
+    raws = [[e.img for e in block] for block in ls.blocks]
+    scan_right = left_n <= right_n
+    stored_raws, scan_raws = ((raws[:split], raws[split:]) if scan_right
+                              else (raws[split:], raws[:split]))
+    e = _identity_raw(ls.degree)
     graw = g.img
-    if left_n <= right_n:
-        stored = {}
-        for digits, p in tuples(left_ids):
-            stored.setdefault(p, digits)
-        for rdigits, p in tuples(right_ids):
-            ldigits = stored.get(_mul_raw(graw, _inv_raw(p)))
-            if ldigits is not None:
-                return ldigits + rdigits
-    else:
-        stored = {}
-        for digits, p in tuples(right_ids):
-            stored.setdefault(p, digits)
-        for ldigits, p in tuples(left_ids):
-            rdigits = stored.get(_mul_raw(_inv_raw(p), graw))
-            if rdigits is not None:
-                return ldigits + rdigits
+    stored: dict = {}
+    for rank, p in enumerate(_products(stored_raws, e)):
+        stored.setdefault(p, rank)
+    for rank, p in enumerate(_products(scan_raws, e)):
+        p_inv = _inv_raw(p)
+        hit = stored.get(_mul_raw(graw, p_inv) if scan_right else _mul_raw(p_inv, graw))
+        if hit is not None:
+            left, right = (hit, rank) if scan_right else (rank, hit)
+            return _digits_of(left * right_n + right, sizes)
     raise FactorizationError("element has no factorization; not a group member")

@@ -9,6 +9,7 @@ convert at that boundary.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 __all__ = ["Permutation", "parse_cycles", "format_cycles", "CycleFormatError"]
@@ -31,7 +32,60 @@ def _raw(images: Iterable[int], degree: int):
 def _mul_raw(a, b):
     if type(a) is bytes:
         return bytes(map(a.__getitem__, b))
-    return tuple(map(a.__getitem__, b))
+    # tuple images have degree > 256, so the getter returns a tuple
+    return itemgetter(*b)(a)
+
+
+def _products(raw_blocks, pre):
+    """Yield ``pre * b_1[d_1] * ... * b_s[d_s]`` for every digit tuple.
+
+    Products come in rank order: mixed radix with the last block varying
+    fastest, so the product at rank r has digits ``_digits_of(r, sizes)``.
+    A leading prefix is recomputed only when its digit changes, which costs
+    one composition per product plus one per change of a leading digit.
+    With no blocks the only product is ``pre``.
+    """
+    k = len(raw_blocks) - 1
+    if k < 0:
+        yield pre
+        return
+    last = raw_blocks[k]
+    mk = type(pre)
+    digits = [0] * k
+    prefix = [pre]
+    for i in range(k):
+        prefix.append(_mul_raw(prefix[i], raw_blocks[i][0]))
+    while True:
+        p = prefix[k].__getitem__
+        for e in last:
+            yield mk(map(p, e))
+        i = k - 1
+        while i >= 0 and digits[i] + 1 == len(raw_blocks[i]):
+            digits[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        digits[i] += 1
+        for j in range(i, k):
+            prefix[j + 1] = _mul_raw(prefix[j], raw_blocks[j][digits[j]])
+
+
+def _digits_of(rank: int, sizes) -> tuple[int, ...]:
+    """Mixed-radix digits of ``rank``, the last size least significant."""
+    out = []
+    for r in reversed(sizes):
+        rank, d = divmod(rank, r)
+        out.append(d)
+    out.reverse()
+    return tuple(out)
+
+
+def _value_of(digits, sizes) -> int:
+    """Inverse of :func:`_digits_of`."""
+    value = 0
+    for d, r in zip(digits, sizes):
+        value = value * r + d
+    return value
 
 
 def _inv_raw(a):

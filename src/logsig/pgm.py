@@ -16,8 +16,9 @@ from typing import IO
 from .chain import StabilizerChain
 from .construct import chain_ls
 from .factorize import TameIndexer, factorize_tame, reconstruct
-from .signature import (LogSignature, LsFormatError, dumps_ls, loads_ls,
-                        verify_structural)
+from .perm import _digits_of, _value_of
+from .signature import (LogSignature, LsFormatError, _read_text, _write_text,
+                        dumps_ls, loads_ls, verify_structural)
 
 __all__ = ["PgmKey", "randomize_ls", "keygen", "encrypt", "decrypt",
            "write_key", "read_key", "KEY_FORMAT"]
@@ -73,34 +74,25 @@ def keygen(chain: StabilizerChain, seed: int) -> PgmKey:
     seed_a = rng.getrandbits(63)
     seed_b = rng.getrandbits(63)
     base = chain_ls(chain)
-    alpha = randomize_ls(base, chain, seed_a)
-    beta = randomize_ls(base, chain, seed_b)
+    return _make_key(chain, randomize_ls(base, chain, seed_a),
+                     randomize_ls(base, chain, seed_b), seed)
+
+
+def _make_key(chain: StabilizerChain, alpha: LogSignature, beta: LogSignature,
+              seed: int) -> PgmKey:
+    """Verify both halves structurally against ``chain`` and index them."""
     for part, name in ((alpha, "alpha"), (beta, "beta")):
-        report = verify_structural(part, chain)
+        try:
+            report = verify_structural(part, chain)
+        except ValueError as e:
+            raise LsFormatError("key half %s: %s" % (name, e)) from e
         if not report.ok:
-            raise AssertionError("key half %s failed verification: %s"
-                                 % (name, report.detail))
+            raise LsFormatError("key half %s failed verification: %s"
+                                % (name, report.detail))
     return PgmKey(chain=chain, alpha=alpha, beta=beta,
                   alpha_indexer=TameIndexer(alpha, chain),
                   beta_indexer=TameIndexer(beta, chain),
                   seed=seed)
-
-
-def _digits_of(value: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
-    # mixed radix, last block least significant
-    out = []
-    for r in reversed(sizes):
-        value, d = divmod(value, r)
-        out.append(d)
-    out.reverse()
-    return tuple(out)
-
-
-def _value_of(digits: tuple[int, ...], sizes: tuple[int, ...]) -> int:
-    value = 0
-    for d, r in zip(digits, sizes):
-        value = value * r + d
-    return value
 
 
 def encrypt(key: PgmKey, message: int) -> int:
@@ -127,29 +119,26 @@ def write_key(key: PgmKey, sink: str | IO[str]) -> None:
         "alpha": json.loads(dumps_ls(key.alpha)),
         "beta": json.loads(dumps_ls(key.beta)),
     }
-    text = json.dumps(obj, indent=2) + "\n"
-    if isinstance(sink, str):
-        with open(sink, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sink.write(text)
+    _write_text(json.dumps(obj, indent=2) + "\n", sink)
 
 
 def read_key(source: str | IO[str], chain: StabilizerChain) -> PgmKey:
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
+    """Load a key for ``chain``'s group; both halves are verified again.
+
+    Raises LsFormatError for malformed files, keys of another group and
+    halves that fail structural verification.
+    """
     try:
-        obj = json.loads(text)
+        obj = json.loads(_read_text(source))
     except json.JSONDecodeError as e:
         raise LsFormatError("line %d column %d: %s" % (e.lineno, e.colno, e.msg)) from e
+    if not isinstance(obj, dict):
+        raise LsFormatError("key file must hold a JSON object")
     if obj.get("format") != KEY_FORMAT:
         raise LsFormatError("unsupported key format %r" % obj.get("format"))
-    alpha = loads_ls(json.dumps(obj["alpha"]))
-    beta = loads_ls(json.dumps(obj["beta"]))
-    return PgmKey(chain=chain, alpha=alpha, beta=beta,
-                  alpha_indexer=TameIndexer(alpha, chain),
-                  beta_indexer=TameIndexer(beta, chain),
-                  seed=obj.get("seed", 0))
+    if obj.get("group") != chain.name:
+        raise LsFormatError("key is for group %r, not %r" % (obj.get("group"), chain.name))
+    if "alpha" not in obj or "beta" not in obj:
+        raise LsFormatError("key file needs both 'alpha' and 'beta'")
+    return _make_key(chain, loads_ls(json.dumps(obj["alpha"])),
+                     loads_ls(json.dumps(obj["beta"])), obj.get("seed", 0))

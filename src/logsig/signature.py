@@ -16,7 +16,7 @@ from typing import IO
 
 from .arith import PrimeFactorization
 from .chain import StabilizerChain
-from .perm import Permutation, _identity_raw, _mul_raw
+from .perm import Permutation, _digits_of, _identity_raw, _products
 
 __all__ = [
     "BlockAnnotation",
@@ -150,30 +150,15 @@ def is_minimal(ls: LogSignature, f: PrimeFactorization) -> bool:
     return ls_length(ls) == minimal_length(f)
 
 
-def _digits_of(rank: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for r in reversed(sizes):
-        rank, d = divmod(rank, r)
-        out.append(d)
-    out.reverse()
-    return tuple(out)
-
-
-class _Collision(Exception):
-    def __init__(self, first_rank: int, second_rank: int):
-        self.first_rank = first_rank
-        self.second_rank = second_rank
-
-
 def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
                       budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Enumerate every product of the signature and check pairwise distinctness.
 
     All block entries are required to be members of the chain's group, so
     distinctness together with a product count equal to the group order is
-    equivalent to exactness.  Products are enumerated with a prefix-product
-    stack (digits vary fastest in the last block) and a reported collision is
-    the first one in that order.
+    equivalent to exactness.  Products are enumerated once, in rank order
+    (mixed radix, digits varying fastest in the last block), and a reported
+    collision is the first one in that order.
 
     The index space may be partitioned by the first block's digit and checked
     in parallel workers merging per-worker seen-sets; the verdict does not
@@ -198,45 +183,23 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
                                  % (bi, e))
 
     raws = [[e.img for e in block] for block in ls.blocks]
-    s = len(raws)
-    if s == 0:
-        return VerificationReport(ok=True, method="exhaustive", products_checked=1)
-
     seen: dict = {}
-    counter = 0
-    last = s - 1
-    last_block = raws[last]
-
-    def walk(i, pre):
-        nonlocal counter
-        if i == last:
-            for e in last_block:
-                q = _mul_raw(pre, e)
-                r = seen.get(q)
-                if r is not None:
-                    raise _Collision(r, counter)
-                seen[q] = counter
-                counter += 1
-        else:
-            for e in raws[i]:
-                walk(i + 1, _mul_raw(pre, e))
-
-    try:
-        walk(0, _identity_raw(ls.degree))
-    except _Collision as c:
-        return VerificationReport(
-            ok=False, method="exhaustive", products_checked=counter + 1,
-            collision=(_digits_of(c.first_rank, sizes), _digits_of(c.second_rank, sizes)),
-            detail="identical products at two index tuples")
-    return VerificationReport(ok=True, method="exhaustive", products_checked=counter)
+    for rank, q in enumerate(_products(raws, _identity_raw(ls.degree))):
+        first = seen.setdefault(q, rank)
+        if first != rank:
+            return VerificationReport(
+                ok=False, method="exhaustive", products_checked=rank + 1,
+                collision=(_digits_of(first, sizes), _digits_of(rank, sizes)),
+                detail="identical products at two index tuples")
+    return VerificationReport(ok=True, method="exhaustive", products_checked=len(seen))
 
 
 def _levels_of(ls: LogSignature) -> dict[int, list[int]]:
     """Map chain level -> ordered block indices covering it; validates shape."""
     ann = ls.provenance.annotations
     if ls.provenance.tag not in ("chain", "refined") or ann is None:
-        raise ValueError("structural verification needs chain or refined "
-                         "provenance with level annotations")
+        raise ValueError("structural verification and tame factorization need "
+                         "chain or refined provenance with level annotations")
     grouped: dict[int, list[int]] = {}
     prev = -1
     for bi, a in enumerate(ann):
@@ -245,6 +208,17 @@ def _levels_of(ls: LogSignature) -> dict[int, list[int]]:
         prev = a.level
         grouped.setdefault(a.level, []).append(bi)
     return grouped
+
+
+def _cover_fault(raw_sets, point: int, orbit, degree: int) -> str | None:
+    """Why the product set of ``raw_sets`` does not map ``point`` one to one
+    onto ``orbit``, or None when it does."""
+    images = [q[point] for q in _products(raw_sets, _identity_raw(degree))]
+    if len(set(images)) != len(images):
+        return "repeat a base-point image"
+    if set(images) != set(orbit):
+        return "do not cover the orbit"
+    return None
 
 
 def verify_structural(ls: LogSignature, chain: StabilizerChain) -> VerificationReport:
@@ -270,12 +244,9 @@ def verify_structural(ls: LogSignature, chain: StabilizerChain) -> VerificationR
     checked = 0
     for level, block_ids in sorted(grouped.items()):
         lv = chain.levels[level]
-        base_prefix = [chain.levels[k].point for k in range(level)]
         for bi in block_ids:
             for e in ls.blocks[bi]:
-                raw = e.img
-                if any(raw[p] != p for p in base_prefix) \
-                        or not chain.sift(e, start=level).is_identity():
+                if not chain.sift(e, start=level).is_identity():
                     return VerificationReport(
                         ok=False, method="structural", products_checked=checked,
                         detail="block %d entry %s is outside the level-%d group"
@@ -286,18 +257,13 @@ def verify_structural(ls: LogSignature, chain: StabilizerChain) -> VerificationR
                 detail="level %d blocks enumerate %d products, orbit has %d points"
                        % (level, prod(len(ls.blocks[bi]) for bi in block_ids),
                           len(lv.orbit)))
-        images = [lv.point]
-        for bi in reversed(block_ids):
-            images = [e.img[p] for e in ls.blocks[bi] for p in images]
-        checked += len(images)
-        if len(set(images)) != len(images):
+        fault = _cover_fault([[e.img for e in ls.blocks[bi]] for bi in block_ids],
+                             lv.point, lv.orbit, ls.degree)
+        checked += len(lv.orbit)
+        if fault:
             return VerificationReport(
                 ok=False, method="structural", products_checked=checked,
-                detail="level %d products repeat a base-point image" % level)
-        if set(images) != set(lv.orbit):
-            return VerificationReport(
-                ok=False, method="structural", products_checked=checked,
-                detail="level %d products do not cover the orbit" % level)
+                detail="level %d products %s" % (level, fault))
     return VerificationReport(ok=True, method="structural", products_checked=checked)
 
 
@@ -330,8 +296,9 @@ def dumps_ls(ls: LogSignature) -> str:
 
 
 def _parse_annotation(obj, where: str) -> BlockAnnotation:
-    if not isinstance(obj, dict) or "level" not in obj:
-        raise LsFormatError("%s: annotation must be an object with a 'level'" % where)
+    if not isinstance(obj, dict) or not isinstance(obj.get("level"), int):
+        raise LsFormatError("%s: annotation must be an object with an integer 'level'"
+                            % where)
     return BlockAnnotation(level=obj["level"],
                            set_size=obj.get("set_size"),
                            step=obj.get("step"))
@@ -383,8 +350,8 @@ def loads_ls(text: str) -> LogSignature:
         raise LsFormatError(str(e)) from e
 
 
-def write_ls(ls: LogSignature, sink: str | IO[str]) -> None:
-    text = dumps_ls(ls)
+def _write_text(text: str, sink: str | IO[str]) -> None:
+    """Write to a path (UTF-8) or to an open text stream."""
     if isinstance(sink, str):
         with open(sink, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -392,8 +359,17 @@ def write_ls(ls: LogSignature, sink: str | IO[str]) -> None:
         sink.write(text)
 
 
-def read_ls(source: str | IO[str]) -> LogSignature:
+def _read_text(source: str | IO[str]) -> str:
+    """Read a path (UTF-8) or an open text stream to the end."""
     if isinstance(source, str):
         with open(source, encoding="utf-8") as fh:
-            return loads_ls(fh.read())
-    return loads_ls(source.read())
+            return fh.read()
+    return source.read()
+
+
+def write_ls(ls: LogSignature, sink: str | IO[str]) -> None:
+    _write_text(dumps_ls(ls), sink)
+
+
+def read_ls(source: str | IO[str]) -> LogSignature:
+    return loads_ls(_read_text(source))

@@ -1,6 +1,9 @@
 import json
 
-from logsig import chain_ls, write_ls
+import pytest
+
+from logsig import (LogSignature, Provenance, chain_ls, dumps_ls, keygen,
+                    load_verified_chain, write_key, write_ls)
 from logsig.cli import main
 
 
@@ -199,3 +202,105 @@ def test_pgm_message_out_of_range(capsys, tmp_path):
 def test_pgm_missing_args(capsys):
     code, _, err = run(capsys, "pgm", "encrypt", "--group", "S4")
     assert code == 2
+
+
+# -- malformed inputs: exit 2 with a message, never a traceback ----------------
+
+def _reversed_s4(tmp_path):
+    ls = chain_ls(load_verified_chain("S4"))
+    rev = LogSignature(degree=ls.degree, blocks=ls.blocks[::-1], group=ls.group,
+                       provenance=Provenance("chain", ls.provenance.annotations[::-1]))
+    path = str(tmp_path / "s4-reversed.ls")
+    write_ls(rev, path)
+    return path
+
+
+def _s4_with_level(tmp_path, level):
+    doc = json.loads(dumps_ls(chain_ls(load_verified_chain("S4"))))
+    doc["provenance"]["annotations"][-1]["level"] = level
+    path = tmp_path / "s4-level.ls"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _m11_file(tmp_path):
+    path = str(tmp_path / "m11.ls")
+    write_ls(chain_ls(load_verified_chain("M11")), path)
+    return path
+
+
+def _key_file(tmp_path, doc):
+    path = tmp_path / "key.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _key_without_alpha(tmp_path):
+    path = str(tmp_path / "m11.key")
+    write_key(keygen(load_verified_chain("M11"), 5), path)
+    doc = json.loads(open(path).read())
+    del doc["alpha"]
+    return _key_file(tmp_path, doc)
+
+
+def _m12_key(tmp_path):
+    path = str(tmp_path / "m12.key")
+    write_key(keygen(load_verified_chain("M12"), 5), path)
+    return path
+
+
+def _deep_c1(tmp_path):
+    # 1500 one-entry blocks, deeper than the default recursion limit; the
+    # file is well formed and exact for the trivial group
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"degree": 1, "provenance": {"tag": "manual"},
+                                "blocks": [[[1]]] * 1500}))
+    return str(path)
+
+
+MALFORMED = {
+    "factorize-reversed-annotations": lambda t: [
+        "factorize", "--group", "S4", "--ls", _reversed_s4(t), "--element", "(1,2)"],
+    "verify-reversed-annotations": lambda t: [
+        "verify", "--group", "S4", "--ls", _reversed_s4(t), "--mode", "structural"],
+    "factorize-level-beyond-chain": lambda t: [
+        "factorize", "--group", "S4", "--ls", _s4_with_level(t, 99), "--element", "()"],
+    "factorize-level-not-integer": lambda t: [
+        "factorize", "--group", "S4", "--ls", _s4_with_level(t, "2"), "--element", "()"],
+    "factorize-wrong-degree": lambda t: [
+        "factorize", "--group", "M12", "--ls", _m11_file(t), "--element", "()"],
+    "verify-wrong-degree": lambda t: [
+        "verify", "--group", "M12", "--ls", _m11_file(t)],
+    "encrypt-list-key": lambda t: [
+        "pgm", "encrypt", "--group", "M11", "--key", _key_file(t, [1, 2]), "3"],
+    "decrypt-key-without-alpha": lambda t: [
+        "pgm", "decrypt", "--group", "M11", "--key", _key_without_alpha(t), "3"],
+    "encrypt-wrong-group-key": lambda t: [
+        "pgm", "encrypt", "--group", "M11", "--key", _m12_key(t), "3"],
+    "decrypt-wrong-group-key": lambda t: [
+        "pgm", "decrypt", "--group", "M11", "--key", _m12_key(t), "3"],
+    "verify-c0": lambda t: [
+        "verify", "--group", "C0", "--ls", _m11_file(t)],
+    "factorize-c0": lambda t: [
+        "factorize", "--group", "C0", "--ls", _m11_file(t), "--element", "()"],
+    "verify-deep-c1": lambda t: [
+        "verify", "--group", "C1", "--ls", _deep_c1(t), "--mode", "exhaustive"],
+    "factorize-deep-c1": lambda t: [
+        "factorize", "--group", "C1", "--ls", _deep_c1(t), "--element", "()"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_inputs_exit_cleanly(capsys, tmp_path, case):
+    code, _, err = run(capsys, *MALFORMED[case](tmp_path))
+    assert "Traceback" not in err
+    if "deep" in case:
+        assert code == 0
+    else:
+        assert code == 2
+        assert err.startswith("error: ")
+
+
+def test_c0_message_names_the_bound(capsys):
+    code, _, err = run(capsys, "info", "--group", "C0")
+    assert code == 2 and "n >= 1" in err

@@ -1,7 +1,13 @@
+import itertools
+import math
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from logsig import CycleFormatError, Permutation, format_cycles, parse_cycles
+from logsig import (CycleFormatError, LogSignature, Permutation, format_cycles,
+                    parse_cycles, reconstruct)
+from logsig.perm import _digits_of, _identity_raw, _products, _value_of
 
 perms = st.integers(min_value=1, max_value=12).flatmap(
     lambda n: st.permutations(list(range(n)))).map(Permutation)
@@ -122,3 +128,74 @@ def test_order_is_least_annihilating_exponent(g):
     assert (g ** g.order()).is_identity()
     for d in range(1, g.order()):
         assert not (g ** d).is_identity()
+
+
+# -- the product-set kernel and the mixed-radix pair --------------------------
+
+def _random_signature(rng, degree, nblocks):
+    blocks = []
+    for _ in range(nblocks):
+        size = rng.randint(1, 4)
+        entries = {}
+        while len(entries) < size:
+            p = Permutation(rng.sample(range(degree), degree))
+            entries.setdefault(p.img, p)
+            if len(entries) == math.factorial(degree):
+                break
+        blocks.append(tuple(entries.values()))
+    return LogSignature(degree=degree, blocks=tuple(blocks))
+
+
+def test_products_match_reconstruct_and_brute_force():
+    rng = random.Random(20150704)
+    for _ in range(300):
+        degree = rng.randint(1, 6)
+        ls = _random_signature(rng, degree, rng.randint(0, 4))
+        sizes = ls.block_sizes
+        raws = [[e.img for e in b] for b in ls.blocks]
+        got = list(_products(raws, _identity_raw(degree)))
+        assert len(got) == ls.product_count()
+        for r, q in enumerate(got):
+            digits = _digits_of(r, sizes)
+            assert _value_of(digits, sizes) == r
+            assert q == reconstruct(ls, digits).img
+        brute = []
+        for choice in itertools.product(*ls.blocks):
+            g = Permutation.identity(degree)
+            for e in choice:
+                g = g * e
+            brute.append(g.img)
+        assert got == brute
+
+
+def test_products_start_from_prefix():
+    g = parse_cycles("(1,2,3)", 4)
+    blocks = [[parse_cycles("(1,2)", 4).img, parse_cycles("(3,4)", 4).img],
+              [parse_cycles("()", 4).img, parse_cycles("(2,4)", 4).img]]
+    got = list(_products(blocks, g.img))
+    expect = [(g * Permutation._wrap(a) * Permutation._wrap(b)).img
+              for a in blocks[0] for b in blocks[1]]
+    assert got == expect
+    assert list(_products([], g.img)) == [g.img]
+
+
+def test_products_tuple_images_above_degree_256():
+    n = 300
+    shift = Permutation([(i + 1) % n for i in range(n)])
+    assert type(shift.img) is tuple
+    blocks = [[Permutation.identity(n).img, shift.img], [shift.img]]
+    got = list(_products(blocks, _identity_raw(n)))
+    assert got == [shift.img, (shift * shift).img]
+    assert all(type(q) is tuple for q in got)
+
+
+def test_products_many_one_entry_blocks_do_not_recurse():
+    e = _identity_raw(1)
+    assert list(_products([[e]] * 3000, e)) == [e]
+
+
+def test_digits_of_is_mixed_radix_last_fastest():
+    assert _digits_of(0, ()) == ()
+    assert [_digits_of(r, (2, 3)) for r in range(6)] == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    assert _value_of((1, 2, 3), (2, 3, 5)) == 1 * 15 + 2 * 5 + 3
