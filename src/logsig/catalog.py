@@ -148,6 +148,9 @@ _NAMED_BUILDERS = {
 
 _PARAMETRIC = re.compile(r"^([CDSA])(\d+)$")
 
+# largest degree accepted from a parametric name or a generator file header
+_MAX_DEGREE = 10 ** 6
+
 
 def bundled_group_names() -> tuple[str, ...]:
     """Fixed catalog names; parametric C<n>, D<n>, S<n>, A<n> also resolve."""
@@ -165,7 +168,7 @@ def get_spec(name: str) -> GroupSpec:
     m = _PARAMETRIC.match(name)
     if m:
         kind, n = m.group(1), int(m.group(2))
-        if n > 10 ** 6:
+        if n > _MAX_DEGREE:
             raise CatalogError("parametric degree %d too large" % n)
         if kind == "C":
             return _cyclic_spec(n)
@@ -227,6 +230,9 @@ def read_group_file_text(text: str, name: str | None = None) -> GeneratorSet:
                 raise CatalogError("line %d: expected 'degree N', got %r"
                                    % (lineno, line))
             degree = int(m.group(1))
+            if degree > _MAX_DEGREE:
+                raise CatalogError("line %d: degree %d exceeds %d"
+                                   % (lineno, degree, _MAX_DEGREE))
             continue
         try:
             gens.append(parse_cycles(line, degree))

@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations
+from math import lcm
 
 from .arith import factor_integer
-from .catalog import (CatalogError, check_claim_arithmetic, load_verified_chain,
+from .catalog import (check_claim_arithmetic, load_verified_chain,
                       read_group_file, sporadic_claims)
 from .chain import StabilizerChain, build_chain
 from .construct import (DEFAULT_SEARCH_CAP, build_mls, chain_ls, mls_cyclic,
@@ -21,19 +23,13 @@ from .construct import (DEFAULT_SEARCH_CAP, build_mls, chain_ls, mls_cyclic,
 from .chain import is_solvable
 from .factorize import (FactorizationError, TameIndexer, factorize_generic,
                         factorize_tame, reconstruct)
-from .perm import CycleFormatError, parse_cycles
+from .perm import parse_cycles
 from .pgm import decrypt, encrypt, keygen, read_key, write_key
-from .signature import (DEFAULT_BUDGET, LsFormatError, VerificationBudgetError,
+from .signature import (DEFAULT_BUDGET, VerificationBudgetError,
                         is_minimal, ls_length, minimal_length, read_ls,
                         verify_exhaustive, verify_structural, write_ls)
 
 OK, FAIL, USAGE = 0, 1, 2
-
-
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE):
-        super().__init__(message)
-        self.code = code
 
 
 def _emit(args, record: dict, text: str) -> None:
@@ -43,17 +39,20 @@ def _emit(args, record: dict, text: str) -> None:
         print(text)
 
 
+def _read(path: str, reader, *extra):
+    """``reader(path, *extra)``, with the file name on any input error."""
+    try:
+        return reader(path, *extra)
+    except (OSError, ValueError) as e:
+        raise ValueError("cannot read %s: %s" % (path, e)) from e
+
+
 def _load_chain(args) -> StabilizerChain:
     if args.group_file:
-        try:
-            gens = read_group_file(args.group_file)
-        except (OSError, CatalogError) as e:
-            raise _CliError("cannot load %s: %s" % (args.group_file, e))
-        return build_chain(gens)
-    try:
-        return load_verified_chain(args.group)
-    except CatalogError as e:
-        raise _CliError(str(e))
+        return build_chain(_read(args.group_file, read_group_file))
+    if not args.group:
+        raise ValueError("%s needs --group or --group-file" % args.command)
+    return load_verified_chain(args.group)
 
 
 def _add_group_args(p: argparse.ArgumentParser, required: bool = True) -> None:
@@ -98,12 +97,14 @@ def cmd_construct(args) -> int:
         ls = chain_ls(chain)
     elif method == "solvable":
         if not is_solvable(chain):
-            raise _CliError("group is not solvable")
+            raise ValueError("group is not solvable")
         ls = mls_solvable(chain)
-    else:  # cyclic
-        gen = next((g for g in chain.elements() if g.order() == chain.order), None)
-        if gen is None:
-            raise _CliError("group is not cyclic")
+    else:  # cyclic iff the generators commute and their orders have lcm |G|
+        gens = chain.generators.gens
+        if lcm(*(g.order() for g in gens)) != chain.order or any(
+                a * b != b * a for a, b in combinations(gens, 2)):
+            raise ValueError("group is not cyclic")
+        gen = next(g for g in chain.elements() if g.order() == chain.order)
         ls = mls_cyclic(CyclicSetSpec(gen, chain.order))
     f = factor_integer(chain.order)
     minimal = ls.product_count() == chain.order and is_minimal(ls, f)
@@ -128,22 +129,14 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     chain = _load_chain(args)
-    try:
-        ls = read_ls(args.ls)
-    except (OSError, LsFormatError) as e:
-        raise _CliError("cannot read %s: %s" % (args.ls, e))
+    ls = _read(args.ls, read_ls)
     mode = args.mode
     if mode == "auto":
         mode = "exhaustive" if ls.product_count() <= args.budget else "structural"
-    try:
-        if mode == "exhaustive":
-            report = verify_exhaustive(ls, chain, budget=args.budget)
-        else:
-            report = verify_structural(ls, chain)
-    except VerificationBudgetError as e:
-        raise _CliError(str(e))
-    except ValueError as e:
-        raise _CliError(str(e))
+    if mode == "exhaustive":
+        report = verify_exhaustive(ls, chain, budget=args.budget)
+    else:
+        report = verify_structural(ls, chain)
     record = {
         "verdict": "pass" if report.ok else "fail",
         "method": report.method,
@@ -163,14 +156,8 @@ def cmd_verify(args) -> int:
 
 def cmd_factorize(args) -> int:
     chain = _load_chain(args)
-    try:
-        ls = read_ls(args.ls)
-    except (OSError, LsFormatError) as e:
-        raise _CliError("cannot read %s: %s" % (args.ls, e))
-    try:
-        g = parse_cycles(args.element, chain.degree)
-    except CycleFormatError as e:
-        raise _CliError(str(e))
+    ls = _read(args.ls, read_ls)
+    g = parse_cycles(args.element, chain.degree)
     try:
         if ls.provenance.tag in ("chain", "refined") and ls.provenance.annotations:
             digits = factorize_tame(g, TameIndexer(ls, chain))
@@ -179,8 +166,6 @@ def cmd_factorize(args) -> int:
     except FactorizationError as e:
         _emit(args, {"verdict": "fail", "detail": str(e)}, "fail: %s" % e)
         return FAIL
-    except ValueError as e:
-        raise _CliError(str(e))
     ok = reconstruct(ls, digits) == g
     record = {"verdict": "pass" if ok else "fail",
               "digits": list(digits), "reconstructs": ok}
@@ -194,7 +179,7 @@ def cmd_table_check(args) -> int:
     if args.row:
         rows = tuple(r for r in rows if r.group == args.row)
         if not rows:
-            raise _CliError("no claim row named %r" % args.row)
+            raise ValueError("no claim row named %r" % args.row)
     any_flagged = False
     for claim in rows:
         report = check_claim_arithmetic(claim)
@@ -226,17 +211,8 @@ def cmd_pgm_keygen(args) -> int:
 
 def cmd_pgm_apply(args) -> int:
     chain = _load_chain(args)
-    try:
-        key = read_key(args.key, chain)
-    except (OSError, LsFormatError) as e:
-        raise _CliError("cannot read %s: %s" % (args.key, e))
-    try:
-        if args.action == "encrypt":
-            result = encrypt(key, args.value)
-        else:
-            result = decrypt(key, args.value)
-    except ValueError as e:
-        raise _CliError(str(e))
+    key = _read(args.key, read_key, chain)
+    result = args.op(key, args.value)
     _emit(args, {"action": args.action, "input": args.value, "output": result},
           str(result))
     return OK
@@ -295,30 +271,26 @@ def _parser() -> argparse.ArgumentParser:
     pk.add_argument("--out", required=True, help="key output path")
     pk.set_defaults(fn=cmd_pgm_keygen)
 
-    for action in ("encrypt", "decrypt"):
+    for action, op in (("encrypt", encrypt), ("decrypt", decrypt)):
         pa = pgm_sub.add_parser(action)
         _add_group_args(pa)
         pa.add_argument("--key", required=True, help="key file")
         pa.add_argument("value", type=int, help="message or ciphertext integer")
-        pa.set_defaults(fn=cmd_pgm_apply)
+        pa.set_defaults(fn=cmd_pgm_apply, op=op)
 
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; every input error exits 2 with one ``error:`` line."""
     try:
         args = _parser().parse_args(argv)
+        return args.fn(args)
     except SystemExit as e:
         return USAGE if e.code not in (0, None) else 0
-    if args.command == "info" and not args.list \
-            and not (args.group or args.group_file):
-        print("error: info needs --group or --group-file", file=sys.stderr)
-        return USAGE
-    try:
-        return args.fn(args)
-    except _CliError as e:
+    except (OSError, ValueError, VerificationBudgetError) as e:
         print("error: %s" % e, file=sys.stderr)
-        return e.code
+        return USAGE
 
 
 if __name__ == "__main__":

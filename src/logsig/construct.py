@@ -133,15 +133,14 @@ def chain_ls(chain: StabilizerChain) -> LogSignature:
 
 
 def sharply_transitive_check(decomp, chain: StabilizerChain,
-                             level: int | None = None,
-                             w: int | None = None) -> bool:
+                             level: int | None = None) -> bool:
     """Whether a product of element sets hits each orbit point exactly once.
 
     ``decomp`` is either a :class:`ProductDecomposition` (which carries its
     level) or a plain sequence of element sets plus an explicit ``level``.
-    Expands the multiset {(a_1 * ... * a_m)(w)} over the product set, the
-    rightmost factor acting first, and accepts iff there are no repeats and
-    the images are exactly the level orbit.
+    Expands the multiset {(a_1 * ... * a_m)(b)} of base-point images over the
+    product set, the rightmost factor acting first, and accepts iff there
+    are no repeats and the images are exactly the level orbit.
     """
     if isinstance(decomp, ProductDecomposition):
         if level is None:
@@ -152,14 +151,10 @@ def sharply_transitive_check(decomp, chain: StabilizerChain,
             raise ValueError("plain element sets need an explicit level")
         sets = [tuple(s) for s in decomp]
     lv = chain.levels[level]
-    if w is None:
-        w = lv.point
-    elif w not in lv.orbit:
-        raise ValueError("point %d is not in the level-%d orbit" % (w, level))
     if prod(len(s) for s in sets) != len(lv.orbit):
         raise ValueError("product of set sizes %d != orbit size %d"
                          % (prod(len(s) for s in sets), len(lv.orbit)))
-    return _cover_fault([[e.img for e in s] for s in sets], w, lv.orbit,
+    return _cover_fault([[e.img for e in s] for s in sets], lv.point, lv.orbit,
                         chain.degree) is None
 
 
@@ -194,7 +189,6 @@ def _size_trials(primes: list[int], alternate: bool) -> list[tuple[int, ...]]:
 def refine_block(chain: StabilizerChain, level: int,
                  targets: list[int] | None = None,
                  cap: int = DEFAULT_SEARCH_CAP,
-                 scan_limit: int | None = None,
                  alternate_orderings: bool = False) -> ProductDecomposition | None:
     """Search the level group for cyclic sets whose product covers the orbit.
 
@@ -216,8 +210,6 @@ def refine_block(chain: StabilizerChain, level: int,
     if prod(targets) != osize:
         raise ValueError("targets multiply to %d, orbit size is %d"
                          % (prod(targets), osize))
-    if scan_limit is None:
-        scan_limit = 10 * cap
 
     all_sizes = set()
     for trial in _size_trials(list(targets), True):
@@ -234,7 +226,7 @@ def refine_block(chain: StabilizerChain, level: int,
                 pending[s] += 1
                 if pending[s] >= cap:
                     del pending[s]
-        if not pending or len(elems) >= scan_limit:
+        if not pending or len(elems) >= 10 * cap:
             break
 
     buckets: dict[int, list] = {}

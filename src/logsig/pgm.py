@@ -17,8 +17,8 @@ from .chain import StabilizerChain
 from .construct import chain_ls
 from .factorize import TameIndexer, factorize_tame, reconstruct
 from .perm import _digits_of, _value_of
-from .signature import (LogSignature, LsFormatError, _read_text, _write_text,
-                        dumps_ls, loads_ls, verify_structural)
+from .signature import (LogSignature, LsFormatError, _ls_from_obj, _ls_obj,
+                        _parse_json, _read_text, _write_text, verify_structural)
 
 __all__ = ["PgmKey", "randomize_ls", "keygen", "encrypt", "decrypt",
            "write_key", "read_key", "KEY_FORMAT"]
@@ -116,8 +116,8 @@ def write_key(key: PgmKey, sink: str | IO[str]) -> None:
         "format": KEY_FORMAT,
         "group": key.chain.name,
         "seed": key.seed,
-        "alpha": json.loads(dumps_ls(key.alpha)),
-        "beta": json.loads(dumps_ls(key.beta)),
+        "alpha": _ls_obj(key.alpha),
+        "beta": _ls_obj(key.beta),
     }
     _write_text(json.dumps(obj, indent=2) + "\n", sink)
 
@@ -128,10 +128,7 @@ def read_key(source: str | IO[str], chain: StabilizerChain) -> PgmKey:
     Raises LsFormatError for malformed files, keys of another group and
     halves that fail structural verification.
     """
-    try:
-        obj = json.loads(_read_text(source))
-    except json.JSONDecodeError as e:
-        raise LsFormatError("line %d column %d: %s" % (e.lineno, e.colno, e.msg)) from e
+    obj = _parse_json(_read_text(source))
     if not isinstance(obj, dict):
         raise LsFormatError("key file must hold a JSON object")
     if obj.get("format") != KEY_FORMAT:
@@ -140,5 +137,5 @@ def read_key(source: str | IO[str], chain: StabilizerChain) -> PgmKey:
         raise LsFormatError("key is for group %r, not %r" % (obj.get("group"), chain.name))
     if "alpha" not in obj or "beta" not in obj:
         raise LsFormatError("key file needs both 'alpha' and 'beta'")
-    return _make_key(chain, loads_ls(json.dumps(obj["alpha"])),
-                     loads_ls(json.dumps(obj["beta"])), obj.get("seed", 0))
+    return _make_key(chain, _ls_from_obj(obj["alpha"]), _ls_from_obj(obj["beta"]),
+                     obj.get("seed", 0))

@@ -283,7 +283,7 @@ def _annotation_obj(a: BlockAnnotation) -> dict:
     return obj
 
 
-def dumps_ls(ls: LogSignature) -> str:
+def _ls_obj(ls: LogSignature) -> dict:
     obj: dict = {"degree": ls.degree}
     if ls.group is not None:
         obj["group"] = ls.group
@@ -292,23 +292,33 @@ def dumps_ls(ls: LogSignature) -> str:
         prov["annotations"] = [_annotation_obj(a) for a in ls.provenance.annotations]
     obj["provenance"] = prov
     obj["blocks"] = [[list(e.images) for e in block] for block in ls.blocks]
-    return json.dumps(obj, indent=2) + "\n"
+    return obj
+
+
+def dumps_ls(ls: LogSignature) -> str:
+    return json.dumps(_ls_obj(ls), indent=2) + "\n"
 
 
 def _parse_annotation(obj, where: str) -> BlockAnnotation:
     if not isinstance(obj, dict) or not isinstance(obj.get("level"), int):
         raise LsFormatError("%s: annotation must be an object with an integer 'level'"
                             % where)
+    for key in ("set_size", "step"):
+        if obj.get(key) is not None and not isinstance(obj[key], int):
+            raise LsFormatError("%s: annotation %r must be an integer" % (where, key))
     return BlockAnnotation(level=obj["level"],
                            set_size=obj.get("set_size"),
                            step=obj.get("step"))
 
 
-def loads_ls(text: str) -> LogSignature:
+def _parse_json(text: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise LsFormatError("line %d column %d: %s" % (e.lineno, e.colno, e.msg)) from e
+
+
+def _ls_from_obj(obj) -> LogSignature:
     if not isinstance(obj, dict):
         raise LsFormatError("top level must be an object")
     try:
@@ -323,6 +333,8 @@ def loads_ls(text: str) -> LogSignature:
         raise LsFormatError("provenance must be an object and blocks an array")
     ann = None
     if "annotations" in prov_obj:
+        if not isinstance(prov_obj["annotations"], list):
+            raise LsFormatError("provenance annotations must be an array")
         ann = tuple(_parse_annotation(a, "provenance") for a in prov_obj["annotations"])
     try:
         provenance = Provenance(tag=prov_obj.get("tag", "manual"), annotations=ann)
@@ -348,6 +360,10 @@ def loads_ls(text: str) -> LogSignature:
                             group=obj.get("group"), provenance=provenance)
     except ValueError as e:
         raise LsFormatError(str(e)) from e
+
+
+def loads_ls(text: str) -> LogSignature:
+    return _ls_from_obj(_parse_json(text))
 
 
 def _write_text(text: str, sink: str | IO[str]) -> None:

@@ -1,6 +1,9 @@
+import io
 import json
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from logsig import (LogSignature, Provenance, chain_ls, dumps_ls, keygen,
                     load_verified_chain, write_key, write_ls)
@@ -77,6 +80,13 @@ def test_construct_cyclic_c100(capsys):
                        "--method", "cyclic")
     assert code == 0
     assert "length: 14" in out
+
+
+def test_construct_cyclic_rejects_m24_without_enumerating(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "construct", "--group", "M24", "--method", "cyclic")
+    assert code == 2 and "not cyclic" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_pass_and_fail(capsys, tmp_path, m11):
@@ -223,6 +233,20 @@ def _s4_with_level(tmp_path, level):
     return str(path)
 
 
+def _s4_annotations_5(tmp_path):
+    doc = json.loads(dumps_ls(chain_ls(load_verified_chain("S4"))))
+    doc["provenance"]["annotations"] = 5
+    path = tmp_path / "s4-annotations.ls"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _bytes_file(tmp_path, data):
+    path = tmp_path / "input.bin"
+    path.write_bytes(data)
+    return str(path)
+
+
 def _m11_file(tmp_path):
     path = str(tmp_path / "m11.ls")
     write_ls(chain_ls(load_verified_chain("M11")), path)
@@ -287,6 +311,27 @@ MALFORMED = {
         "verify", "--group", "C1", "--ls", _deep_c1(t), "--mode", "exhaustive"],
     "factorize-deep-c1": lambda t: [
         "factorize", "--group", "C1", "--ls", _deep_c1(t), "--element", "()"],
+    "verify-non-utf8": lambda t: [
+        "verify", "--group", "S4", "--ls", _bytes_file(t, b"\xff\xfe{}")],
+    "factorize-non-utf8": lambda t: [
+        "factorize", "--group", "S4", "--ls", _bytes_file(t, b"\xff\xfe{}"),
+        "--element", "()"],
+    "encrypt-non-utf8-key": lambda t: [
+        "pgm", "encrypt", "--group", "S4", "--key", _bytes_file(t, b"\xff\xfe{}"), "3"],
+    "info-non-utf8-group-file": lambda t: [
+        "info", "--group-file", _bytes_file(t, b"degree 4\n(1,2)\xff\n")],
+    "info-oversized-degree": lambda t: [
+        "info", "--group-file", _bytes_file(t, b"degree 3000000\n")],
+    "construct-out-missing-dir": lambda t: [
+        "construct", "--group", "S4", "--method", "chain",
+        "--out", str(t / "missing" / "s4.ls")],
+    "keygen-out-missing-dir": lambda t: [
+        "pgm", "keygen", "--group", "S4", "--seed", "1",
+        "--out", str(t / "missing" / "s4.key")],
+    "verify-annotations-not-array": lambda t: [
+        "verify", "--group", "S4", "--ls", _s4_annotations_5(t)],
+    "factorize-annotations-not-array": lambda t: [
+        "factorize", "--group", "S4", "--ls", _s4_annotations_5(t), "--element", "()"],
 }
 
 
@@ -298,9 +343,87 @@ def test_malformed_inputs_exit_cleanly(capsys, tmp_path, case):
         assert code == 0
     else:
         assert code == 2
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_c0_message_names_the_bound(capsys):
     code, _, err = run(capsys, "info", "--group", "C0")
     assert code == 2 and "n >= 1" in err
+
+
+# -- property: any mutation of a valid input file exits 0, 1 or 2 ----------------
+
+def _valid_inputs():
+    s4 = load_verified_chain("S4")
+    key = io.StringIO()
+    write_key(keygen(s4, 3), key)
+    return {"ls": dumps_ls(chain_ls(s4)).encode(), "key": key.getvalue().encode(),
+            "grp": b"degree 4\n(1,2,3,4)\n(1,2)\n"}
+
+
+_VALID = _valid_inputs()
+# type swaps; numbers stay small so a mutated file never asks for more work
+_SWAPS = (None, True, 0, -1, 1.5, "x", [], {}, [0], {"x": 0})
+
+
+def _json_paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _json_paths(v, path + (k,))
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """A valid file after one JSON field type swap, or after 1-3 byte
+    replacements, deletions and truncations."""
+    if data.startswith(b"{") and draw(st.booleans()):
+        doc = json.loads(data)
+        path = draw(st.sampled_from(list(_json_paths(doc))))
+        value = draw(st.sampled_from(_SWAPS))
+        if not path:
+            return json.dumps(value).encode()
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        parent[path[-1]] = value
+        return json.dumps(doc).encode()
+    for _ in range(draw(st.integers(1, 3))):
+        if not data:
+            break
+        i = draw(st.integers(0, len(data) - 1))
+        op = draw(st.sampled_from(("replace", "delete", "truncate")))
+        if op == "replace":
+            data = data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1:]
+        elif op == "delete":
+            data = data[:i] + data[i + 1:]
+        else:
+            data = data[:i]
+    return data
+
+
+def _commands(kind: str, path: str, out: str) -> list[list[str]]:
+    if kind == "ls":
+        return [["verify", "--group", "S4", "--ls", path],
+                ["verify", "--group", "S4", "--ls", path, "--mode", "structural"],
+                ["factorize", "--group", "S4", "--ls", path, "--element", "(1,2,3)"]]
+    if kind == "key":
+        return [["pgm", action, "--group", "S4", "--key", path, "5"]
+                for action in ("encrypt", "decrypt")]
+    return [["info", "--group-file", path],
+            ["pgm", "keygen", "--group-file", path, "--seed", "1", "--out", out]] + [
+            ["construct", "--group-file", path, "--method", method, "--out", out]
+            for method in ("auto", "chain", "solvable", "cyclic")]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(_VALID)), row=st.text(max_size=4), data=st.data())
+def test_every_subcommand_survives_mutated_files(capsys, tmp_path, kind, row, data):
+    path = tmp_path / ("input." + kind)
+    path.write_bytes(data.draw(_mutated(_VALID[kind])))
+    argvs = _commands(kind, str(path), str(tmp_path / "output"))
+    for argv in argvs + [["table-check", "--row", row]]:
+        assert main(argv) in (0, 1, 2), argv
+    capsys.readouterr()

@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,6 +235,15 @@ def test_reject_bad_json_with_position():
 
 def test_reject_unknown_tag():
     text = '{"degree": 2, "provenance": {"tag": "bogus"}, "blocks": [[[1, 2]]]}'
+    with pytest.raises(LsFormatError):
+        loads_ls(text)
+
+
+@pytest.mark.parametrize("annotations", [
+    5, [{"level": 0, "set_size": "x"}], [{"level": 0, "step": 1.5}]])
+def test_reject_malformed_annotations(annotations):
+    text = json.dumps({"degree": 2, "blocks": [[[1, 2], [2, 1]]],
+                       "provenance": {"tag": "chain", "annotations": annotations}})
     with pytest.raises(LsFormatError):
         loads_ls(text)
 
