@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .perm import Permutation, _digits_of, _identity_raw, _inv_raw, _mul_raw, _products
+from .perm import (Permutation, _digits_of, _identity_raw, _inv_raw, _mul_raw,
+                   _products, _sift, _value_of)
 
 __all__ = [
     "GeneratorSet",
@@ -55,14 +56,17 @@ class ChainLevel:
     group with the base point first and the rest increasing, which fixes the
     digit order of the element <-> index bijection.  ``transversal[p]`` is the
     coset representative ``u`` with ``u(point) = p``; the representative of
-    the base point itself is the identity.
+    the base point itself is the identity.  ``table`` is the sift table read
+    by :func:`~logsig.perm._sift`: ``table[p]`` is ``((i,), inverse)`` with
+    ``i`` the position of ``p`` in the orbit and ``inverse`` the raw image
+    array of ``transversal[p]`` inverted.
     """
 
     point: int
     orbit: tuple[int, ...]
     transversal: dict[int, Permutation]
     gens: tuple[Permutation, ...]
-    inv_raw: dict = field(repr=False, default_factory=dict)
+    table: dict = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.orbit)
@@ -86,6 +90,8 @@ class StabilizerChain:
             order *= len(lv.orbit)
         self.order = order
         self.base = tuple(lv.point for lv in self.levels)
+        self._walk = tuple((lv.point, lv.table) for lv in self.levels)
+        self._identity = _identity_raw(degree)
 
     def __repr__(self) -> str:
         return "StabilizerChain(degree=%d, base=%r, order=%d)" % (
@@ -97,20 +103,13 @@ class StabilizerChain:
         """Strip ``g`` through levels ``start..``; identity residue iff member."""
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        raw = g.img
-        for lv in self.levels[start:]:
-            beta = raw[lv.point]
-            it = lv.inv_raw.get(beta)
-            if it is None:
-                break
-            raw = _mul_raw(it, raw)
-        return Permutation._wrap(raw)
+        return Permutation._wrap(_sift(g.img, self._walk[start:])[0])
 
     def contains(self, g: Permutation) -> bool:
         """True iff ``g`` is a product of this chain's generators."""
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        return self.sift(g).is_identity()
+        return _sift(g.img, self._walk)[0] == self._identity
 
     def __contains__(self, g: Permutation) -> bool:
         return self.contains(g)
@@ -135,18 +134,10 @@ class StabilizerChain:
         """Inverse of :meth:`element_at`; raises ValueError for non-members."""
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        raw = g.img
-        index = 0
-        for lv in self.levels:
-            beta = raw[lv.point]
-            it = lv.inv_raw.get(beta)
-            if it is None:
-                raise ValueError("permutation is not a member of this group")
-            index = index * len(lv.orbit) + lv.orbit.index(beta)
-            raw = _mul_raw(it, raw)
-        if any(i != j for i, j in enumerate(raw)):
+        raw, digits, _ = _sift(g.img, self._walk)
+        if raw != self._identity:
             raise ValueError("permutation is not a member of this group")
-        return index
+        return _value_of(digits, [len(lv.orbit) for lv in self.levels])
 
     def elements(self) -> Iterator[Permutation]:
         """All group elements, lazily, in ``element_at`` order: the rank-order
@@ -177,36 +168,40 @@ class StabilizerChain:
 
 
 def _orbit_transversal(point: int, gens_raw: list, degree: int):
-    """BFS orbit of ``point``; FIFO order with generators in list order."""
+    """BFS orbit of ``point``; FIFO order with generators in list order.
+
+    Returns the transversal ``{p: u}`` and the sift table ``{p: ((), u^-1)}``,
+    whose digits are filled in once the orbit order is final.  A new
+    representative ``t = s * u`` is inverted by composition,
+    ``t^-1 = u^-1 * s^-1``, with each ``s^-1`` computed once.
+    """
     e = _identity_raw(degree)
     trans = {point: e}
-    inv_trans = {point: e}
+    table = {point: ((), e)}
+    gens_inv = [(s, _inv_raw(s)) for s in gens_raw]
     queue = [point]
-    qi = 0
-    while qi < len(queue):
-        p = queue[qi]
-        qi += 1
+    for p in queue:  # grows while it is read: breadth-first order
         up = trans[p]
-        for s in gens_raw:
+        up_inv = table[p][1]
+        for s, s_inv in gens_inv:
             q = s[p]
             if q not in trans:
-                t = _mul_raw(s, up)
-                trans[q] = t
-                inv_trans[q] = _inv_raw(t)
+                trans[q] = _mul_raw(s, up)
+                table[q] = ((), _mul_raw(up_inv, s_inv))
                 queue.append(q)
-    return trans, inv_trans
+    return trans, table
 
 
 class _Node:
-    __slots__ = ("point", "gens", "trans", "inv_trans")
+    __slots__ = ("point", "gens", "trans", "table")
 
     def __init__(self, point: int, degree: int):
         self.point = point
         self.gens: list = []
-        self.trans, self.inv_trans = _orbit_transversal(point, [], degree)
+        self.trans, self.table = _orbit_transversal(point, [], degree)
 
     def rebuild(self, degree: int):
-        self.trans, self.inv_trans = _orbit_transversal(self.point, self.gens, degree)
+        self.trans, self.table = _orbit_transversal(self.point, self.gens, degree)
 
 
 def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> StabilizerChain:
@@ -230,15 +225,8 @@ def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> S
             used.add(p)
 
     def strip(raw, start):
-        for j in range(start, len(nodes)):
-            if raw == e:
-                return raw, j
-            node = nodes[j]
-            it = node.inv_trans.get(raw[node.point])
-            if it is None:
-                return raw, j
-            raw = _mul_raw(it, raw)
-        return raw, len(nodes)
+        raw, _, passed = _sift(raw, [(nd.point, nd.table) for nd in nodes[start:]])
+        return raw, start + passed
 
     def add_strong_gen(raw, lo, hi):
         # raw fixes the first `lo` base points; install it at levels lo..hi
@@ -269,7 +257,7 @@ def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> S
         for p in sorted(node.trans):
             up = node.trans[p]
             for s in node.gens:
-                sch = _mul_raw(node.inv_trans[s[p]], _mul_raw(s, up))
+                sch = _mul_raw(node.table[s[p]][1], _mul_raw(s, up))
                 if sch == e:
                     continue
                 h, j = strip(sch, i + 1)
@@ -292,7 +280,7 @@ def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> S
             orbit=orbit,
             transversal=transversal,
             gens=tuple(Permutation._wrap(s) for s in node.gens),
-            inv_raw=dict(node.inv_trans),
+            table={p: ((i,), node.table[p][1]) for i, p in enumerate(orbit)},
         ))
     return StabilizerChain(gens.degree, levels, gens)
 

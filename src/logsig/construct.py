@@ -196,13 +196,16 @@ def refine_block(chain: StabilizerChain, level: int,
     default).  A single cyclic set of full orbit size is tried first, then
     two sets, three sets and so on, candidates drawn in element-index order
     and filtered to elements whose order the set size divides, at most
-    ``cap`` candidates per size.  Returning None means the search space was
-    exhausted without a cover, which is a legitimate outcome.
+    ``cap`` candidates per size; a cap below 1 raises ValueError.  Returning
+    None means the search space was exhausted without a cover, which is a
+    legitimate outcome.
 
     Candidate tuples may be partitioned and scanned in parallel as long as
     the selected tuple is still the first success in this deterministic
     order; this implementation scans sequentially.
     """
+    if cap < 1:
+        raise ValueError("search cap must be at least 1, got %d" % cap)
     lv = chain.levels[level]
     osize = len(lv.orbit)
     if targets is None:

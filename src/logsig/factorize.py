@@ -8,8 +8,9 @@ from __future__ import annotations
 from math import prod
 
 from .chain import StabilizerChain
-from .perm import Permutation, _digits_of, _identity_raw, _inv_raw, _mul_raw, _products
-from .signature import LogSignature, _levels_of
+from .perm import (Permutation, _digits_of, _identity_raw, _inv_raw, _mul_raw,
+                   _products, _sift)
+from .signature import LogSignature, _index_levels
 
 __all__ = ["TameIndexer", "FactorizationError", "factorize_tame",
            "factorize_generic", "reconstruct"]
@@ -27,49 +28,29 @@ class TameIndexer:
     digit tuple and inverse, so factorization reads one digit group per level
     and strips it off, at cost O(levels * degree) per element.  Construction
     expands each level's product set, which is at most orbit-sized.
+
+    Building the tables is the walk of the structural oracle, so
+    construction certifies the signature: it raises ValueError with the
+    fault :func:`~logsig.signature.verify_structural` reports for it.
     """
 
     def __init__(self, ls: LogSignature, chain: StabilizerChain):
-        grouped = _levels_of(ls)
-        if ls.degree != chain.degree:
-            raise ValueError("degree mismatch")
+        self._levels, fault, _ = _index_levels(ls, chain)
+        if fault:
+            raise ValueError(fault)
         self.ls = ls
         self.chain = chain
-        self._levels = []
-        for level, block_ids in sorted(grouped.items()):
-            if not 0 <= level < len(chain.levels):
-                raise ValueError("annotated level %d outside the chain's %d levels"
-                                 % (level, len(chain.levels)))
-            lv = chain.levels[level]
-            raws = [[e.img for e in ls.blocks[bi]] for bi in block_ids]
-            sizes = [len(r) for r in raws]
-            if prod(sizes) != len(lv.orbit):
-                raise ValueError("level %d blocks enumerate %d products, orbit has %d"
-                                 % (level, prod(sizes), len(lv.orbit)))
-            table: dict[int, tuple[tuple[int, ...], object]] = {}
-            for rank, q in enumerate(_products(raws, _identity_raw(ls.degree))):
-                image = q[lv.point]
-                if image in table:
-                    raise ValueError("level %d products repeat image %d; "
-                                     "signature is corrupt" % (level, image))
-                table[image] = (_digits_of(rank, sizes), _inv_raw(q))
-            self._levels.append((lv.point, table))
+        self._identity = _identity_raw(ls.degree)
 
     def digits(self, g: Permutation) -> tuple[int, ...]:
         if g.degree != self.ls.degree:
             raise ValueError("degree mismatch")
-        raw = g.img
-        out: tuple[int, ...] = ()
-        for point, table in self._levels:
-            hit = table.get(raw[point])
-            if hit is None:
-                raise FactorizationError(
-                    "no block entry matches image of point %d; element is not "
-                    "a member (or the signature is corrupt)" % point)
-            digits, inv_pre = hit
-            out += digits
-            raw = _mul_raw(inv_pre, raw)
-        if any(i != j for i, j in enumerate(raw)):
+        raw, out, passed = _sift(g.img, self._levels)
+        if passed < len(self._levels):
+            raise FactorizationError(
+                "no block entry matches image of point %d; element is not "
+                "a member (or the signature is corrupt)" % self._levels[passed][0])
+        if raw != self._identity:
             raise FactorizationError("nonidentity residue; element is not a member")
         return out
 

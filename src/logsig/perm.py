@@ -88,6 +88,27 @@ def _value_of(digits, sizes) -> int:
     return value
 
 
+def _sift(raw, levels):
+    """Strip ``raw`` level by level: the one walk from an element to its digits.
+
+    ``levels`` is a sequence of ``(point, table)`` pairs with
+    ``table[image] = (digits, inverse)``.  At each level the image of
+    ``point`` selects an entry, its digits are appended and its inverse is
+    multiplied on the left.  Returns ``(residue, digits, passed)``; the walk
+    stops at the first image missing from its table, so ``passed`` is the
+    number of levels stripped.  Every table holds its own point, so a walk
+    that stops early leaves a nonidentity residue.
+    """
+    out = ()
+    for passed, (point, table) in enumerate(levels):
+        hit = table.get(raw[point])
+        if hit is None:
+            return raw, out, passed
+        out += hit[0]
+        raw = _mul_raw(hit[1], raw)
+    return raw, out, len(levels)
+
+
 def _inv_raw(a):
     n = len(a)
     if type(a) is bytes:
@@ -190,7 +211,7 @@ class Permutation:
         return Permutation._wrap(_inv_raw(self.img))
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.img))
+        return self.img == _identity_raw(len(self.img))
 
     def order(self) -> int:
         """Least t >= 1 with self**t equal to the identity (lcm of cycle lengths)."""

@@ -18,7 +18,7 @@ from .construct import chain_ls
 from .factorize import TameIndexer, factorize_tame, reconstruct
 from .perm import _digits_of, _value_of
 from .signature import (LogSignature, LsFormatError, _ls_from_obj, _ls_obj,
-                        _parse_json, _read_text, _write_text, verify_structural)
+                        _parse_json, _read_text, _write_text)
 
 __all__ = ["PgmKey", "randomize_ls", "keygen", "encrypt", "decrypt",
            "write_key", "read_key", "KEY_FORMAT"]
@@ -80,19 +80,14 @@ def keygen(chain: StabilizerChain, seed: int) -> PgmKey:
 
 def _make_key(chain: StabilizerChain, alpha: LogSignature, beta: LogSignature,
               seed: int) -> PgmKey:
-    """Verify both halves structurally against ``chain`` and index them."""
+    """Index both halves against ``chain``; indexing verifies them structurally."""
+    indexers = []
     for part, name in ((alpha, "alpha"), (beta, "beta")):
         try:
-            report = verify_structural(part, chain)
+            indexers.append(TameIndexer(part, chain))
         except ValueError as e:
             raise LsFormatError("key half %s: %s" % (name, e)) from e
-        if not report.ok:
-            raise LsFormatError("key half %s failed verification: %s"
-                                % (name, report.detail))
-    return PgmKey(chain=chain, alpha=alpha, beta=beta,
-                  alpha_indexer=TameIndexer(alpha, chain),
-                  beta_indexer=TameIndexer(beta, chain),
-                  seed=seed)
+    return PgmKey(chain, alpha, beta, *indexers, seed=seed)
 
 
 def encrypt(key: PgmKey, message: int) -> int:

@@ -16,7 +16,7 @@ from typing import IO
 
 from .arith import PrimeFactorization
 from .chain import StabilizerChain
-from .perm import Permutation, _digits_of, _identity_raw, _products
+from .perm import Permutation, _digits_of, _identity_raw, _inv_raw, _products
 
 __all__ = [
     "BlockAnnotation",
@@ -194,8 +194,20 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
     return VerificationReport(ok=True, method="exhaustive", products_checked=len(seen))
 
 
-def _levels_of(ls: LogSignature) -> dict[int, list[int]]:
-    """Map chain level -> ordered block indices covering it; validates shape."""
+def _index_levels(ls: LogSignature, chain: StabilizerChain):
+    """The one walk over a tame signature's levels: ``(levels, fault, checked)``.
+
+    ``levels`` holds a ``(point, table)`` pair per annotated level for
+    :func:`~logsig.perm._sift`; the table maps the base-point image of each
+    product of the level's blocks to its digit tuple and inverse.  The walk
+    stops at the first fault: annotated levels other than the chain's
+    nontrivial ones, an entry outside its level's group, a product count
+    other than the orbit size, or a repeated image.  ``fault`` is "" for an
+    exact signature; ``checked`` counts the products expanded.  Raises
+    ValueError for a degree mismatch and missing or out-of-order annotations.
+    """
+    if ls.degree != chain.degree:
+        raise ValueError("degree mismatch")
     ann = ls.provenance.annotations
     if ls.provenance.tag not in ("chain", "refined") or ann is None:
         raise ValueError("structural verification and tame factorization need "
@@ -207,7 +219,34 @@ def _levels_of(ls: LogSignature) -> dict[int, list[int]]:
             raise ValueError("block annotations out of level order")
         prev = a.level
         grouped.setdefault(a.level, []).append(bi)
-    return grouped
+    needed = [i for i, lv in enumerate(chain.levels) if len(lv.orbit) > 1]
+    if list(grouped) != needed:
+        return [], ("annotated levels %s do not match chain levels %s"
+                    % (list(grouped), needed)), 0
+    levels: list = []
+    checked = 0
+    for level, block_ids in grouped.items():
+        lv = chain.levels[level]
+        for bi in block_ids:
+            for e in ls.blocks[bi]:
+                if not chain.sift(e, start=level).is_identity():
+                    return levels, ("block %d entry %s is outside the level-%d group"
+                                    % (bi, e, level)), checked
+        sizes = [len(ls.blocks[bi]) for bi in block_ids]
+        if prod(sizes) != len(lv.orbit):
+            return levels, ("level %d blocks enumerate %d products, orbit has %d "
+                            "points" % (level, prod(sizes), len(lv.orbit))), checked
+        raws = [[e.img for e in ls.blocks[bi]] for bi in block_ids]
+        table = {q[lv.point]: (_digits_of(rank, sizes), _inv_raw(q))
+                 for rank, q in enumerate(_products(raws, _identity_raw(ls.degree)))}
+        checked += len(lv.orbit)
+        # every product lies in the level group, so its image lies in the
+        # orbit: with as many products as points, distinct images cover it
+        if len(table) != len(lv.orbit):
+            return levels, ("level %d products repeat a base-point image"
+                            % level), checked
+        levels.append((lv.point, table))
+    return levels, "", checked
 
 
 def _cover_fault(raw_sets, point: int, orbit, degree: int) -> str | None:
@@ -229,42 +268,13 @@ def verify_structural(ls: LogSignature, chain: StabilizerChain) -> VerificationR
     point of the level orbit exactly once through the level's base point.
     Together with the chain's own exactness this is sound and complete for
     transversal-structured signatures, at cost O(length * degree) plus the
-    expansion of each level's product set (at most the orbit size).
+    expansion of each level's product set (at most the orbit size).  The
+    walk is shared with :class:`~logsig.factorize.TameIndexer`, so a
+    signature passes exactly when it can be indexed.
     """
-    if ls.degree != chain.degree:
-        raise ValueError("degree mismatch")
-    grouped = _levels_of(ls)
-    needed = {i for i, lv in enumerate(chain.levels) if len(lv.orbit) > 1}
-    have = set(grouped)
-    if have != needed:
-        return VerificationReport(
-            ok=False, method="structural", products_checked=0,
-            detail="annotated levels %s do not match chain levels %s"
-                   % (sorted(have), sorted(needed)))
-    checked = 0
-    for level, block_ids in sorted(grouped.items()):
-        lv = chain.levels[level]
-        for bi in block_ids:
-            for e in ls.blocks[bi]:
-                if not chain.sift(e, start=level).is_identity():
-                    return VerificationReport(
-                        ok=False, method="structural", products_checked=checked,
-                        detail="block %d entry %s is outside the level-%d group"
-                               % (bi, e, level))
-        if prod(len(ls.blocks[bi]) for bi in block_ids) != len(lv.orbit):
-            return VerificationReport(
-                ok=False, method="structural", products_checked=checked,
-                detail="level %d blocks enumerate %d products, orbit has %d points"
-                       % (level, prod(len(ls.blocks[bi]) for bi in block_ids),
-                          len(lv.orbit)))
-        fault = _cover_fault([[e.img for e in ls.blocks[bi]] for bi in block_ids],
-                             lv.point, lv.orbit, ls.degree)
-        checked += len(lv.orbit)
-        if fault:
-            return VerificationReport(
-                ok=False, method="structural", products_checked=checked,
-                detail="level %d products %s" % (level, fault))
-    return VerificationReport(ok=True, method="structural", products_checked=checked)
+    _, fault, checked = _index_levels(ls, chain)
+    return VerificationReport(ok=not fault, method="structural",
+                              products_checked=checked, detail=fault)
 
 
 # -- canonical file format --------------------------------------------------

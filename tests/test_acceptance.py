@@ -8,6 +8,7 @@ runtime budget.
 import random
 import time
 from itertools import product
+from pathlib import Path
 
 from logsig import (CyclicSetSpec, Permutation, ProductDecomposition,
                     TameIndexer, build_chain, chain_ls, factor_integer,
@@ -298,7 +299,7 @@ def test_criterion_10_pgm(tmp_path):
     p1, p2 = str(tmp_path / "k1.json"), str(tmp_path / "k2.json")
     write_key(keygen(m12, 77), p1)
     write_key(keygen(m12, 77), p2)
-    ok = ok and open(p1, "rb").read() == open(p2, "rb").read()
+    ok = ok and Path(p1).read_bytes() == Path(p2).read_bytes()
     elapsed = time.perf_counter() - t0
     report(10, ok, elapsed, 30,
            "10k roundtrips on M12, exhaustive bijectivity on S4, "

@@ -1,6 +1,7 @@
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -197,7 +198,7 @@ def test_pgm_keygen_reproducible(capsys, tmp_path):
     p1, p2 = str(tmp_path / "k1.json"), str(tmp_path / "k2.json")
     run(capsys, "pgm", "keygen", "--group", "M11", "--seed", "7", "--out", p1)
     run(capsys, "pgm", "keygen", "--group", "M11", "--seed", "7", "--out", p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_pgm_message_out_of_range(capsys, tmp_path):
@@ -253,6 +254,13 @@ def _m11_file(tmp_path):
     return path
 
 
+def _inexact_m11_file(tmp_path):
+    from test_signature import wrong_level_entry
+    path = str(tmp_path / "m11-inexact.ls")
+    write_ls(wrong_level_entry(load_verified_chain("M11")), path)
+    return path
+
+
 def _key_file(tmp_path, doc):
     path = tmp_path / "key.json"
     path.write_text(json.dumps(doc))
@@ -262,7 +270,7 @@ def _key_file(tmp_path, doc):
 def _key_without_alpha(tmp_path):
     path = str(tmp_path / "m11.key")
     write_key(keygen(load_verified_chain("M11"), 5), path)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     del doc["alpha"]
     return _key_file(tmp_path, doc)
 
@@ -291,6 +299,10 @@ MALFORMED = {
         "factorize", "--group", "S4", "--ls", _s4_with_level(t, 99), "--element", "()"],
     "factorize-level-not-integer": lambda t: [
         "factorize", "--group", "S4", "--ls", _s4_with_level(t, "2"), "--element", "()"],
+    "factorize-inexact-m11": lambda t: [
+        "factorize", "--group", "M11", "--ls", _inexact_m11_file(t), "--element", "()"],
+    "construct-search-cap-0": lambda t: [
+        "construct", "--group", "M11", "--search-cap", "0"],
     "factorize-wrong-degree": lambda t: [
         "factorize", "--group", "M12", "--ls", _m11_file(t), "--element", "()"],
     "verify-wrong-degree": lambda t: [

@@ -5,7 +5,9 @@ import pytest
 
 from logsig import (FactorizationError, Permutation, TameIndexer, build_chain,
                     chain_ls, factorize_generic, factorize_tame, load_group,
-                    mls_solvable, parse_cycles, reconstruct, refine_ls)
+                    load_verified_chain, mls_solvable, parse_cycles,
+                    reconstruct, refine_ls)
+from logsig.perm import _value_of
 
 
 def test_identity_factors_to_zero_digits(m11):
@@ -50,6 +52,17 @@ def test_tame_rejects_nonmember(m11):
 def test_tame_needs_annotations(s4):
     with pytest.raises(ValueError):
         TameIndexer(mls_solvable(s4), s4)
+
+
+@pytest.mark.parametrize("name", ["M11", "D300"])
+def test_tame_digits_of_chain_ls_are_chain_index(name):
+    # D300 has degree > 256, so its tables hold tuple images and inverses
+    # composed in the orbit transversal
+    chain = load_verified_chain(name)
+    idx = TameIndexer(chain_ls(chain), chain)
+    sizes = [len(lv.orbit) for lv in chain.levels]
+    for g in chain.elements():
+        assert chain.index_of(g) == _value_of(idx.digits(g), sizes)
 
 
 def test_generic_c2():

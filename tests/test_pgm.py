@@ -1,5 +1,6 @@
 import io
 import random
+from pathlib import Path
 
 import pytest
 
@@ -49,7 +50,7 @@ def test_key_file_byte_identical_for_same_seed(m11, tmp_path):
     p1, p2 = str(tmp_path / "k1.json"), str(tmp_path / "k2.json")
     write_key(keygen(m11, 99), p1)
     write_key(keygen(m11, 99), p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_key_file_roundtrip(m11, tmp_path):

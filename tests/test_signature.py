@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logsig import (LogSignature, LsFormatError, Permutation, Provenance,
-                    VerificationBudgetError, build_chain, chain_ls,
+                    TameIndexer, VerificationBudgetError, build_chain, chain_ls,
                     dumps_ls, factor_integer, is_minimal,
                     loads_ls, ls_length, minimal_length, mls_solvable,
                     parse_cycles, read_ls, verify_exhaustive,
@@ -157,34 +157,55 @@ def test_structural_m24_beyond_exhaustive_budget(m24):
     assert report.ok
 
 
+def indexes(ls, chain):
+    """Whether a tame index can be built, the third structural verdict."""
+    try:
+        TameIndexer(ls, chain)
+    except ValueError:
+        return False
+    return True
+
+
 def test_structural_agrees_with_exhaustive(m11, a5, s4):
     for chain in (m11, a5, s4):
-        ls = chain_ls(chain)
-        assert verify_structural(ls, chain).ok == verify_exhaustive(ls, chain).ok
-        bad = tamper(ls, chain, block=0)
-        assert verify_structural(bad, chain).ok == verify_exhaustive(bad, chain).ok
+        for ls in (chain_ls(chain), tamper(chain_ls(chain), chain, block=0),
+                   wrong_level_entry(chain, pos=1)):
+            verdict = verify_exhaustive(ls, chain).ok
+            assert verify_structural(ls, chain).ok == verdict
+            assert indexes(ls, chain) == verdict
 
 
-def test_structural_detects_wrong_level_group_entry(m11):
-    # same base-point image, but the element moves an earlier base point
-    ls = chain_ls(m11)
-    lv1 = m11.levels[1]
-    entry = ls.blocks[1][3]
+def wrong_level_entry(chain, pos=3):
+    """The chain signature with entry ``pos`` of block 1 replaced by an element
+    with the same level-1 base-point image that moves the level-0 base
+    point: inexact, though every level still covers its orbit."""
+    ls = chain_ls(chain)
+    lv1 = chain.levels[1]
+    entry = ls.blocks[1][pos]
     candidate = None
-    for g in m11.elements():
+    for g in chain.elements():
         if g(lv1.point) == entry(lv1.point) and \
-                g(m11.levels[0].point) != m11.levels[0].point:
+                g(chain.levels[0].point) != chain.levels[0].point:
             candidate = g
             break
     assert candidate is not None
     blocks = list(ls.blocks)
     entries = list(blocks[1])
-    entries[3] = candidate
+    entries[pos] = candidate
     blocks[1] = tuple(entries)
-    bad = LogSignature(degree=11, blocks=tuple(blocks), provenance=ls.provenance)
+    return LogSignature(degree=chain.degree, blocks=tuple(blocks),
+                        group=ls.group, provenance=ls.provenance)
+
+
+def test_structural_detects_wrong_level_group_entry(m11):
+    bad = wrong_level_entry(m11)
     report = verify_structural(bad, m11)
     assert not report.ok
     assert "outside" in report.detail
+    # building a tame index is the same walk and reports the same fault
+    with pytest.raises(ValueError) as exc:
+        TameIndexer(bad, m11)
+    assert str(exc.value) == report.detail
 
 
 def test_structural_needs_annotations(m11):
