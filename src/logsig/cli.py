@@ -89,6 +89,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if args.search_cap < 1:
+        raise ValueError("--search-cap must be at least 1, got %d" % args.search_cap)
     chain = _load_chain(args)
     method = args.method
     if method == "auto":
@@ -247,7 +249,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "structural", "auto"),
                    default="auto")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="max products for exhaustive verification")
+                   help="max products for exhaustive verification "
+                        "(about 85 bytes of memory each)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("factorize", help="digits of an element under a signature")

@@ -36,6 +36,10 @@ def _mul_raw(a, b):
     return itemgetter(*b)(a)
 
 
+# appended to a bytes image array to make it a 256-entry translate table
+_TAIL = bytes(range(256))
+
+
 def _products(raw_blocks, pre):
     """Yield ``pre * b_1[d_1] * ... * b_s[d_s]`` for every digit tuple.
 
@@ -44,6 +48,12 @@ def _products(raw_blocks, pre):
     A leading prefix is recomputed only when its digit changes, which costs
     one composition per product plus one per change of a leading digit.
     With no blocks the only product is ``pre``.
+
+    Each entry of the last block is mapped point by point through its
+    prefix, so it may be any sequence of points, longer than the degree
+    too: a packed string of several image arrays yields the packed images
+    of the products.  The exhaustive oracle relies on this to map a packed
+    string of base images in one step.
     """
     k = len(raw_blocks) - 1
     if k < 0:
@@ -56,9 +66,15 @@ def _products(raw_blocks, pre):
     for i in range(k):
         prefix.append(_mul_raw(prefix[i], raw_blocks[i][0]))
     while True:
-        p = prefix[k].__getitem__
-        for e in last:
-            yield mk(map(p, e))
+        p = prefix[k]
+        if mk is bytes:
+            table = p + _TAIL[len(p):]
+            for e in last:
+                yield e.translate(table)
+        else:
+            p = p.__getitem__
+            for e in last:
+                yield mk(map(p, e))
         i = k - 1
         while i >= 0 and digits[i] + 1 == len(raw_blocks[i]):
             digits[i] = 0

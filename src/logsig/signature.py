@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain as iterchain
 from math import prod
 from typing import IO
 
@@ -156,13 +157,21 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
 
     All block entries are required to be members of the chain's group, so
     distinctness together with a product count equal to the group order is
-    equivalent to exactness.  Products are enumerated once, in rank order
-    (mixed radix, digits varying fastest in the last block), and a reported
-    collision is the first one in that order.
+    equivalent to exactness.  A member is fixed by its images of the chain's
+    base, so two products are equal exactly when their base images are, and
+    only those are computed and stored.  For degree <= 256 a product's key
+    is its base images packed into 8-byte ints (the base padded to a
+    multiple of 8 points by repeating one); with a base of up to 8 points
+    the peak memory is about 85 bytes per product.  For degree > 256 the
+    key is the tuple of base images.
 
-    The index space may be partitioned by the first block's digit and checked
-    in parallel workers merging per-worker seen-sets; the verdict does not
-    depend on the partitioning.  This implementation runs single-threaded.
+    The trailing blocks are expanded once into a packed tail string of the
+    base images of at least ``_CHUNK`` products; each product of the leading
+    blocks maps that tail in one C-level step to one chunk of keys, in rank
+    order (mixed radix, digits varying fastest in the last block).  A chunk
+    that adds fewer new keys than it holds contains the first collision,
+    which a second pass locates, so the reported collision is still the
+    first one in rank order.
     """
     if ls.degree != chain.degree:
         raise ValueError("degree mismatch")
@@ -183,15 +192,66 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
                                  % (bi, e))
 
     raws = [[e.img for e in block] for block in ls.blocks]
-    seen: dict = {}
-    for rank, q in enumerate(_products(raws, _identity_raw(ls.degree))):
-        first = seen.setdefault(q, rank)
-        if first != rank:
+    ident = _identity_raw(ls.degree)
+    mk = type(ident)
+    points = list(chain.base) or [0]
+    if mk is bytes:
+        points += points[:1] * (-len(points) % 8)
+    # expand the trailing blocks right to left into one packed tail
+    tail, n, h = mk(points), 1, len(raws)
+    while h and n < _CHUNK:
+        h -= 1
+        parts = _products([raws[h], [tail]], ident)
+        tail = b"".join(parts) if mk is bytes else tuple(iterchain.from_iterable(parts))
+        n *= sizes[h]
+    head = raws[:h] + [[tail]]
+    width = len(points)
+    seen: set = set()
+    for c, chunk in enumerate(_products(head, ident)):
+        seen.update(_keys(chunk, width))
+        if len(seen) < (c + 1) * n:
+            seen.clear()
+            first, second = _first_collision(head, ident, width, c, n)
             return VerificationReport(
-                ok=False, method="exhaustive", products_checked=rank + 1,
-                collision=(_digits_of(first, sizes), _digits_of(rank, sizes)),
+                ok=False, method="exhaustive", products_checked=second + 1,
+                collision=(_digits_of(first, sizes), _digits_of(second, sizes)),
                 detail="identical products at two index tuples")
-    return VerificationReport(ok=True, method="exhaustive", products_checked=len(seen))
+    return VerificationReport(ok=True, method="exhaustive", products_checked=total)
+
+
+# least number of products per chunk of the exhaustive oracle
+_CHUNK = 4096
+
+
+def _keys(chunk, width: int):
+    """The keys of a chunk of packed base images, ``width`` points each."""
+    if type(chunk) is bytes:
+        chunk, width = memoryview(chunk).cast("Q"), width // 8
+    if width == 1:
+        return chunk
+    return zip(*(chunk[i::width] for i in range(width)))
+
+
+def _first_collision(head, ident, width: int, c: int, n: int) -> tuple[int, int]:
+    """Ranks ``(first, second)`` of the first repeated key in rank order,
+    given that it lies in chunk ``c`` of ``n`` keys: rebuild the keys of
+    the earlier chunks, walk chunk ``c``, and scan for the partner."""
+    chunks = _products(head, ident)
+    seen = set()
+    for _ in range(c):
+        seen.update(_keys(next(chunks), width))
+    keys = list(_keys(next(chunks), width))
+    for i, key in enumerate(keys):
+        if key in seen:
+            break
+        seen.add(key)
+    j = keys.index(key)
+    if j < i:
+        return c * n + j, c * n + i
+    for j, chunk in enumerate(_products(head, ident)):
+        earlier = list(_keys(chunk, width))
+        if key in earlier:
+            return j * n + earlier.index(key), c * n + i
 
 
 def _index_levels(ls: LogSignature, chain: StabilizerChain):

@@ -303,6 +303,10 @@ MALFORMED = {
         "factorize", "--group", "M11", "--ls", _inexact_m11_file(t), "--element", "()"],
     "construct-search-cap-0": lambda t: [
         "construct", "--group", "M11", "--search-cap", "0"],
+    "construct-solvable-search-cap-0": lambda t: [
+        "construct", "--group", "S4", "--search-cap", "0"],
+    "construct-chain-search-cap-negative": lambda t: [
+        "construct", "--group", "M11", "--method", "chain", "--search-cap", "-5"],
     "factorize-wrong-degree": lambda t: [
         "factorize", "--group", "M12", "--ls", _m11_file(t), "--element", "()"],
     "verify-wrong-degree": lambda t: [

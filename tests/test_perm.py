@@ -189,6 +189,17 @@ def test_products_tuple_images_above_degree_256():
     assert all(type(q) is tuple for q in got)
 
 
+@pytest.mark.parametrize("degree", [5, 300])
+def test_products_last_block_may_hold_packed_strings(degree):
+    # a last-block entry longer than the degree is mapped point by point,
+    # so a packed string of images gives the packed images of the products
+    rng = random.Random(degree)
+    a, b, c, d = (Permutation(rng.sample(range(degree), degree)) for _ in range(4))
+    packed = c.img + d.img + c.img[:3]
+    got = list(_products([[a.img, b.img], [packed]], _identity_raw(degree)))
+    assert got == [(x * c).img + (x * d).img + (x * c).img[:3] for x in (a, b)]
+
+
 def test_products_many_one_entry_blocks_do_not_recurse():
     e = _identity_raw(1)
     assert list(_products([[e]] * 3000, e)) == [e]

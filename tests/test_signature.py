@@ -1,16 +1,20 @@
 import io
 import json
+import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logsig import (LogSignature, LsFormatError, Permutation, Provenance,
-                    TameIndexer, VerificationBudgetError, build_chain, chain_ls,
-                    dumps_ls, factor_integer, is_minimal,
-                    loads_ls, ls_length, minimal_length, mls_solvable,
-                    parse_cycles, read_ls, verify_exhaustive,
-                    verify_structural, write_ls)
+from logsig import (CyclicSetSpec, LogSignature, LsFormatError, Permutation,
+                    Provenance, TameIndexer, VerificationBudgetError,
+                    build_chain, chain_ls, dumps_ls, factor_integer,
+                    is_minimal, load_verified_chain, loads_ls, ls_length,
+                    minimal_length, mls_cyclic, mls_solvable, parse_cycles,
+                    read_ls, verify_exhaustive, verify_structural, write_ls)
 from logsig.chain import GeneratorSet
+from logsig.perm import _digits_of, _identity_raw, _products, _value_of
 
 
 def c2_signature():
@@ -69,9 +73,12 @@ def test_exhaustive_m12_chain(m12):
 
 def test_empty_signature_of_trivial_group():
     trivial = build_chain(GeneratorSet(3, (Permutation.identity(3),)))
+    assert trivial.base == ()
     ls = LogSignature(degree=3, blocks=(), provenance=Provenance("chain", ()))
     assert verify_exhaustive(ls, trivial).ok
     assert verify_structural(ls, trivial).ok
+    for ls in (ls, LogSignature(degree=3, blocks=((Permutation.identity(3),),))):
+        assert verdict(ls, trivial) == full_image_reference(ls) == (True, 1, None)
 
 
 def tamper(ls, chain, block=0, src=0, dst=1):
@@ -99,6 +106,119 @@ def test_tampered_block_collides(m11):
     # the two witness tuples really do multiply to the same element
     from logsig import reconstruct
     assert reconstruct(ls, first) == reconstruct(ls, second)
+
+
+def full_image_reference(ls):
+    """The oracle's verdict by storing every product's full image array with
+    its rank: ``(ok, products_checked, collision)``."""
+    sizes = ls.block_sizes
+    raws = [[e.img for e in block] for block in ls.blocks]
+    seen: dict = {}
+    for rank, q in enumerate(_products(raws, _identity_raw(ls.degree))):
+        first = seen.setdefault(q, rank)
+        if first != rank:
+            return False, rank + 1, (_digits_of(first, sizes), _digits_of(rank, sizes))
+    return True, len(seen), None
+
+
+def verdict(ls, chain):
+    report = verify_exhaustive(ls, chain)
+    return report.ok, report.products_checked, report.collision
+
+
+def two_to_the_ninth():
+    """2^9 on 18 points: nine disjoint transpositions, base length 9."""
+    gens = tuple(parse_cycles("(%d,%d)" % (2 * i + 1, 2 * i + 2), 18) for i in range(9))
+    return build_chain(GeneratorSet(18, gens))
+
+
+def c1000_signature(c1000):
+    gen = next(g for g in c1000.generators.gens if g.order() == 1000)
+    return mls_cyclic(CyclicSetSpec(gen, 1000))
+
+
+def seeded_tamper(ls, chain, rng):
+    """Replace a random entry of a random block by a random group member not
+    in that block, or (one time in four) only reverse one block, which keeps
+    an exact signature exact."""
+    blocks = list(ls.blocks)
+    bi = rng.randrange(len(blocks))
+    entries = list(blocks[bi])
+    if rng.randrange(4) == 0:
+        entries.reverse()
+    else:
+        while True:
+            g = chain.element_at(rng.randrange(chain.order))
+            if g not in entries:
+                break
+        entries[rng.randrange(len(entries))] = g
+    blocks[bi] = tuple(entries)
+    return LogSignature(degree=ls.degree, blocks=tuple(blocks))
+
+
+def test_exhaustive_matches_full_image_reference(m11, a5):
+    d300, c1000 = load_verified_chain("D300"), load_verified_chain("C1000")
+    two9 = two_to_the_ninth()
+    assert len(two9.base) == 9 and type(_identity_raw(18)) is bytes
+    assert type(_identity_raw(300)) is tuple
+    cases = [(m11, chain_ls(m11)), (a5, chain_ls(a5)), (two9, chain_ls(two9)),
+             (d300, chain_ls(d300)), (c1000, c1000_signature(c1000))]
+    rng = random.Random(20151007)
+    outcomes = set()
+    for i in range(150):
+        chain, ls = cases[i % len(cases)]
+        bad = seeded_tamper(ls, chain, rng)
+        expect = full_image_reference(bad)
+        assert verdict(bad, chain) == expect
+        outcomes.add(expect[0])
+    assert outcomes == {True, False}
+
+
+M12_CHUNK = 11 * 10 * 9 * 8  # M12's chain signature is checked in 12 chunks, one per block-0 digit
+
+
+@pytest.mark.parametrize("block, src, dst, chunks", [
+    (3, 0, 5, (0, 0)),    # both products inside the first chunk
+    (1, 2, 7, (0, 0)),
+    (0, 3, 7, (3, 7)),    # a later chunk repeats an earlier one after the first
+    (0, 0, 11, (0, 11)),  # the last chunk repeats the first
+])
+def test_exhaustive_collision_chunks_match_reference(m12, block, src, dst, chunks):
+    bad = tamper(chain_ls(m12), m12, block=block, src=src, dst=dst)
+    ok, checked, collision = expect = full_image_reference(bad)
+    assert not ok
+    first, second = (_value_of(c, bad.block_sizes) for c in collision)
+    assert second + 1 == checked
+    assert (first // M12_CHUNK, second // M12_CHUNK) == chunks
+    assert verdict(bad, m12) == expect
+
+
+def tampered_m22(m22):
+    """The M22 chain signature with its last block-0 entry replaced by
+    b0[1] * b1[1], which repeats the products of digits (1, 1, ...)."""
+    ls = chain_ls(m22)
+    b0 = list(ls.blocks[0])
+    b0[-1] = ls.blocks[0][1] * ls.blocks[1][1]
+    return LogSignature(degree=ls.degree, blocks=(tuple(b0),) + ls.blocks[1:])
+
+
+@pytest.mark.parametrize("tampered, expect", [
+    (False, (True, 443_520, None)),
+    (True, (False, 423_361, ((1, 1, 0, 0, 0), (21, 0, 0, 0, 0)))),
+])
+def test_exhaustive_m22_time_and_memory_budget(m22, tampered, expect):
+    ls = tampered_m22(m22) if tampered else chain_ls(m22)
+    start = time.perf_counter()
+    report = verify_exhaustive(ls, m22)
+    assert time.perf_counter() - start < 1.0
+    assert (report.ok, report.products_checked, report.collision) == expect
+    tracemalloc.start()
+    try:
+        verify_exhaustive(ls, m22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / report.products_checked < 100
 
 
 def test_size_product_mismatch_is_immediate_fail(m11):
