@@ -257,7 +257,10 @@ def _parser() -> argparse.ArgumentParser:
     _add_group_args(p)
     p.add_argument("--ls", required=True, help="signature file")
     p.add_argument("--element", required=True, help="element in cycle notation")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="max products for generic factorization of a signature "
+                        "without chain annotations (its stored half is capped "
+                        "at 100,000)")
     p.set_defaults(fn=cmd_factorize)
 
     p = sub.add_parser("table-check",

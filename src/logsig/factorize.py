@@ -5,6 +5,7 @@ signatures, meet-in-the-middle for everything else.
 
 from __future__ import annotations
 
+import weakref
 from math import prod
 
 from .chain import StabilizerChain
@@ -72,6 +73,34 @@ def reconstruct(ls: LogSignature, digits: tuple[int, ...]) -> Permutation:
     return Permutation._wrap(raw)
 
 
+def _generic_index(ls: LogSignature, split: int, scan_right: bool):
+    """The g-independent half of a meet-in-the-middle split ``g = left * right``.
+
+    Returns ``(stored, scan)``.  Scanning the right half, ``stored`` maps
+    each left product to its first rank and ``scan`` lists the right
+    products' inverses, so scanning ``g * right^-1`` finds ``left``.
+    Scanning the left half, ``stored`` maps each right product's inverse to
+    its first rank and ``scan`` lists the left products, so scanning
+    ``g^-1 * left`` finds ``right^-1``.  Either way ``scan`` is in rank
+    order, so the first hit is the one the direct scan finds.
+    """
+    raws = [[e.img for e in block] for block in ls.blocks]
+    e = _identity_raw(ls.degree)
+    left = _products(raws[:split], e)
+    right = map(_inv_raw, _products(raws[split:], e))
+    stored_half, scan_half = (left, right) if scan_right else (right, left)
+    stored: dict = {}
+    for rank, p in enumerate(stored_half):
+        stored.setdefault(p, rank)
+    return stored, list(scan_half)
+
+
+# one index per live signature; an index holds no reference to its signature,
+# and two threads that build one for the same signature build equal ones
+_indexes: "weakref.WeakKeyDictionary[LogSignature, tuple[dict, list]]" = \
+    weakref.WeakKeyDictionary()
+
+
 def factorize_generic(g: Permutation, ls: LogSignature,
                       budget: int = 10_000_000,
                       store_cap: int = 100_000) -> tuple[int, ...]:
@@ -81,6 +110,12 @@ def factorize_generic(g: Permutation, ls: LogSignature,
     possible; the smaller half is expanded into a lookup table (at most
     ``store_cap`` products), the larger is scanned in enumeration order.
     Agrees with :func:`factorize_tame` wherever both apply.
+
+    Both halves are independent of ``g``: they are built into an index on
+    the first call and reused while the signature lives.  The index holds
+    at most ``store_cap`` stored products plus the larger half's images,
+    and a call maps the larger half through ``g`` (or ``g^-1``) in one
+    pass, in the same scan order, so the first hit is unchanged.
     """
     if g.degree != ls.degree:
         raise ValueError("degree mismatch")
@@ -94,20 +129,14 @@ def factorize_generic(g: Permutation, ls: LogSignature,
     if min(left_n, right_n) > store_cap:
         raise ValueError("smaller half-product %d exceeds store cap %d"
                          % (min(left_n, right_n), store_cap))
-    # store the smaller half's products by rank, then scan the other half in
-    # rank order for the partner that completes g
-    raws = [[e.img for e in block] for block in ls.blocks]
     scan_right = left_n <= right_n
-    stored_raws, scan_raws = ((raws[:split], raws[split:]) if scan_right
-                              else (raws[split:], raws[:split]))
-    e = _identity_raw(ls.degree)
-    graw = g.img
-    stored: dict = {}
-    for rank, p in enumerate(_products(stored_raws, e)):
-        stored.setdefault(p, rank)
-    for rank, p in enumerate(_products(scan_raws, e)):
-        p_inv = _inv_raw(p)
-        hit = stored.get(_mul_raw(graw, p_inv) if scan_right else _mul_raw(p_inv, graw))
+    index = _indexes.get(ls)
+    if index is None:
+        index = _indexes[ls] = _generic_index(ls, split, scan_right)
+    stored, scan = index
+    pre = g.img if scan_right else _inv_raw(g.img)
+    for rank, p in enumerate(_products([scan], pre)):
+        hit = stored.get(p)
         if hit is not None:
             left, right = (hit, rank) if scan_right else (rank, hit)
             return _digits_of(left * right_n + right, sizes)

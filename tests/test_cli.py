@@ -1,13 +1,15 @@
+import dataclasses
 import io
 import json
+import random
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from logsig import (LogSignature, Provenance, chain_ls, dumps_ls, keygen,
-                    load_verified_chain, write_key, write_ls)
+from logsig import (LogSignature, Provenance, chain_ls, dumps_ls, format_cycles,
+                    keygen, load_verified_chain, write_key, write_ls)
 from logsig.cli import main
 
 
@@ -148,6 +150,38 @@ def test_factorize_nonmember(capsys, tmp_path, m11):
     code, out, _ = run(capsys, "factorize", "--group", "M11", "--ls", path,
                        "--element", "(1,2)")
     assert code == 1
+
+
+def _m12_files(tmp_path):
+    """The refined M12 signature written with its annotations and as a
+    manual file without them, which only generic factorization reads."""
+    from test_factorize import refined_m12
+    ls = refined_m12()
+    refined, manual = str(tmp_path / "m12-refined.ls"), str(tmp_path / "m12-manual.ls")
+    write_ls(ls, refined)
+    write_ls(dataclasses.replace(ls, provenance=Provenance("manual")), manual)
+    return refined, manual
+
+
+def test_factorize_generic_matches_tame(capsys, tmp_path, m12):
+    refined, manual = _m12_files(tmp_path)
+    rng = random.Random(7)
+    for _ in range(3):
+        element = format_cycles(m12.element_at(rng.randrange(m12.order)))
+        records = []
+        for path in (refined, manual):
+            code, out, _ = run(capsys, "--json", "factorize", "--group", "M12",
+                               "--ls", path, "--element", element)
+            assert code == 0
+            records.append(json.loads(out))
+        assert records[0] == records[1] and records[1]["reconstructs"]
+
+
+def test_factorize_generic_nonmember(capsys, tmp_path):
+    _, manual = _m12_files(tmp_path)
+    code, out, _ = run(capsys, "factorize", "--group", "M12", "--ls", manual,
+                       "--element", "(1,2)")
+    assert code == 1 and out.startswith("fail: ")
 
 
 def test_table_check_flags_rows(capsys):
@@ -321,6 +355,9 @@ MALFORMED = {
         "pgm", "decrypt", "--group", "M11", "--key", _m12_key(t), "3"],
     "verify-c0": lambda t: [
         "verify", "--group", "C0", "--ls", _m11_file(t)],
+    "factorize-generic-over-budget": lambda t: [
+        "factorize", "--group", "M12", "--ls", _m12_files(t)[1], "--element", "()",
+        "--budget", "1000"],
     "factorize-c0": lambda t: [
         "factorize", "--group", "C0", "--ls", _m11_file(t), "--element", "()"],
     "verify-deep-c1": lambda t: [

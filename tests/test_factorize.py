@@ -1,13 +1,21 @@
+import dataclasses
+import functools
+import gc
 import random
+import time
+import weakref
 from itertools import product
+from math import prod
 
 import pytest
 
-from logsig import (FactorizationError, Permutation, TameIndexer, build_chain,
-                    chain_ls, factorize_generic, factorize_tame, load_group,
-                    load_verified_chain, mls_solvable, parse_cycles,
-                    reconstruct, refine_ls)
-from logsig.perm import _value_of
+from logsig import (FactorizationError, LogSignature, Permutation, Provenance,
+                    TameIndexer, build_chain, chain_ls, factorize_generic,
+                    factorize_tame, load_group, load_verified_chain,
+                    mls_solvable, parse_cycles, reconstruct, refine_ls)
+from logsig import factorize
+from logsig.perm import (_digits_of, _identity_raw, _inv_raw, _mul_raw,
+                         _products, _value_of)
 
 
 def test_identity_factors_to_zero_digits(m11):
@@ -113,11 +121,12 @@ def test_reconstruct_validates_digits(s4):
 
 
 def test_trivial_group_empty_signature():
-    from logsig import LogSignature
     ls = LogSignature(degree=4, blocks=())
     assert factorize_generic(Permutation.identity(4), ls) == ()
     with pytest.raises(FactorizationError):
         factorize_generic(parse_cycles("(1,2)", 4), ls)
+    for g in (Permutation.identity(4), parse_cycles("(1,2)", 4)):
+        assert outcome(factorize_generic, g, ls) == outcome(generic_reference, g, ls)
 
 
 def test_exhaustive_digit_bijection_m11(m11):
@@ -130,3 +139,142 @@ def test_exhaustive_digit_bijection_m11(m11):
         assert factorize_tame(g, idx) == digits
         seen.add(g.img)
     assert len(seen) == 7920
+
+
+def generic_reference(g, ls, budget=10_000_000, store_cap=100_000):
+    """Meet-in-the-middle factorization that inverts every product of the
+    scanned half, with the split, checks and messages of factorize_generic."""
+    if g.degree != ls.degree:
+        raise ValueError("degree mismatch")
+    sizes = ls.block_sizes
+    total = prod(sizes)
+    if total > budget:
+        raise ValueError("%d products exceed the budget of %d" % (total, budget))
+    split = min(range(len(sizes) + 1),
+                key=lambda t: (max(prod(sizes[:t]), prod(sizes[t:])), t))
+    left_n, right_n = prod(sizes[:split]), prod(sizes[split:])
+    if min(left_n, right_n) > store_cap:
+        raise ValueError("smaller half-product %d exceeds store cap %d"
+                         % (min(left_n, right_n), store_cap))
+    raws = [[e.img for e in block] for block in ls.blocks]
+    scan_right = left_n <= right_n
+    stored_raws, scan_raws = ((raws[:split], raws[split:]) if scan_right
+                              else (raws[split:], raws[:split]))
+    e = _identity_raw(ls.degree)
+    stored: dict = {}
+    for rank, p in enumerate(_products(stored_raws, e)):
+        stored.setdefault(p, rank)
+    for rank, p in enumerate(_products(scan_raws, e)):
+        p_inv = _inv_raw(p)
+        hit = stored.get(_mul_raw(g.img, p_inv) if scan_right else _mul_raw(p_inv, g.img))
+        if hit is not None:
+            left, right = (hit, rank) if scan_right else (rank, hit)
+            return _digits_of(left * right_n + right, sizes)
+    raise FactorizationError("element has no factorization; not a group member")
+
+
+def outcome(fn, g, ls, **limits):
+    """Digits, or the type and message of the error raised."""
+    try:
+        return fn(g, ls, **limits)
+    except ValueError as e:  # FactorizationError included
+        return type(e), str(e)
+
+
+def scans_right(ls):
+    sizes = ls.block_sizes
+    split = min(range(len(sizes) + 1),
+                key=lambda t: (max(prod(sizes[:t]), prod(sizes[t:])), t))
+    return prod(sizes[:split]) <= prod(sizes[split:])
+
+
+def doubled(blocks):
+    """Every block taken twice in a row.  Chain blocks hold the identity e,
+    so e * b == b * e repeats products inside each half."""
+    return LogSignature(degree=blocks[0][0].degree,
+                        blocks=tuple(b for b in blocks for _ in range(2)))
+
+
+def copied(ls):
+    """An equal signature that shares no object with ``ls``."""
+    return LogSignature(degree=ls.degree, group=ls.group, provenance=ls.provenance,
+                        blocks=tuple(tuple(Permutation(e.img) for e in b)
+                                     for b in ls.blocks))
+
+
+@functools.cache
+def refined_m12():
+    m12 = load_verified_chain("M12")
+    return refine_ls(chain_ls(m12), m12)
+
+
+def test_generic_matches_reference():
+    from test_signature import c1000_signature
+    s3, a5, d300, c1000 = map(load_verified_chain, ("S3", "A5", "D300", "C1000"))
+    cases = {"S3": (s3, chain_ls(s3)), "A5": (a5, chain_ls(a5)),
+             "D300": (d300, chain_ls(d300)), "C1000": (c1000, c1000_signature(c1000)),
+             "S3-doubled": (s3, doubled(chain_ls(s3).blocks)),
+             "A5-doubled": (a5, doubled(chain_ls(a5).blocks[::-1]))}
+    assert scans_right(cases["A5"][1]) and not scans_right(cases["S3"][1])
+    assert scans_right(cases["A5-doubled"][1]) and not scans_right(cases["S3-doubled"][1])
+    assert type(_identity_raw(d300.degree)) is type(_identity_raw(c1000.degree)) is tuple
+    rng = random.Random(20151008)
+    seen = set()
+    for name, (chain, ls) in cases.items():
+        n = chain.degree
+        members = [chain.element_at(rng.randrange(chain.order)) for _ in range(40)]
+        others = [Permutation(rng.sample(range(n), n)) for _ in range(10)]
+        if name.endswith("-doubled"):
+            # every element the products reach has several factorizations,
+            # and the first in scan rank order must be returned
+            products = [reconstruct(ls, d) for d in product(*map(range, ls.block_sizes))]
+            members += dict.fromkeys(products)
+        for g in members + others:
+            expect = outcome(generic_reference, g, ls)
+            assert outcome(factorize_generic, g, ls) == expect, (name, g)
+            seen.add(expect[0] is FactorizationError)
+    assert seen == {True, False}
+
+
+def test_generic_equal_signatures_share_digits(a5):
+    ls, twin = chain_ls(a5), copied(chain_ls(a5))
+    assert ls == twin and ls is not twin
+    rng = random.Random(9)
+    for _ in range(30):
+        g = a5.element_at(rng.randrange(a5.order))
+        expect = generic_reference(g, ls)
+        assert factorize_generic(g, ls) == factorize_generic(g, twin) == expect
+
+
+def test_generic_checks_run_after_the_index_is_built(a5):
+    ls = chain_ls(a5)  # 60 products, halves of 5 and 12
+    g = a5.element_at(17)
+    assert factorize_generic(g, ls) == generic_reference(g, ls)
+    for limits in ({"budget": 59}, {"store_cap": 4}):
+        expect = outcome(generic_reference, g, ls, **limits)
+        assert expect[0] is ValueError
+        assert outcome(factorize_generic, g, ls, **limits) == expect
+
+
+def test_generic_index_holds_no_strong_reference(a5):
+    # a group name no other signature carries, so no equal key is cached
+    ls = dataclasses.replace(chain_ls(a5), group="held by no one")
+    cached = len(factorize._indexes)
+    factorize_generic(Permutation.identity(5), ls)
+    assert len(factorize._indexes) == cached + 1
+    ref = weakref.ref(ls)
+    del ls
+    gc.collect()
+    assert ref() is None and len(factorize._indexes) == cached
+
+
+def test_generic_budget_refined_m12(m12):
+    # the unannotated refined signature, as a manual file carries it
+    ls = dataclasses.replace(refined_m12(), provenance=Provenance("manual"))
+    rng = random.Random(12)
+    elements = [m12.element_at(rng.randrange(m12.order)) for _ in range(151)]
+    factorize_generic(elements[0], ls)
+    start = time.perf_counter()
+    for g in elements[1:]:
+        factorize_generic(g, ls)
+    assert time.perf_counter() - start < 0.1
