@@ -1,12 +1,14 @@
-"""Big-integer prime factorization: trial division backed by Pollard rho.
+"""Big-integer prime factorization: trial division to 10^6, then one
+primality test.
 
 Group orders up to ~10^54 appear in the bundled catalog; everything here is
-arbitrary precision and deterministic (fixed rho parameters, no randomness).
+arbitrary precision and deterministic.  Chain orders have prime factors at
+most the degree (itself at most 10^6) and claim-table primes are at most 71,
+so trial division finds them all; a composite cofactor raises ValueError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = ["PrimeFactorization", "factor_integer", "is_probable_prime"]
@@ -61,59 +63,25 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of odd composite n (Brent's cycle finding).
-
-    The polynomial offset c walks a fixed sequence 1, 2, 3, ... so the result
-    is deterministic.
-    """
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 1000):
-        x = y = 2
-        d = 1
-        power = lam = 1
-        while d == 1:
-            if power == lam:
-                y = x
-                power *= 2
-                lam = 0
-            x = (x * x + c) % n
-            lam += 1
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError("rho failed for %d" % n)  # unreachable in practice
-
-
-def _split(n: int, out: list) -> None:
-    if n == 1:
-        return
-    if is_probable_prime(n):
-        out.append(n)
-        return
-    d = _pollard_rho(n)
-    _split(d, out)
-    _split(n // d, out)
-
-
 def factor_integer(n: int) -> PrimeFactorization:
-    """Prime power decomposition of ``n >= 1``; ``factor_integer(1)`` is empty."""
+    """Prime power decomposition of ``n >= 1``; ``factor_integer(1)`` is empty.
+
+    Trial division by 2, 3 and the 6k+-1 wheel up to 10^6, then one
+    primality test on the cofactor, so a call costs at most ~333,000
+    divisions of ``n`` and one Miller-Rabin test.  A composite cofactor (two
+    or more prime factors above 10^6) raises ValueError.
+    """
     if n < 1:
         raise ValueError("can only factor integers >= 1")
     value = n
     factors: list[tuple[int, int]] = []
-
-    def emit(p, a):
-        factors.append((p, a))
-
     for p in (2, 3):
         a = 0
         while n % p == 0:
             n //= p
             a += 1
         if a:
-            emit(p, a)
+            factors.append((p, a))
     d = 5
     step = 2
     while d <= _TRIAL_LIMIT and d * d <= n:
@@ -122,23 +90,13 @@ def factor_integer(n: int) -> PrimeFactorization:
             n //= d
             a += 1
         if a:
-            emit(d, a)
+            factors.append((d, a))
         d += step
         step = 6 - step  # 5, 7, 11, 13, ... the 6k+-1 wheel
     if n > 1:
-        if d * d > n:
-            emit(n, 1)
+        if d * d > n or is_probable_prime(n):
+            factors.append((n, 1))
         else:
-            rest: list[int] = []
-            _split(n, rest)
-            rest.sort()
-            p = rest[0]
-            a = 0
-            for q in rest:
-                if q == p:
-                    a += 1
-                else:
-                    emit(p, a)
-                    p, a = q, 1
-            emit(p, a)
+            raise ValueError("cofactor %d of %d has no prime factor up to %d "
+                             "and is not prime" % (n, value, _TRIAL_LIMIT))
     return PrimeFactorization(value, tuple(factors))

@@ -158,10 +158,10 @@ def sharply_transitive_check(decomp, chain: StabilizerChain,
                         chain.degree) is None
 
 
-def _size_trials(primes: list[int], alternate: bool) -> list[tuple[int, ...]]:
+def _size_trials(primes: list[int]) -> list[tuple[int, ...]]:
     """Cyclic-set size tuples to try: every multiset grouping of the primes,
-    fewest sets first, each in ascending size order; with ``alternate``, the
-    non-ascending orderings follow as a second pass."""
+    fewest sets first, each in ascending size order; the non-ascending
+    orderings follow as a second pass."""
     groupings: set[tuple[int, ...]] = set()
 
     def rec(rest, parts):
@@ -180,24 +180,22 @@ def _size_trials(primes: list[int], alternate: bool) -> list[tuple[int, ...]]:
     rec(primes, [])
     ordered = sorted(groupings, key=lambda t: (len(t), t))
     trials = list(ordered)
-    if alternate:
-        for g in ordered:
-            trials.extend(sorted(set(permutations(g)) - {g}))
+    for g in ordered:
+        trials.extend(sorted(set(permutations(g)) - {g}))
     return trials
 
 
 def refine_block(chain: StabilizerChain, level: int,
-                 targets: list[int] | None = None,
-                 cap: int = DEFAULT_SEARCH_CAP,
-                 alternate_orderings: bool = False) -> ProductDecomposition | None:
+                 cap: int = DEFAULT_SEARCH_CAP) -> ProductDecomposition | None:
     """Search the level group for cyclic sets whose product covers the orbit.
 
-    ``targets`` is the ascending prime multiset of the orbit size (the
-    default).  A single cyclic set of full orbit size is tried first, then
-    two sets, three sets and so on, candidates drawn in element-index order
-    and filtered to elements whose order the set size divides, at most
-    ``cap`` candidates per size; a cap below 1 raises ValueError.  Returning
-    None means the search space was exhausted without a cover, which is a
+    The set sizes group the prime multiset of the orbit size.  A single
+    cyclic set of full orbit size is tried first, then two sets, three sets
+    and so on, each grouping in ascending size order; the other orderings of
+    every grouping follow.  Candidates are drawn in element-index order and
+    filtered to elements whose order the set size divides, at most ``cap``
+    candidates per size; a cap below 1 raises ValueError.  Returning None
+    means the search space was exhausted without a cover, which is a
     legitimate outcome.
 
     Candidate tuples may be partitioned and scanned in parallel as long as
@@ -208,15 +206,8 @@ def refine_block(chain: StabilizerChain, level: int,
         raise ValueError("search cap must be at least 1, got %d" % cap)
     lv = chain.levels[level]
     osize = len(lv.orbit)
-    if targets is None:
-        targets = _prime_multiset(osize)
-    if prod(targets) != osize:
-        raise ValueError("targets multiply to %d, orbit size is %d"
-                         % (prod(targets), osize))
-
-    all_sizes = set()
-    for trial in _size_trials(list(targets), True):
-        all_sizes.update(trial)
+    trials = _size_trials(_prime_multiset(osize))
+    all_sizes = {size for trial in trials for size in trial}
 
     sub = chain.subchain(level)
     elems: list[tuple] = []  # (raw, order)
@@ -266,7 +257,7 @@ def refine_block(chain: StabilizerChain, level: int,
         # the list comes back already in block order x_1..x_m
         return rec(m - 1, (b,))
 
-    for sizes in _size_trials(list(targets), alternate_orderings):
+    for sizes in trials:
         got = search(sizes)
         if got is not None:
             decomp = ProductDecomposition(
@@ -280,8 +271,7 @@ def refine_block(chain: StabilizerChain, level: int,
 
 
 def refine_ls(ls: LogSignature, chain: StabilizerChain,
-              cap: int = DEFAULT_SEARCH_CAP,
-              alternate_orderings: bool = True) -> LogSignature:
+              cap: int = DEFAULT_SEARCH_CAP) -> LogSignature:
     """Replace each composite transversal block by cyclic power blocks.
 
     Blocks whose size is prime (or 1) are kept.  A block whose level admits
@@ -301,8 +291,7 @@ def refine_ls(ls: LogSignature, chain: StabilizerChain,
             blocks.append(block)
             ann.append(BlockAnnotation(level=a.level))
             continue
-        decomp = refine_block(chain, a.level, cap=cap,
-                              alternate_orderings=alternate_orderings)
+        decomp = refine_block(chain, a.level, cap=cap)
         if decomp is None:
             blocks.append(block)
             ann.append(BlockAnnotation(level=a.level))
@@ -337,7 +326,12 @@ def composition_series_solvable(chain: StabilizerChain) -> CompositionSeries:
         steps = []  # (witness, prime, chain below the step)
         while cur.order < top.order:
             t = next(g for g in top.generators.gens if not cur.contains(g))
-            o = next(d for d in _divisors(t.order()) if cur.contains(t ** d))
+            # {d : t^d in cur} is d0*Z with d0 | order(t); dividing primes
+            # out of the order while the power stays in cur ends at d0
+            o = t.order()
+            for q in dict.fromkeys(_prime_multiset(o)):
+                while o % q == 0 and cur.contains(t ** (o // q)):
+                    o //= q
             p = max(_prime_multiset(o))
             u = t ** (o // p)
             below = cur
@@ -351,18 +345,6 @@ def composition_series_solvable(chain: StabilizerChain) -> CompositionSeries:
             primes.append(p)
             subgroups.append(below)
     return CompositionSeries(tuple(subgroups), tuple(witnesses), tuple(primes))
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def mls_solvable(chain: StabilizerChain) -> LogSignature:

@@ -6,7 +6,8 @@ signatures, meet-in-the-middle for everything else.
 from __future__ import annotations
 
 import weakref
-from math import prod
+from itertools import accumulate
+from operator import mul
 
 from .chain import StabilizerChain
 from .perm import (Permutation, _digits_of, _identity_raw, _inv_raw, _mul_raw,
@@ -120,12 +121,13 @@ def factorize_generic(g: Permutation, ls: LogSignature,
     if g.degree != ls.degree:
         raise ValueError("degree mismatch")
     sizes = ls.block_sizes
-    total = prod(sizes)
+    prefix = list(accumulate(sizes, mul, initial=1))
+    total = prefix[-1]
     if total > budget:
         raise ValueError("%d products exceed the budget of %d" % (total, budget))
     split = min(range(len(sizes) + 1),
-                key=lambda t: (max(prod(sizes[:t]), prod(sizes[t:])), t))
-    left_n, right_n = prod(sizes[:split]), prod(sizes[split:])
+                key=lambda t: (max(prefix[t], total // prefix[t]), t))
+    left_n, right_n = prefix[split], total // prefix[split]
     if min(left_n, right_n) > store_cap:
         raise ValueError("smaller half-product %d exceeds store cap %d"
                          % (min(left_n, right_n), store_cap))

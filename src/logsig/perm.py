@@ -250,9 +250,6 @@ class Permutation:
             out.append(tuple(cyc))
         return tuple(out)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, j in enumerate(self.img) if i != j)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.img == other.img
 

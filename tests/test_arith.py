@@ -1,5 +1,7 @@
 import math
+import time
 
+import pytest
 from hypothesis import given, strategies as st
 
 from logsig import factor_integer
@@ -7,7 +9,7 @@ from logsig.arith import is_probable_prime
 
 
 def slow_factor(n):
-    """Independent oracle: bare trial division, no wheel, no rho."""
+    """Independent oracle: bare trial division, no wheel."""
     out = []
     d = 2
     while d * d <= n:
@@ -43,10 +45,14 @@ def test_monster_scale_smooth_number():
     assert f.factors[0] == (2, 46) and f.factors[-1] == (71, 1)
 
 
-def test_large_semiprime_needs_rho():
-    p, q = 1_000_003, 1_500_000_001  # both prime, q beyond the trial bound
-    f = factor_integer(p * q)
-    assert f.factors == ((p, 1), (q, 1))
+def test_composite_cofactor_beyond_trial_bound_raises():
+    # no prime factor up to 10^6 and not prime: rejected, not searched
+    for n in (1_000_003 * 1_500_000_001, 1_000_003 ** 2,
+              (2 ** 61 - 1) * (2 ** 89 - 1)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cofactor %d " % n):
+            factor_integer(n)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_prime_beyond_trial_bound():
@@ -70,7 +76,7 @@ def test_matches_trial_division_oracle(n):
     assert expanded == slow_factor(n)
 
 
-@given(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 1_000_003]),
+@given(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 999_983]),
                 min_size=1, max_size=8))
 def test_reassembles_prime_products(primes):
     n = math.prod(primes)

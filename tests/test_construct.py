@@ -170,7 +170,7 @@ def test_repeated_image_sets_rejected(m11):
 # -- refinement -------------------------------------------------------------------
 
 def test_refine_block_prime_orbit_single_cycle(m11):
-    decomp = refine_block(m11, 0, targets=[11])
+    decomp = refine_block(m11, 0)
     assert decomp is not None
     assert len(decomp.factors) == 1
     assert decomp.factors[0].size == 11
@@ -178,22 +178,18 @@ def test_refine_block_prime_orbit_single_cycle(m11):
 
 
 def test_refine_block_a5_three_orbit(a5):
-    decomp = refine_block(a5, 2, targets=[3])
+    decomp = refine_block(a5, 2)
     assert decomp is not None
     assert decomp.factors[0].generator.order() == 3
 
 
 def test_refine_block_orbit_ten_needs_reordering(m11):
-    # ascending (2, 5) finds nothing; the (5, 2) ordering succeeds
-    assert refine_block(m11, 1, alternate_orderings=False) is None
-    decomp = refine_block(m11, 1, alternate_orderings=True)
+    # (10,) and the ascending (2, 5) come first and find nothing; the
+    # (5, 2) ordering succeeds
+    assert _size_trials([2, 5]) == [(10,), (2, 5), (5, 2)]
+    decomp = refine_block(m11, 1)
     assert decomp is not None
     assert tuple(f.size for f in decomp.factors) == (5, 2)
-
-
-def test_refine_block_target_mismatch(m11):
-    with pytest.raises(ValueError):
-        refine_block(m11, 0, targets=[2, 5])
 
 
 def test_refine_ls_m11(m11):
@@ -218,10 +214,10 @@ def test_refine_ls_requires_chain_provenance(s4):
 
 
 def test_size_trials_order():
-    assert _size_trials([2, 5], False) == [(10,), (2, 5)]
-    assert _size_trials([2, 5], True) == [(10,), (2, 5), (5, 2)]
-    trials = _size_trials([2, 2, 3], False)
-    assert trials == [(12,), (2, 6), (3, 4), (2, 2, 3)]
+    assert _size_trials([2, 5]) == [(10,), (2, 5), (5, 2)]
+    trials = _size_trials([2, 2, 3])
+    assert trials == [(12,), (2, 6), (3, 4), (2, 2, 3),
+                      (6, 2), (4, 3), (2, 3, 2), (3, 2, 2)]
 
 
 # -- composition series and solvable groups ----------------------------------------

@@ -236,6 +236,18 @@ def test_generic_matches_reference():
     assert seen == {True, False}
 
 
+def test_generic_split_rule_linear_in_block_count():
+    # 1,500 one-entry blocks of the trivial group, as in the CLI's deep-c1
+    # case: choosing the split must not cost O(s^2) multiplications per call
+    e = Permutation.identity(1)
+    ls = LogSignature(degree=1, blocks=((e,),) * 1500)
+    assert outcome(factorize_generic, e, ls) == outcome(generic_reference, e, ls)
+    start = time.perf_counter()
+    for _ in range(20):
+        assert factorize_generic(e, ls) == (0,) * 1500
+    assert time.perf_counter() - start < 0.1
+
+
 def test_generic_equal_signatures_share_digits(a5):
     ls, twin = chain_ls(a5), copied(chain_ls(a5))
     assert ls == twin and ls is not twin
