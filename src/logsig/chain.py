@@ -225,7 +225,7 @@ def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> S
             used.add(p)
 
     def strip(raw, start):
-        raw, _, passed = _sift(raw, [(nd.point, nd.table) for nd in nodes[start:]])
+        raw, _, passed = _sift(raw, [(nd.point, nd.table) for nd in nodes[start:]], e)
         return raw, start + passed
 
     def add_strong_gen(raw, lo, hi):

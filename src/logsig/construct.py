@@ -198,6 +198,18 @@ def refine_block(chain: StabilizerChain, level: int,
     means the search space was exhausted without a cover, which is a
     legitimate outcome.
 
+    Within one size trial the search never enters the same subtree twice.
+    A candidate maps the base-point images chosen so far to a new image
+    list; when that list is distinct and its set already led to a failed
+    search below, the candidate is skipped.  This is sound: what the search
+    below finds, including the candidates it picks, depends only on that
+    set and on the sizes still to place, since distinctness, the next
+    candidate's images and the final orbit-size test all read only the set.
+    So the first success in the order above is never skipped, and the
+    result is the one the unpruned search gives.  The failed sets cost at
+    most one set of at most orbit-size points per candidate tried at each
+    position but the innermost, and are freed when the call returns.
+
     Candidate tuples may be partitioned and scanned in parallel as long as
     the selected tuple is still the first success in this deterministic
     order; this implementation scans sequentially.
@@ -235,22 +247,29 @@ def refine_block(chain: StabilizerChain, level: int,
 
     def search(sizes: tuple[int, ...]):
         m = len(sizes)
+        # failed[pos]: image sets a candidate at pos produced whose subtree
+        # rec(pos - 1, ...) found nothing; pos 0's subtree is one length test
+        failed = [set() for _ in sizes]
 
         def rec(pos, images):
             if pos < 0:
                 return [] if len(images) == osize else None
+            tried = failed[pos]
             for x in bucket(sizes[pos]):
                 new = list(images)
                 cur = images
                 for _ in range(sizes[pos] - 1):
                     cur = [x[p] for p in cur]
                     new.extend(cur)
-                if len(set(new)) != len(new):
+                key = frozenset(new)
+                if len(key) != len(new) or key in tried:
                     continue
                 found = rec(pos - 1, new)
                 if found is not None:
                     found.append(x)
                     return found
+                if pos:
+                    tried.add(key)
             return None
 
         # rec appends each position's choice after its inner call returns, so

@@ -104,7 +104,7 @@ def _value_of(digits, sizes) -> int:
     return value
 
 
-def _sift(raw, levels):
+def _sift(raw, levels, stop=None):
     """Strip ``raw`` level by level: the one walk from an element to its digits.
 
     ``levels`` is a sequence of ``(point, table)`` pairs with
@@ -114,6 +114,12 @@ def _sift(raw, levels):
     stops at the first image missing from its table, so ``passed`` is the
     number of levels stripped.  Every table holds its own point, so a walk
     that stops early leaves a nonidentity residue.
+
+    A residue equal to ``stop`` (the identity, as chain building passes it)
+    ends the walk with every level counted as passed.  That is the full
+    walk's outcome only when each table maps its own point to
+    ``((), identity)``, as the tables chain building strips through do; the
+    randomized transversals of PGM keys do not.
     """
     out = ()
     for passed, (point, table) in enumerate(levels):
@@ -122,6 +128,8 @@ def _sift(raw, levels):
             return raw, out, passed
         out += hit[0]
         raw = _mul_raw(hit[1], raw)
+        if raw == stop:
+            break
     return raw, out, len(levels)
 
 

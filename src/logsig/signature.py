@@ -105,6 +105,16 @@ class LogSignature:
             raise ValueError("annotation count %d != block count %d"
                              % (len(ann), len(self.blocks)))
 
+    def __hash__(self) -> int:
+        # the dataclass hash of the fields, computed once: factorize_generic
+        # looks up its index by signature on every call
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.degree, self.blocks, self.group, self.provenance))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     @property
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 from logsig import (CyclicSetSpec, Permutation,
                     ProductDecomposition, build_chain, build_mls, chain_ls,
                     composition_series_solvable, factor_integer, is_minimal,
-                    load_group, ls_length, minimal_length,
+                    load_group, load_verified_chain, ls_length, minimal_length,
                     mls_cyclic, mls_solvable, parse_cycles, refine_block,
                     refine_ls, sharply_transitive_check, verify_exhaustive,
                     verify_structural)
-from logsig.construct import _prime_multiset, _size_trials
+from logsig.construct import DEFAULT_SEARCH_CAP, _prime_multiset, _size_trials
+from logsig.perm import _order_raw
 
 
 def n_cycle(n):
@@ -190,6 +191,73 @@ def test_refine_block_orbit_ten_needs_reordering(m11):
     decomp = refine_block(m11, 1)
     assert decomp is not None
     assert tuple(f.size for f in decomp.factors) == (5, 2)
+
+
+def refine_reference(chain, level, cap=DEFAULT_SEARCH_CAP):
+    """refine_block's search without the failed-set pruning: the same
+    candidate pool and trial order, every subtree searched in full.  Returns
+    the winning ``(sizes, generators)`` or None."""
+    osize = len(chain.levels[level].orbit)
+    trials = _size_trials(_prime_multiset(osize))
+    all_sizes = {size for trial in trials for size in trial}
+    elems = []
+    pending = dict.fromkeys(all_sizes, 0)
+    for raw in chain.subchain(level)._iter_raw():
+        o = _order_raw(raw)
+        elems.append((raw, o))
+        for s in list(pending):
+            if o % s == 0:
+                pending[s] += 1
+                if pending[s] >= cap:
+                    del pending[s]
+        if not pending or len(elems) >= 10 * cap:
+            break
+
+    def rec(sizes, pos, images):
+        if pos < 0:
+            return [] if len(images) == osize else None
+        bucket = [raw for raw, o in elems if o % sizes[pos] == 0][:cap]
+        for x in bucket:
+            new = list(images)
+            cur = images
+            for _ in range(sizes[pos] - 1):
+                cur = [x[p] for p in cur]
+                new.extend(cur)
+            if len(set(new)) != len(new):
+                continue
+            found = rec(sizes, pos - 1, new)
+            if found is not None:
+                return found + [x]
+        return None
+
+    for sizes in trials:
+        got = rec(sizes, len(sizes) - 1, (chain.levels[level].point,))
+        if got is not None:
+            return sizes, tuple(Permutation._wrap(raw) for raw in got)
+    return None
+
+
+def test_refine_block_matches_unpruned_reference():
+    outcomes = []
+    # Q8 at cap 3 is won by a candidate tried after one that repeated a
+    # failed image set, so a search that gives up at a repeat fails here
+    for name in ("M11", "M12", "A5", "S5", "PSL(2,7)", "PSL(2,11)", "Q8"):
+        chain = load_verified_chain(name)
+        for level, lv in enumerate(chain.levels):
+            if len(_prime_multiset(len(lv.orbit))) < 2:
+                continue
+            for cap in (1, 3, 10, 100, DEFAULT_SEARCH_CAP):
+                decomp = refine_block(chain, level, cap=cap)
+                got = None if decomp is None else (
+                    tuple(f.size for f in decomp.factors),
+                    tuple(f.generator for f in decomp.factors))
+                expect = refine_reference(chain, level, cap)
+                assert got == expect, (name, level, cap)
+                outcomes.append(expect)
+    # the cases include searches that exhaust every trial and searches won
+    # only by a non-ascending ordering, after the ascending one failed
+    assert None in outcomes
+    assert any(o is not None and list(o[0]) != sorted(o[0]) for o in outcomes)
 
 
 def test_refine_ls_m11(m11):
