@@ -6,12 +6,12 @@ search that replaces a transversal block by a product of cyclic power sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 from math import prod
 
 from .arith import factor_integer
 from .chain import GeneratorSet, StabilizerChain, build_chain, derived_series, is_solvable
-from .perm import Permutation, _order_raw
+from .perm import _TAIL, Permutation, _order_raw, _raw
 from .signature import BlockAnnotation, LogSignature, Provenance, _cover_fault
 
 __all__ = [
@@ -162,27 +162,99 @@ def _size_trials(primes: list[int]) -> list[tuple[int, ...]]:
     """Cyclic-set size tuples to try: every multiset grouping of the primes,
     fewest sets first, each in ascending size order; the non-ascending
     orderings follow as a second pass."""
-    groupings: set[tuple[int, ...]] = set()
-
-    def rec(rest, parts):
-        if not rest:
-            groupings.add(tuple(sorted(parts)))
-            return
-        x, rest2 = rest[0], rest[1:]
-        seen = set()
-        for i, part in enumerate(parts):
-            if part in seen:
-                continue
-            seen.add(part)
-            rec(rest2, parts[:i] + [part * x] + parts[i + 1:])
-        rec(rest2, parts + [x])
-
-    rec(primes, [])
+    groupings: set[tuple[int, ...]] = {()}
+    for x in primes:
+        # x joins one part of a grouping of the primes before it, or is a
+        # part of its own
+        groupings = ({tuple(sorted(g[:i] + (g[i] * x,) + g[i + 1:]))
+                      for g in groupings for i in range(len(g))}
+                     | {tuple(sorted(g + (x,))) for g in groupings})
     ordered = sorted(groupings, key=lambda t: (len(t), t))
     trials = list(ordered)
     for g in ordered:
         trials.extend(sorted(set(permutations(g)) - {g}))
     return trials
+
+
+class _Candidates:
+    """Candidate lists per set size, drawn lazily from one level group.
+
+    The group's elements are read in element-index order, at most ``10 *
+    cap`` of them, and each is read, and its order computed, only when some
+    size's walk has run past every element read so far.  An element joins
+    the list of every size that divides its order and holds fewer than
+    ``cap`` entries, so each list is always a prefix of the list a full scan
+    of the pool would give.
+    """
+
+    def __init__(self, group: StabilizerChain, sizes, cap: int):
+        self._elements = islice(group._iter_raw(), 10 * cap)
+        self._lists = {size: [] for size in sizes}
+        self._cap = cap
+
+    def _read(self) -> bool:
+        """Read one more element; False once the pool is used up."""
+        raw = next(self._elements, None)
+        if raw is None:
+            return False
+        o = _order_raw(raw)
+        for size, got in self._lists.items():
+            if o % size == 0 and len(got) < self._cap:
+                got.append(raw)
+        return True
+
+    def walk(self, size: int):
+        """The first ``cap`` pool elements whose order ``size`` divides."""
+        got = self._lists[size]
+        yield from got  # a list iterator also yields what is appended meanwhile
+        i = len(got)
+        while True:
+            while i == len(got):
+                if i == self._cap or not self._read():
+                    return
+            yield got[i]
+            i += 1
+
+
+def _cover_search(walk, sizes, failed, pos: int, images, osize: int):
+    """Raw generators of cyclic sets of ``sizes[:pos + 1]`` whose product
+    extends ``images`` to a cover of the orbit, or None.
+
+    ``failed[pos]`` holds the image sets a candidate at ``pos`` produced
+    whose search below found nothing; pos 0's search below is one length
+    test, so its sets are not kept.  Each position's choice is appended
+    after the inner call returns, so the list comes back in block order.
+    """
+    if pos < 0:
+        return [] if len(images) == osize else None
+    size = sizes[pos]
+    steps = range(size - 1)
+    tried = failed[pos]
+    for x in walk(size):
+        # new: images, then their images under x, x^2, ..., x^(size - 1)
+        cur = images
+        if type(x) is bytes:
+            table = x + _TAIL[len(x):]
+            parts = [cur]
+            for _ in steps:
+                cur = cur.translate(table)
+                parts.append(cur)
+            new = b"".join(parts)
+        else:  # tuple images: degree above 256
+            new = list(cur)
+            for _ in steps:
+                cur = [x[p] for p in cur]
+                new.extend(cur)
+        key = frozenset(new)
+        if len(key) != len(new) or key in tried:
+            continue
+        found = _cover_search(walk, sizes, failed, pos - 1, new, osize)
+        if found is not None:
+            found.append(x)
+            return found
+        if pos:
+            tried.add(key)
+    return None
 
 
 def refine_block(chain: StabilizerChain, level: int,
@@ -192,11 +264,13 @@ def refine_block(chain: StabilizerChain, level: int,
     The set sizes group the prime multiset of the orbit size.  A single
     cyclic set of full orbit size is tried first, then two sets, three sets
     and so on, each grouping in ascending size order; the other orderings of
-    every grouping follow.  Candidates are drawn in element-index order and
-    filtered to elements whose order the set size divides, at most ``cap``
-    candidates per size; a cap below 1 raises ValueError.  Returning None
-    means the search space was exhausted without a cover, which is a
-    legitimate outcome.
+    every grouping follow.  The candidates of a size are the first ``cap``
+    elements whose order the size divides, in element-index order, among the
+    first ``10 * cap`` elements of the level group; a cap below 1 raises
+    ValueError.  They are drawn lazily, so elements and their orders are
+    computed only as far as the search reaches, and the pool is the one a
+    full scan would give.  Returning None means the search space was
+    exhausted without a cover, which is a legitimate outcome.
 
     Within one size trial the search never enters the same subtree twice.
     A candidate maps the base-point images chosen so far to a new image
@@ -208,7 +282,8 @@ def refine_block(chain: StabilizerChain, level: int,
     So the first success in the order above is never skipped, and the
     result is the one the unpruned search gives.  The failed sets cost at
     most one set of at most orbit-size points per candidate tried at each
-    position but the innermost, and are freed when the call returns.
+    position but the innermost.  No state of a call refers to itself, so
+    all of it is freed when the call returns.
 
     Candidate tuples may be partitioned and scanned in parallel as long as
     the selected tuple is still the first success in this deterministic
@@ -219,65 +294,12 @@ def refine_block(chain: StabilizerChain, level: int,
     lv = chain.levels[level]
     osize = len(lv.orbit)
     trials = _size_trials(_prime_multiset(osize))
-    all_sizes = {size for trial in trials for size in trial}
-
-    sub = chain.subchain(level)
-    elems: list[tuple] = []  # (raw, order)
-    pending = dict.fromkeys(all_sizes, 0)
-    for raw in sub._iter_raw():
-        o = _order_raw(raw)
-        elems.append((raw, o))
-        for s in list(pending):
-            if o % s == 0:
-                pending[s] += 1
-                if pending[s] >= cap:
-                    del pending[s]
-        if not pending or len(elems) >= 10 * cap:
-            break
-
-    buckets: dict[int, list] = {}
-
-    def bucket(size):
-        if size not in buckets:
-            buckets[size] = [raw for raw, o in elems if o % size == 0][:cap]
-        return buckets[size]
-
-    orbit_set = set(lv.orbit)
-    b = lv.point
-
-    def search(sizes: tuple[int, ...]):
-        m = len(sizes)
-        # failed[pos]: image sets a candidate at pos produced whose subtree
-        # rec(pos - 1, ...) found nothing; pos 0's subtree is one length test
-        failed = [set() for _ in sizes]
-
-        def rec(pos, images):
-            if pos < 0:
-                return [] if len(images) == osize else None
-            tried = failed[pos]
-            for x in bucket(sizes[pos]):
-                new = list(images)
-                cur = images
-                for _ in range(sizes[pos] - 1):
-                    cur = [x[p] for p in cur]
-                    new.extend(cur)
-                key = frozenset(new)
-                if len(key) != len(new) or key in tried:
-                    continue
-                found = rec(pos - 1, new)
-                if found is not None:
-                    found.append(x)
-                    return found
-                if pos:
-                    tried.add(key)
-            return None
-
-        # rec appends each position's choice after its inner call returns, so
-        # the list comes back already in block order x_1..x_m
-        return rec(m - 1, (b,))
-
+    cands = _Candidates(chain.subchain(level),
+                        {size for trial in trials for size in trial}, cap)
+    start = _raw((lv.point,), chain.degree)
     for sizes in trials:
-        got = search(sizes)
+        got = _cover_search(cands.walk, sizes, [set() for _ in sizes],
+                            len(sizes) - 1, start, osize)
         if got is not None:
             decomp = ProductDecomposition(
                 factors=tuple(CyclicSetSpec(Permutation._wrap(raw), s)

@@ -151,9 +151,24 @@ def _identity_raw(n: int):
 
 
 def _order_raw(a) -> int:
+    """Least t >= 1 with a**t the identity.
+
+    A bytes image array is multiplied by ``a`` through one translate table
+    until it is the identity, for at most ``len(a)`` steps; an order above
+    the degree, and a tuple image array, take the lcm of the cycle lengths.
+    """
+    n = len(a)
+    if type(a) is bytes:
+        identity = _TAIL[:n]
+        table = a + _TAIL[n:]
+        cur = a
+        for t in range(1, n + 1):
+            if cur == identity:
+                return t
+            cur = cur.translate(table)
     out = 1
-    seen = bytearray(len(a))
-    for i in range(len(a)):
+    seen = bytearray(n)
+    for i in range(n):
         if seen[i] or a[i] == i:
             continue
         length = 0

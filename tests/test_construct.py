@@ -1,4 +1,6 @@
+import gc
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,8 @@ from logsig import (CyclicSetSpec, Permutation,
                     mls_cyclic, mls_solvable, parse_cycles, refine_block,
                     refine_ls, sharply_transitive_check, verify_exhaustive,
                     verify_structural)
-from logsig.construct import DEFAULT_SEARCH_CAP, _prime_multiset, _size_trials
+from logsig.construct import (DEFAULT_SEARCH_CAP, _Candidates, _prime_multiset,
+                              _size_trials)
 from logsig.perm import _order_raw
 
 
@@ -193,6 +196,28 @@ def test_refine_block_orbit_ten_needs_reordering(m11):
     assert tuple(f.size for f in decomp.factors) == (5, 2)
 
 
+@pytest.mark.parametrize("cap", [1, 7, 2000])
+def test_candidate_walks_match_a_full_scan(m12, cap):
+    # walks of one size and of others run interleaved, as the search's nested
+    # positions run them; each still yields the full scan's candidates
+    sizes = (2, 3, 4, 6, 12)
+    pool = list(islice(m12._iter_raw(), 10 * cap))
+    expect = {s: [raw for raw in pool if _order_raw(raw) % s == 0][:cap] for s in sizes}
+    assert len(expect[2]) == cap and expect[12] == []  # M12 has no order 12
+    cands = _Candidates(m12, sizes, cap)
+    walks = [(s, cands.walk(s), []) for s in sizes for _ in range(3)]
+    rng = random.Random(cap)
+    while walks:
+        i = rng.randrange(len(walks))
+        s, walk, got = walks[i]
+        raw = next(walk, None)
+        if raw is None:
+            assert got == expect[s], (s, len(got), len(expect[s]))
+            walks.pop(i)
+        else:
+            got.append(raw)
+
+
 def refine_reference(chain, level, cap=DEFAULT_SEARCH_CAP):
     """refine_block's search without the failed-set pruning: the same
     candidate pool and trial order, every subtree searched in full.  Returns
@@ -240,8 +265,9 @@ def refine_reference(chain, level, cap=DEFAULT_SEARCH_CAP):
 def test_refine_block_matches_unpruned_reference():
     outcomes = []
     # Q8 at cap 3 is won by a candidate tried after one that repeated a
-    # failed image set, so a search that gives up at a repeat fails here
-    for name in ("M11", "M12", "A5", "S5", "PSL(2,7)", "PSL(2,11)", "Q8"):
+    # failed image set, so a search that gives up at a repeat fails here;
+    # D300's degree is above 256, so its images are tuples, not bytes
+    for name in ("M11", "M12", "A5", "S5", "PSL(2,7)", "PSL(2,11)", "Q8", "D300"):
         chain = load_verified_chain(name)
         for level, lv in enumerate(chain.levels):
             if len(_prime_multiset(len(lv.orbit))) < 2:
@@ -258,6 +284,21 @@ def test_refine_block_matches_unpruned_reference():
     # only by a non-ascending ordering, after the ascending one failed
     assert None in outcomes
     assert any(o is not None and list(o[0]) != sorted(o[0]) for o in outcomes)
+
+
+def test_refine_block_leaves_no_cyclic_garbage(m11):
+    # a call's search state is freed by reference counting when it returns,
+    # so the cyclic collector finds nothing of it
+    refine_block(m11, 1)  # warm-up: whatever is built once and kept is not garbage
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        refine_block(m11, 1)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_refine_ls_m11(m11):

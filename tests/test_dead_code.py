@@ -1,6 +1,7 @@
 """Static guard against dead code in ``src/logsig``: a module-level import the
-module never uses, or a module-level private function or class that nothing
-in the package references outside its own body."""
+module never uses, a module-level private function or class that nothing
+in the package references outside its own body, or a local name a function
+stores and never reads."""
 
 import ast
 from pathlib import Path
@@ -64,3 +65,37 @@ def test_no_unreferenced_private_definitions():
             if stmt.name not in names_read(elsewhere):
                 unreferenced.append("%s: %s" % (name, stmt.name))
     assert unreferenced == []
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def own_scope(func):
+    """The nodes of ``func``'s body outside any function or class nested in it."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_unread_local_names():
+    # a name starting with "_" is unread on purpose; a nested function may
+    # read its enclosing function's names
+    unread = []
+    for name, tree in MODULES.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = list(own_scope(func))
+            declared = {n for s in body if isinstance(s, (ast.Global, ast.Nonlocal))
+                        for n in s.names}
+            stored = {n.id for n in body
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            loaded = {n.id for n in ast.walk(func)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += ["%s: %s: %s" % (name, func.name, local)
+                       for local in sorted(stored - loaded - declared)
+                       if not local.startswith("_")]
+    assert unread == []

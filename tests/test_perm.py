@@ -3,11 +3,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from logsig import (CycleFormatError, LogSignature, Permutation, format_cycles,
                     parse_cycles, reconstruct)
-from logsig.perm import _digits_of, _identity_raw, _products, _value_of
+from logsig.perm import _digits_of, _identity_raw, _order_raw, _products, _value_of
 
 perms = st.integers(min_value=1, max_value=12).flatmap(
     lambda n: st.permutations(list(range(n)))).map(Permutation)
@@ -128,6 +128,17 @@ def test_order_is_least_annihilating_exponent(g):
     assert (g ** g.order()).is_identity()
     for d in range(1, g.order()):
         assert not (g ** d).is_identity()
+
+
+@given(st.integers(min_value=1, max_value=300).flatmap(
+    lambda n: st.permutations(list(range(n)))).map(Permutation))
+@example(Permutation.identity(1))
+@example(Permutation.identity(256))
+@example(Permutation.identity(300))
+@example(Permutation(list(range(1, 256)) + [0]))  # order equal to the degree
+@example(parse_cycles("(1,2,3,4,5)(6,7,8,9,10,11,12)", 12))  # order 35 > degree
+def test_order_raw_is_lcm_of_cycle_lengths(g):
+    assert _order_raw(g.img) == math.lcm(*(len(c) for c in g.cycles()))
 
 
 # -- the product-set kernel and the mixed-radix pair --------------------------
