@@ -80,11 +80,11 @@ class StabilizerChain:
     """
 
     def __init__(self, degree: int, levels: Sequence[ChainLevel],
-                 generators: GeneratorSet, name: str | None = None):
+                 generators: GeneratorSet):
         self.degree = degree
         self.levels = tuple(levels)
         self.generators = generators
-        self.name = name if name is not None else generators.name
+        self.name = generators.name
         order = 1
         for lv in self.levels:
             order *= len(lv.orbit)
@@ -164,7 +164,7 @@ class StabilizerChain:
             gens = (Permutation.identity(self.degree),)
         return StabilizerChain(
             self.degree, self.levels[level:],
-            GeneratorSet(self.degree, gens), name=None)
+            GeneratorSet(self.degree, gens))
 
 
 def _orbit_transversal(point: int, gens_raw: list, degree: int):

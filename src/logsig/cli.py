@@ -20,7 +20,6 @@ from .catalog import (check_claim_arithmetic, load_verified_chain,
 from .chain import StabilizerChain, build_chain
 from .construct import (DEFAULT_SEARCH_CAP, build_mls, chain_ls, mls_cyclic,
                         mls_solvable, CyclicSetSpec)
-from .chain import is_solvable
 from .factorize import (FactorizationError, TameIndexer, factorize_generic,
                         factorize_tame, reconstruct)
 from .perm import parse_cycles
@@ -97,9 +96,7 @@ def cmd_construct(args) -> int:
         ls = build_mls(chain, cap=args.search_cap)
     elif method == "chain":
         ls = chain_ls(chain)
-    elif method == "solvable":
-        if not is_solvable(chain):
-            raise ValueError("group is not solvable")
+    elif method == "solvable":  # raises ValueError for a non-solvable group
         ls = mls_solvable(chain)
     else:  # cyclic iff the generators commute and their orders have lcm |G|
         gens = chain.generators.gens

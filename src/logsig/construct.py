@@ -12,7 +12,7 @@ from math import prod
 from .arith import factor_integer
 from .chain import GeneratorSet, StabilizerChain, build_chain, derived_series, is_solvable
 from .perm import _TAIL, Permutation, _order_raw, _raw
-from .signature import BlockAnnotation, LogSignature, Provenance, _cover_fault
+from .signature import BlockAnnotation, LogSignature, Provenance, _level_table
 
 __all__ = [
     "CyclicSetSpec",
@@ -97,11 +97,11 @@ def _cyclic_blocks(x: Permutation, size: int):
     w_(t+1) = w_t * q_t, block t holds x^(j*w_t) for j < q_t.  Every exponent
     below ``size`` has a unique digit expansion sum(j_t * w_t), and the
     largest representable exponent is size - 1, so products never wrap.
-    Yields (entries, q_t, w_t) triples.
+    Yields (entries, w_t) pairs.
     """
     w = 1
     for q in _prime_multiset(size):
-        yield _powers(x ** w, q), q, w
+        yield _powers(x ** w, q), w
         w *= q
 
 
@@ -111,7 +111,7 @@ def mls_cyclic(spec: CyclicSetSpec) -> LogSignature:
     Length equals the sum of the prime multiset of the size, the attainable
     minimum for a set of that cardinality.
     """
-    blocks = tuple(entries for entries, _, _ in _cyclic_blocks(spec.generator, spec.size))
+    blocks = tuple(entries for entries, _ in _cyclic_blocks(spec.generator, spec.size))
     return LogSignature(degree=spec.generator.degree, blocks=blocks,
                         provenance=Provenance("cyclic"))
 
@@ -138,9 +138,10 @@ def sharply_transitive_check(decomp, chain: StabilizerChain,
 
     ``decomp`` is either a :class:`ProductDecomposition` (which carries its
     level) or a plain sequence of element sets plus an explicit ``level``.
-    Expands the multiset {(a_1 * ... * a_m)(b)} of base-point images over the
-    product set, the rightmost factor acting first, and accepts iff there
-    are no repeats and the images are exactly the level orbit.
+    Accepts iff the keys of the structural walk's level table, the images
+    (a_1 * ... * a_m)(b) of the base point over the product set (rightmost
+    factor first), are exactly the level orbit; as many products as points
+    leave no room for repeats.  The sets need not lie in the level group.
     """
     if isinstance(decomp, ProductDecomposition):
         if level is None:
@@ -151,11 +152,11 @@ def sharply_transitive_check(decomp, chain: StabilizerChain,
             raise ValueError("plain element sets need an explicit level")
         sets = [tuple(s) for s in decomp]
     lv = chain.levels[level]
-    if prod(len(s) for s in sets) != len(lv.orbit):
+    count = prod(map(len, sets))
+    if count != len(lv.orbit):
         raise ValueError("product of set sizes %d != orbit size %d"
-                         % (prod(len(s) for s in sets), len(lv.orbit)))
-    return _cover_fault([[e.img for e in s] for s in sets], lv.point, lv.orbit,
-                        chain.degree) is None
+                         % (count, len(lv.orbit)))
+    return _level_table(sets, lv.point, chain.degree).keys() == set(lv.orbit)
 
 
 def _size_trials(primes: list[int]) -> list[tuple[int, ...]]:
@@ -284,10 +285,6 @@ def refine_block(chain: StabilizerChain, level: int,
     most one set of at most orbit-size points per candidate tried at each
     position but the innermost.  No state of a call refers to itself, so
     all of it is freed when the call returns.
-
-    Candidate tuples may be partitioned and scanned in parallel as long as
-    the selected tuple is still the first success in this deterministic
-    order; this implementation scans sequentially.
     """
     if cap < 1:
         raise ValueError("search cap must be at least 1, got %d" % cap)
@@ -327,18 +324,15 @@ def refine_ls(ls: LogSignature, chain: StabilizerChain,
     blocks: list[tuple[Permutation, ...]] = []
     ann: list[BlockAnnotation] = []
     for block, a in zip(ls.blocks, ls.provenance.annotations):
-        primes = _prime_multiset(len(block))
-        if len(primes) <= 1:
-            blocks.append(block)
-            ann.append(BlockAnnotation(level=a.level))
-            continue
-        decomp = refine_block(chain, a.level, cap=cap)
+        decomp = None
+        if len(_prime_multiset(len(block))) > 1:
+            decomp = refine_block(chain, a.level, cap=cap)
         if decomp is None:
             blocks.append(block)
             ann.append(BlockAnnotation(level=a.level))
             continue
         for f in decomp.factors:
-            for entries, _q, w in _cyclic_blocks(f.generator, f.size):
+            for entries, w in _cyclic_blocks(f.generator, f.size):
                 blocks.append(entries)
                 ann.append(BlockAnnotation(level=a.level, set_size=f.size, step=w))
     return LogSignature(degree=ls.degree, blocks=tuple(blocks), group=ls.group,

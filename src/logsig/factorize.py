@@ -96,6 +96,8 @@ def _generic_index(ls: LogSignature, split: int, scan_right: bool):
     return stored, list(scan_half)
 
 
+_STORE_CAP = 100_000  # most products the stored half of a split may hold
+
 # one index per live signature; an index holds no reference to its signature,
 # and two threads that build one for the same signature build equal ones
 _indexes: "weakref.WeakKeyDictionary[LogSignature, tuple[dict, list]]" = \
@@ -103,20 +105,19 @@ _indexes: "weakref.WeakKeyDictionary[LogSignature, tuple[dict, list]]" = \
 
 
 def factorize_generic(g: Permutation, ls: LogSignature,
-                      budget: int = 10_000_000,
-                      store_cap: int = 100_000) -> tuple[int, ...]:
+                      budget: int = 10_000_000) -> tuple[int, ...]:
     """Meet-in-the-middle factorization over a balanced block split.
 
     The blocks are split so the two half-products are as balanced as
     possible; the smaller half is expanded into a lookup table (at most
-    ``store_cap`` products), the larger is scanned in enumeration order.
+    100,000 products), the larger is scanned in enumeration order.
     Agrees with :func:`factorize_tame` wherever both apply.
 
     Both halves are independent of ``g``: they are built into an index on
     the first call and reused while the signature lives.  The index holds
-    at most ``store_cap`` stored products plus the larger half's images,
-    and a call maps the larger half through ``g`` (or ``g^-1``) in one
-    pass, in the same scan order, so the first hit is unchanged.
+    at most 100,000 stored products plus the larger half's images, and a
+    call maps the larger half through ``g`` (or ``g^-1``) in one pass, in
+    the same scan order, so the first hit is unchanged.
     """
     if g.degree != ls.degree:
         raise ValueError("degree mismatch")
@@ -128,9 +129,9 @@ def factorize_generic(g: Permutation, ls: LogSignature,
     split = min(range(len(sizes) + 1),
                 key=lambda t: (max(prefix[t], total // prefix[t]), t))
     left_n, right_n = prefix[split], total // prefix[split]
-    if min(left_n, right_n) > store_cap:
+    if min(left_n, right_n) > _STORE_CAP:
         raise ValueError("smaller half-product %d exceeds store cap %d"
-                         % (min(left_n, right_n), store_cap))
+                         % (min(left_n, right_n), _STORE_CAP))
     scan_right = left_n <= right_n
     index = _indexes.get(ls)
     if index is None:

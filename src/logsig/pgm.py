@@ -132,5 +132,8 @@ def read_key(source: str | IO[str], chain: StabilizerChain) -> PgmKey:
         raise LsFormatError("key is for group %r, not %r" % (obj.get("group"), chain.name))
     if "alpha" not in obj or "beta" not in obj:
         raise LsFormatError("key file needs both 'alpha' and 'beta'")
+    seed = obj.get("seed", 0)
+    if type(seed) is not int:  # not bool, which JSON true and false load as
+        raise LsFormatError("key seed must be an integer")
     return _make_key(chain, _ls_from_obj(obj["alpha"]), _ls_from_obj(obj["beta"]),
-                     obj.get("seed", 0))
+                     seed)

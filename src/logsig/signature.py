@@ -302,13 +302,12 @@ def _index_levels(ls: LogSignature, chain: StabilizerChain):
                 if not chain.sift(e, start=level).is_identity():
                     return levels, ("block %d entry %s is outside the level-%d group"
                                     % (bi, e, level)), checked
-        sizes = [len(ls.blocks[bi]) for bi in block_ids]
-        if prod(sizes) != len(lv.orbit):
+        sets = [ls.blocks[bi] for bi in block_ids]
+        count = prod(map(len, sets))
+        if count != len(lv.orbit):
             return levels, ("level %d blocks enumerate %d products, orbit has %d "
-                            "points" % (level, prod(sizes), len(lv.orbit))), checked
-        raws = [[e.img for e in ls.blocks[bi]] for bi in block_ids]
-        table = {q[lv.point]: (_digits_of(rank, sizes), _inv_raw(q))
-                 for rank, q in enumerate(_products(raws, _identity_raw(ls.degree)))}
+                            "points" % (level, count, len(lv.orbit))), checked
+        table = _level_table(sets, lv.point, ls.degree)
         checked += len(lv.orbit)
         # every product lies in the level group, so its image lies in the
         # orbit: with as many products as points, distinct images cover it
@@ -319,15 +318,14 @@ def _index_levels(ls: LogSignature, chain: StabilizerChain):
     return levels, "", checked
 
 
-def _cover_fault(raw_sets, point: int, orbit, degree: int) -> str | None:
-    """Why the product set of ``raw_sets`` does not map ``point`` one to one
-    onto ``orbit``, or None when it does."""
-    images = [q[point] for q in _products(raw_sets, _identity_raw(degree))]
-    if len(set(images)) != len(images):
-        return "repeat a base-point image"
-    if set(images) != set(orbit):
-        return "do not cover the orbit"
-    return None
+def _level_table(sets, point: int, degree: int) -> dict:
+    """The image of ``point`` under each product of the element sets, mapped
+    to the product's digit tuple and inverse.  A product set as large as an
+    orbit maps ``point`` one to one onto it iff the keys are its points."""
+    sizes = [len(s) for s in sets]
+    raws = [[e.img for e in s] for s in sets]
+    return {q[point]: (_digits_of(rank, sizes), _inv_raw(q))
+            for rank, q in enumerate(_products(raws, _identity_raw(degree)))}
 
 
 def verify_structural(ls: LogSignature, chain: StabilizerChain) -> VerificationReport:
@@ -380,11 +378,11 @@ def dumps_ls(ls: LogSignature) -> str:
 
 
 def _parse_annotation(obj, where: str) -> BlockAnnotation:
-    if not isinstance(obj, dict) or not isinstance(obj.get("level"), int):
+    if not isinstance(obj, dict) or type(obj.get("level")) is not int:
         raise LsFormatError("%s: annotation must be an object with an integer 'level'"
                             % where)
     for key in ("set_size", "step"):
-        if obj.get(key) is not None and not isinstance(obj[key], int):
+        if obj.get(key) is not None and type(obj[key]) is not int:
             raise LsFormatError("%s: annotation %r must be an integer" % (where, key))
     return BlockAnnotation(level=obj["level"],
                            set_size=obj.get("set_size"),
@@ -399,6 +397,7 @@ def _parse_json(text: str):
 
 
 def _ls_from_obj(obj) -> LogSignature:
+    # integers are tested by exact type: JSON true and false load as bool
     if not isinstance(obj, dict):
         raise LsFormatError("top level must be an object")
     try:
@@ -407,8 +406,10 @@ def _ls_from_obj(obj) -> LogSignature:
         blocks_obj = obj["blocks"]
     except KeyError as e:
         raise LsFormatError("missing required field %s" % e) from e
-    if not isinstance(degree, int) or degree < 0:
+    if type(degree) is not int or degree < 0:
         raise LsFormatError("degree must be a nonnegative integer")
+    if "group" in obj and not isinstance(obj["group"], str):
+        raise LsFormatError("group must be a string")
     if not isinstance(prov_obj, dict) or not isinstance(blocks_obj, list):
         raise LsFormatError("provenance must be an object and blocks an array")
     ann = None
@@ -430,9 +431,11 @@ def _ls_from_obj(obj) -> LogSignature:
             if not isinstance(images, list) or len(images) != degree:
                 raise LsFormatError("%s: expected an image array of length %d"
                                     % (where, degree))
+            if any(type(x) is not int for x in images):
+                raise LsFormatError("%s: images must be integers" % where)
             try:
                 entries.append(Permutation.from_images(images))
-            except (ValueError, TypeError) as e:
+            except ValueError as e:
                 raise LsFormatError("%s: %s" % (where, e)) from e
         blocks.append(tuple(entries))
     try:

@@ -70,6 +70,7 @@ def test_construct_solvable_rejects_a5(capsys):
     code, _, err = run(capsys, "construct", "--group", "A5",
                        "--method", "solvable")
     assert code == 2
+    assert err == "error: group is not solvable\n"
 
 
 def test_construct_chain_a5(capsys):
@@ -295,8 +296,8 @@ def _inexact_m11_file(tmp_path):
     return path
 
 
-def _key_file(tmp_path, doc):
-    path = tmp_path / "key.json"
+def _json_file(tmp_path, doc):
+    path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -306,13 +307,19 @@ def _key_without_alpha(tmp_path):
     write_key(keygen(load_verified_chain("M11"), 5), path)
     doc = json.loads(Path(path).read_text())
     del doc["alpha"]
-    return _key_file(tmp_path, doc)
+    return _json_file(tmp_path, doc)
 
 
 def _m12_key(tmp_path):
     path = str(tmp_path / "m12.key")
     write_key(keygen(load_verified_chain("M12"), 5), path)
     return path
+
+
+def _s4_key_doc():
+    buf = io.StringIO()
+    write_key(keygen(load_verified_chain("S4"), 3), buf)
+    return json.loads(buf.getvalue())
 
 
 def _deep_c1(tmp_path):
@@ -346,7 +353,7 @@ MALFORMED = {
     "verify-wrong-degree": lambda t: [
         "verify", "--group", "M12", "--ls", _m11_file(t)],
     "encrypt-list-key": lambda t: [
-        "pgm", "encrypt", "--group", "M11", "--key", _key_file(t, [1, 2]), "3"],
+        "pgm", "encrypt", "--group", "M11", "--key", _json_file(t, [1, 2]), "3"],
     "decrypt-key-without-alpha": lambda t: [
         "pgm", "decrypt", "--group", "M11", "--key", _key_without_alpha(t), "3"],
     "encrypt-wrong-group-key": lambda t: [
@@ -385,6 +392,26 @@ MALFORMED = {
         "verify", "--group", "S4", "--ls", _s4_annotations_5(t)],
     "factorize-annotations-not-array": lambda t: [
         "factorize", "--group", "S4", "--ls", _s4_annotations_5(t), "--element", "()"],
+    # each file below used to load: JSON true passed as the integer 1, and
+    # a group or seed of another type was kept
+    "factorize-c3-image-true": lambda t: [
+        "factorize", "--group", "C3", "--element", "(1,2,3)", "--ls", _json_file(t, {
+            "degree": 3, "provenance": {"tag": "manual"},
+            "blocks": [[[True, 2, 3], [2, 3, 1], [3, 1, 2]]]})],
+    "verify-c1-degree-true": lambda t: [
+        "verify", "--group", "C1", "--ls", _json_file(t, {
+            "degree": True, "provenance": {"tag": "manual"}, "blocks": [[[1]]]})],
+    "verify-level-true": lambda t: [
+        "verify", "--group", "S4", "--ls", _s4_with_level(t, True), "--mode", "structural"],
+    "verify-group-not-string": lambda t: [
+        "verify", "--group", "S4", "--ls", _json_file(t, {
+            **json.loads(dumps_ls(chain_ls(load_verified_chain("S4")))), "group": 5})],
+    "encrypt-seed-true": lambda t: [
+        "pgm", "encrypt", "--group", "S4", "--key", _json_file(t, {
+            **_s4_key_doc(), "seed": True}), "5"],
+    "decrypt-seed-string": lambda t: [
+        "pgm", "decrypt", "--group", "S4", "--key", _json_file(t, {
+            **_s4_key_doc(), "seed": "3"}), "5"],
 }
 
 

@@ -12,8 +12,8 @@ from logsig import (CyclicSetSpec, Permutation,
                     mls_cyclic, mls_solvable, parse_cycles, refine_block,
                     refine_ls, sharply_transitive_check, verify_exhaustive,
                     verify_structural)
-from logsig.construct import (DEFAULT_SEARCH_CAP, _Candidates, _prime_multiset,
-                              _size_trials)
+from logsig.construct import (DEFAULT_SEARCH_CAP, _Candidates, _cover_search,
+                              _prime_multiset, _size_trials)
 from logsig.perm import _order_raw
 
 
@@ -144,6 +144,18 @@ def test_transversal_blocks_sharply_transitive(m11, s4):
         ls = chain_ls(chain)
         for block, ann in zip(ls.blocks, ls.provenance.annotations):
             assert sharply_transitive_check([block], chain, level=ann.level)
+
+
+def test_sets_outside_the_level_group_judged_by_images(m11):
+    # each level-1 transversal entry times a transposition fixing the level's
+    # base point keeps its image of that point but is odd, so it lies outside
+    # M11 (a subgroup of A11); only the images decide the verdict
+    lv = m11.levels[1]
+    a, b = [p for p in range(11) if p != lv.point][:2]
+    t = Permutation([b if p == a else a if p == b else p for p in range(11)])
+    block = tuple(lv.transversal[p] * t for p in lv.orbit)
+    assert not any(m11.contains(e) for e in block)
+    assert sharply_transitive_check([block], m11, level=1)
 
 
 def test_size_mismatch_raises(m11):
@@ -284,6 +296,61 @@ def test_refine_block_matches_unpruned_reference():
     # only by a non-ascending ordering, after the ascending one failed
     assert None in outcomes
     assert any(o is not None and list(o[0]) != sorted(o[0]) for o in outcomes)
+
+
+def cover_reference(walk, sizes, pos, images, osize, failed, repeats):
+    """``_cover_search`` without the failed-set pruning: every subtree is
+    searched.  The image sets whose subtree failed are kept per position
+    above the innermost in ``failed``, and ``repeats`` collects the
+    positions at which a later candidate reached one again: those are the
+    subtrees the pruned search skips."""
+    if pos < 0:
+        return [] if len(images) == osize else None
+    for x in walk(sizes[pos]):
+        new, cur = list(images), images
+        for _ in range(sizes[pos] - 1):
+            cur = [x[p] for p in cur]
+            new.extend(cur)
+        key = frozenset(new)
+        if len(key) != len(new):
+            continue
+        if key in failed[pos]:
+            repeats.append(pos)
+        found = cover_reference(walk, sizes, pos - 1, new, osize, failed, repeats)
+        if found is not None:
+            return found + [x]
+        if pos:
+            failed[pos].add(key)
+    return None
+
+
+# Degree-8 candidate walks, as 1-based images, on which the search must
+# skip a failed image set before its first success.  On each of them a memo
+# keyed on the candidate alone, and a search that gives up at the first
+# repeated failed set, both miss the cover the unpruned search finds.
+PRUNING_WALKS = (
+    ((6, 5, 8, 2, 3, 1, 7, 4), (8, 5, 7, 6, 3, 2, 1, 4),
+     (2, 7, 8, 3, 6, 4, 1, 5), (4, 2, 8, 7, 3, 6, 5, 1)),
+    ((5, 3, 2, 8, 1, 7, 6, 4), (7, 4, 1, 6, 8, 3, 5, 2), (7, 8, 6, 3, 5, 2, 4, 1),
+     (8, 3, 4, 5, 2, 6, 7, 1), (4, 8, 1, 3, 2, 7, 5, 6)),
+    ((8, 6, 1, 7, 3, 5, 2, 4), (7, 1, 8, 5, 6, 3, 2, 4), (2, 5, 4, 3, 8, 6, 1, 7),
+     (4, 1, 8, 3, 6, 2, 5, 7), (6, 1, 4, 8, 7, 2, 3, 5)),
+)
+
+
+@pytest.mark.parametrize("kind", [bytes, tuple])
+@pytest.mark.parametrize("walk_images", PRUNING_WALKS)
+def test_cover_search_pruning_is_sound(kind, walk_images):
+    # the search alone, on a hand-made walk that yields the same candidates
+    # for every size, so the result does not hang on refine_block's order
+    raws = [kind(Permutation.from_images(w).img) for w in walk_images]
+    walk = lambda size: iter(raws)
+    sizes = (2, 2, 2)
+    repeats: list = []
+    expect = cover_reference(walk, sizes, 2, [0], 8, [set() for _ in sizes], repeats)
+    assert expect is not None and repeats
+    got = _cover_search(walk, sizes, [set() for _ in sizes], 2, kind([0]), 8)
+    assert got == expect
 
 
 def test_refine_block_leaves_no_cyclic_garbage(m11):

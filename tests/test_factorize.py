@@ -258,14 +258,15 @@ def test_generic_equal_signatures_share_digits(a5):
         assert factorize_generic(g, ls) == factorize_generic(g, twin) == expect
 
 
-def test_generic_checks_run_after_the_index_is_built(a5):
+def test_generic_checks_run_after_the_index_is_built(a5, monkeypatch):
     ls = chain_ls(a5)  # 60 products, halves of 5 and 12
     g = a5.element_at(17)
     assert factorize_generic(g, ls) == generic_reference(g, ls)
-    for limits in ({"budget": 59}, {"store_cap": 4}):
-        expect = outcome(generic_reference, g, ls, **limits)
+    for budget, store_cap in ((59, factorize._STORE_CAP), (10_000_000, 4)):
+        monkeypatch.setattr(factorize, "_STORE_CAP", store_cap)
+        expect = outcome(generic_reference, g, ls, budget=budget, store_cap=store_cap)
         assert expect[0] is ValueError
-        assert outcome(factorize_generic, g, ls, **limits) == expect
+        assert outcome(factorize_generic, g, ls, budget=budget) == expect
 
 
 def test_generic_index_holds_no_strong_reference(a5):

@@ -389,6 +389,29 @@ def test_reject_malformed_annotations(annotations):
         loads_ls(text)
 
 
+def test_reject_json_booleans_and_a_non_string_group():
+    # JSON true and false load as bool, a subclass of int, so each edit
+    # below used to load: as level 0, as step 1, as the identity entry
+    doc = {"degree": 3, "group": "C3",
+           "provenance": {"tag": "refined",
+                          "annotations": [{"level": 0, "set_size": 3, "step": 1}]},
+           "blocks": [[[1, 2, 3], [2, 3, 1], [3, 1, 2]]]}
+    text = json.dumps(doc, indent=2) + "\n"
+    assert dumps_ls(loads_ls(text)) == text
+    for path, value in [(("degree",), True), (("group",), 5),
+                        (("blocks", 0, 0, 0), True),
+                        (("provenance", "annotations", 0, "level"), False),
+                        (("provenance", "annotations", 0, "set_size"), True),
+                        (("provenance", "annotations", 0, "step"), True)]:
+        bad = json.loads(text)
+        parent = bad
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(LsFormatError):
+            loads_ls(json.dumps(bad))
+
+
 def test_empty_block_rejected():
     with pytest.raises(ValueError):
         LogSignature(degree=2, blocks=((),))
