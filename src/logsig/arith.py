@@ -28,9 +28,6 @@ class PrimeFactorization:
     value: int
     factors: tuple[tuple[int, int], ...]
 
-    def __iter__(self):
-        return iter(self.factors)
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"

@@ -16,7 +16,7 @@ import os
 import re
 from dataclasses import dataclass
 from importlib import resources
-from math import prod
+from math import factorial, prod
 from typing import IO
 
 from .arith import factor_integer, is_probable_prime
@@ -95,19 +95,17 @@ def _symmetric_spec(n: int) -> GroupSpec:
         return GroupSpec("S%d" % n, max(n, 1), ("()",), 1, "trivial")
     if n == 2:
         return GroupSpec("S2", 2, ("(1,2)",), 2, "transposition")
-    import math
     return GroupSpec("S%d" % n, n, ("(1,2)", _cycle(list(range(1, n + 1)))),
-                     math.factorial(n), "transposition and n-cycle")
+                     factorial(n), "transposition and n-cycle")
 
 
 def _alternating_spec(n: int) -> GroupSpec:
-    import math
     if n <= 2:
         return GroupSpec("A%d" % n, max(n, 1), ("()",), 1, "trivial")
     if n == 3:
         return GroupSpec("A3", 3, ("(1,2,3)",), 3, "3-cycle")
     big = _cycle(list(range(1, n + 1))) if n % 2 else _cycle(list(range(2, n + 1)))
-    return GroupSpec("A%d" % n, n, ("(1,2,3)", big), math.factorial(n) // 2,
+    return GroupSpec("A%d" % n, n, ("(1,2,3)", big), factorial(n) // 2,
                      "3-cycle and long even cycle")
 
 
@@ -161,7 +159,7 @@ def get_spec(name: str) -> GroupSpec:
     if name in _FILE_GROUPS:
         fname, order, source = _FILE_GROUPS[name]
         gens = read_group_file_text(_data_text(fname)).gens
-        return GroupSpec(name, gens[0].degree if gens else 0,
+        return GroupSpec(name, gens[0].degree,
                          tuple(format_cycles(g) for g in gens), order, source)
     if name in _NAMED_BUILDERS:
         return _NAMED_BUILDERS[name]()

@@ -68,9 +68,6 @@ class ChainLevel:
     gens: tuple[Permutation, ...]
     table: dict = field(repr=False)
 
-    def __len__(self) -> int:
-        return len(self.orbit)
-
 
 class StabilizerChain:
     """A verified base and strong generating set for a permutation group.
@@ -157,14 +154,10 @@ class StabilizerChain:
             raise IndexError("level %d out of range" % level)
         if level == 0:
             return self
-        gens: tuple[Permutation, ...] = ()
-        if level < len(self.levels):
-            gens = self.levels[level].gens
-        if not gens:
-            gens = (Permutation.identity(self.degree),)
+        gens = self.levels[level].gens if level < len(self.levels) else ()
         return StabilizerChain(
             self.degree, self.levels[level:],
-            GeneratorSet(self.degree, gens))
+            GeneratorSet(self.degree, gens) if gens else _trivial_genset(self.degree))
 
 
 def _orbit_transversal(point: int, gens_raw: list, degree: int):

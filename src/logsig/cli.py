@@ -106,7 +106,7 @@ def cmd_construct(args) -> int:
         gen = next(g for g in chain.elements() if g.order() == chain.order)
         ls = mls_cyclic(CyclicSetSpec(gen, chain.order))
     f = factor_integer(chain.order)
-    minimal = ls.product_count() == chain.order and is_minimal(ls, f)
+    minimal = is_minimal(ls, f)
     if args.out:
         write_ls(ls, args.out)
     record = {

@@ -10,7 +10,7 @@ from itertools import islice, permutations
 from math import prod
 
 from .arith import factor_integer
-from .chain import GeneratorSet, StabilizerChain, build_chain, derived_series, is_solvable
+from .chain import GeneratorSet, StabilizerChain, build_chain, derived_series
 from .perm import _TAIL, Permutation, _order_raw, _raw
 from .signature import BlockAnnotation, LogSignature, Provenance, _level_table
 
@@ -70,9 +70,6 @@ class CompositionSeries:
     subgroups: tuple[StabilizerChain, ...]
     witnesses: tuple[Permutation, ...]
     primes: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.primes)
 
 
 def _prime_multiset(n: int) -> list[int]:
@@ -273,6 +270,13 @@ def refine_block(chain: StabilizerChain, level: int,
     full scan would give.  Returning None means the search space was
     exhausted without a cover, which is a legitimate outcome.
 
+    A level whose point stabilizer has at least ``10 * cap`` elements is
+    not searched: the first that many elements of the level group are the
+    ones fixing the base point, so every candidate repeats the base point
+    and the search could only return None.  At the default cap this skips
+    level 0 of M24 and levels 0-1 of A12; at cap 1000, levels 0-2 of M24,
+    levels 0-3 of A12 and level 0 of M22.
+
     Within one size trial the search never enters the same subtree twice.
     A candidate maps the base-point images chosen so far to a new image
     list; when that list is distinct and its set already led to a failed
@@ -290,6 +294,8 @@ def refine_block(chain: StabilizerChain, level: int,
         raise ValueError("search cap must be at least 1, got %d" % cap)
     lv = chain.levels[level]
     osize = len(lv.orbit)
+    if osize > 1 and 10 * cap <= prod(len(v.orbit) for v in chain.levels[level + 1:]):
+        return None
     trials = _size_trials(_prime_multiset(osize))
     cands = _Candidates(chain.subchain(level),
                         {size for trial in trials for size in trial}, cap)
@@ -346,9 +352,15 @@ def composition_series_solvable(chain: StabilizerChain) -> CompositionSeries:
     generator of the layer top that is outside the current subgroup, compute
     the order o of its image, and adjoin its (o/p)-th power for the largest
     prime p of o.  Splitting largest-first while ascending makes the primes
-    come out ascending when the series is read from the top.
+    come out ascending when the series is read from the top.  Raises
+    ValueError for a group that is not solvable.
     """
-    series = derived_series(chain)
+    return _composition_series(chain, derived_series(chain))
+
+
+def _composition_series(chain: StabilizerChain,
+                        series: list[StabilizerChain]) -> CompositionSeries:
+    """:func:`composition_series_solvable` given the chain's derived series."""
     if series[-1].order > 1:
         raise ValueError("group is not solvable")
     degree = chain.degree
@@ -385,7 +397,10 @@ def composition_series_solvable(chain: StabilizerChain) -> CompositionSeries:
 def mls_solvable(chain: StabilizerChain) -> LogSignature:
     """Minimal signature of a solvable group: one cyclic transversal
     [t^0, ..., t^(q-1)] per composition step, outermost step first."""
-    series = composition_series_solvable(chain)
+    return _series_ls(chain, composition_series_solvable(chain))
+
+
+def _series_ls(chain: StabilizerChain, series: CompositionSeries) -> LogSignature:
     blocks = tuple(_powers(t, q) for t, q in zip(series.witnesses, series.primes))
     return LogSignature(degree=chain.degree, blocks=blocks,
                         group=chain.name, provenance=Provenance("solvable"))
@@ -397,6 +412,7 @@ def build_mls(chain: StabilizerChain, cap: int = DEFAULT_SEARCH_CAP) -> LogSigna
     if chain.order == 1:
         return LogSignature(degree=chain.degree, blocks=(), group=chain.name,
                             provenance=Provenance("chain", ()))
-    if is_solvable(chain):
-        return mls_solvable(chain)
+    series = derived_series(chain)
+    if series[-1].order == 1:
+        return _series_ls(chain, _composition_series(chain, series))
     return refine_ls(chain_ls(chain), chain, cap=cap)

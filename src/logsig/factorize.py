@@ -12,7 +12,7 @@ from operator import mul
 from .chain import StabilizerChain
 from .perm import (Permutation, _digits_of, _identity_raw, _inv_raw, _mul_raw,
                    _products, _sift)
-from .signature import LogSignature, _index_levels
+from .signature import DEFAULT_BUDGET, LogSignature, _index_levels
 
 __all__ = ["TameIndexer", "FactorizationError", "factorize_tame",
            "factorize_generic", "reconstruct"]
@@ -41,7 +41,6 @@ class TameIndexer:
         if fault:
             raise ValueError(fault)
         self.ls = ls
-        self.chain = chain
         self._identity = _identity_raw(ls.degree)
 
     def digits(self, g: Permutation) -> tuple[int, ...]:
@@ -51,7 +50,7 @@ class TameIndexer:
         if passed < len(self._levels):
             raise FactorizationError(
                 "no block entry matches image of point %d; element is not "
-                "a member (or the signature is corrupt)" % self._levels[passed][0])
+                "a member (or the signature is corrupt)" % (self._levels[passed][0] + 1))
         if raw != self._identity:
             raise FactorizationError("nonidentity residue; element is not a member")
         return out
@@ -105,7 +104,7 @@ _indexes: "weakref.WeakKeyDictionary[LogSignature, tuple[dict, list]]" = \
 
 
 def factorize_generic(g: Permutation, ls: LogSignature,
-                      budget: int = 10_000_000) -> tuple[int, ...]:
+                      budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
     """Meet-in-the-middle factorization over a balanced block split.
 
     The blocks are split so the two half-products are as balanced as

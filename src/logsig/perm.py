@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = ["Permutation", "parse_cycles", "format_cycles", "CycleFormatError"]
 
@@ -135,16 +135,10 @@ def _sift(raw, levels, stop=None):
 
 
 def _inv_raw(a):
-    n = len(a)
-    if type(a) is bytes:
-        out = bytearray(n)
-        for i, j in enumerate(a):
-            out[j] = i
-        return bytes(out)
-    out = [0] * n
+    out = [0] * len(a)
     for i, j in enumerate(a):
         out[j] = i
-    return tuple(out)
+    return _raw(out, len(a))
 
 
 def _identity_raw(n: int):
@@ -283,9 +277,6 @@ class Permutation:
     def __repr__(self) -> str:
         return "Permutation[%d](%s)" % (self.degree, format_cycles(self))
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.img)
-
 
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse 1-based disjoint-cycle notation, e.g. ``"(1,4,3,8)(2,5,6,9)"``.
@@ -300,7 +291,6 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     if not s:
         raise CycleFormatError("empty permutation text")
     pos = 0
-    ncycles = 0
     while pos < len(s):
         if s[pos] != "(":
             raise CycleFormatError("expected '(' at position %d in %r" % (pos, text))
@@ -309,7 +299,6 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             raise CycleFormatError("unclosed '(' at position %d in %r" % (pos, text))
         body = s[pos + 1:end]
         pos = end + 1
-        ncycles += 1
         if not body:
             continue
         points = []
@@ -325,8 +314,6 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             points.append(p - 1)
         for i, p in enumerate(points):
             img[p] = points[(i + 1) % len(points)]
-    if ncycles == 0:
-        raise CycleFormatError("no cycles in %r" % text)
     return Permutation(img)
 
 

@@ -38,6 +38,14 @@ def test_info_json(capsys):
     assert record["order"] == 60 and record["minimal_length"] == 12
 
 
+def test_info_list(capsys):
+    code, out, _ = run(capsys, "info", "--list")
+    lines = out.splitlines()
+    assert code == 0
+    assert {"M11", "M24", "SL(2,3)", "2^3"} <= set(lines)
+    assert lines[-1] == "C<n>, D<n>, S<n>, A<n>"
+
+
 def test_info_bad_file(capsys, tmp_path):
     bad = tmp_path / "bad.grp"
     bad.write_text("degree 4\n(1,99)\n")
@@ -153,6 +161,26 @@ def test_factorize_nonmember(capsys, tmp_path, m11):
     assert code == 1
 
 
+def test_factorize_failure_names_a_1_based_point(capsys, tmp_path):
+    path = str(tmp_path / "2^3.ls")
+    write_ls(chain_ls(load_verified_chain("2^3")), path)
+    # (1,3) maps level 0's base point, point 1, outside its orbit {1, 2}
+    code, out, _ = run(capsys, "factorize", "--group", "2^3", "--ls", path,
+                       "--element", "(1,3)")
+    assert code == 1
+    assert out.startswith("fail: no block entry matches image of point 1;")
+
+
+def test_structural_verify_names_a_short_level(capsys, tmp_path, m11):
+    ls = chain_ls(m11)
+    path = str(tmp_path / "m11-short.ls")
+    write_ls(dataclasses.replace(ls, blocks=(ls.blocks[0][1:],) + ls.blocks[1:]), path)
+    code, out, _ = run(capsys, "verify", "--group", "M11", "--ls", path,
+                       "--mode", "structural")
+    assert code == 1
+    assert "level 0 blocks enumerate 10 products, orbit has 11 points" in out
+
+
 def _m12_files(tmp_path):
     """The refined M12 signature written with its annotations and as a
     manual file without them, which only generic factorization reads."""
@@ -261,20 +289,25 @@ def _reversed_s4(tmp_path):
     return path
 
 
+def _s4_ls_doc():
+    return json.loads(dumps_ls(chain_ls(load_verified_chain("S4"))))
+
+
+def _s4_ls_file(tmp_path, edit):
+    """The S4 chain signature's file after ``edit`` changed its document."""
+    doc = _s4_ls_doc()
+    edit(doc)
+    return _json_file(tmp_path, doc)
+
+
 def _s4_with_level(tmp_path, level):
-    doc = json.loads(dumps_ls(chain_ls(load_verified_chain("S4"))))
-    doc["provenance"]["annotations"][-1]["level"] = level
-    path = tmp_path / "s4-level.ls"
-    path.write_text(json.dumps(doc))
-    return str(path)
+    def edit(doc):
+        doc["provenance"]["annotations"][-1]["level"] = level
+    return _s4_ls_file(tmp_path, edit)
 
 
 def _s4_annotations_5(tmp_path):
-    doc = json.loads(dumps_ls(chain_ls(load_verified_chain("S4"))))
-    doc["provenance"]["annotations"] = 5
-    path = tmp_path / "s4-annotations.ls"
-    path.write_text(json.dumps(doc))
-    return str(path)
+    return _s4_ls_file(tmp_path, lambda d: d["provenance"].update(annotations=5))
 
 
 def _bytes_file(tmp_path, data):
@@ -404,14 +437,41 @@ MALFORMED = {
     "verify-level-true": lambda t: [
         "verify", "--group", "S4", "--ls", _s4_with_level(t, True), "--mode", "structural"],
     "verify-group-not-string": lambda t: [
-        "verify", "--group", "S4", "--ls", _json_file(t, {
-            **json.loads(dumps_ls(chain_ls(load_verified_chain("S4")))), "group": 5})],
+        "verify", "--group", "S4", "--ls", _json_file(t, {**_s4_ls_doc(), "group": 5})],
     "encrypt-seed-true": lambda t: [
         "pgm", "encrypt", "--group", "S4", "--key", _json_file(t, {
             **_s4_key_doc(), "seed": True}), "5"],
     "decrypt-seed-string": lambda t: [
         "pgm", "decrypt", "--group", "S4", "--key", _json_file(t, {
             **_s4_key_doc(), "seed": "3"}), "5"],
+    "info-no-group": lambda t: ["info"],
+    "info-d2": lambda t: ["info", "--group", "D2"],
+    "info-c-degree-too-large": lambda t: ["info", "--group", "C1000001"],
+    "verify-top-level-array": lambda t: [
+        "verify", "--group", "S4", "--ls", _json_file(t, [_s4_ls_doc()])],
+    "verify-blocks-missing": lambda t: [
+        "verify", "--group", "S4", "--ls", _s4_ls_file(t, lambda d: d.pop("blocks"))],
+    "verify-annotation-count": lambda t: [
+        "verify", "--group", "S4", "--ls",
+        _s4_ls_file(t, lambda d: d["provenance"]["annotations"].pop())],
+    "verify-repeated-entry": lambda t: [
+        "verify", "--group", "S4", "--ls",
+        _s4_ls_file(t, lambda d: d["blocks"][0].append(d["blocks"][0][0]))],
+    "encrypt-unknown-key-format": lambda t: [
+        "pgm", "encrypt", "--group", "S4", "--key", _json_file(t, {
+            **_s4_key_doc(), "format": "logsig-key/0"}), "5"],
+}
+
+# the message of each case that reaches a check no other case reaches
+MALFORMED_MESSAGES = {
+    "info-no-group": "info needs --group or --group-file",
+    "info-d2": "dihedral groups need at least 3 points",
+    "info-c-degree-too-large": "parametric degree 1000001 too large",
+    "verify-top-level-array": "top level must be an object",
+    "verify-blocks-missing": "missing required field 'blocks'",
+    "verify-annotation-count": "annotation count 2 != block count 3",
+    "verify-repeated-entry": "block 0 has repeated entries",
+    "encrypt-unknown-key-format": "unsupported key format 'logsig-key/0'",
 }
 
 
@@ -424,6 +484,7 @@ def test_malformed_inputs_exit_cleanly(capsys, tmp_path, case):
     else:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert MALFORMED_MESSAGES.get(case, "") in err
 
 
 def test_c0_message_names_the_bound(capsys):

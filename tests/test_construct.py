@@ -1,11 +1,14 @@
 import gc
 import random
+import time
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logsig import (CyclicSetSpec, Permutation,
+import logsig.chain
+import logsig.construct
+from logsig import (CyclicSetSpec, GeneratorSet, Permutation,
                     ProductDecomposition, build_chain, build_mls, chain_ls,
                     composition_series_solvable, factor_integer, is_minimal,
                     load_group, load_verified_chain, ls_length, minimal_length,
@@ -122,6 +125,22 @@ def test_chain_ls_m11(m11):
     assert verify_structural(ls, m11).ok
 
 
+def a5_fixing_its_first_base_point():
+    """A5 on six points, the point 6 it fixes hinted as the first base point."""
+    gens = (parse_cycles("(1,2,3)", 6), parse_cycles("(1,2,3,4,5)", 6))
+    return build_chain(GeneratorSet(6, gens), base_hint=[5])
+
+
+def test_chain_ls_skips_a_fixed_hint_point():
+    chain = a5_fixing_its_first_base_point()
+    assert len(chain.levels[0].orbit) == 1 and chain.order == 60
+    ls = chain_ls(chain)
+    assert ls.block_sizes == (5, 4, 3)
+    assert [a.level for a in ls.provenance.annotations] == [1, 2, 3]
+    assert verify_exhaustive(ls, chain).ok
+    assert verify_structural(ls, chain).ok
+
+
 # -- sharp transitivity ----------------------------------------------------------
 
 def test_eleven_cycle_powers_sharply_transitive(m11):
@@ -206,6 +225,33 @@ def test_refine_block_orbit_ten_needs_reordering(m11):
     decomp = refine_block(m11, 1)
     assert decomp is not None
     assert tuple(f.size for f in decomp.factors) == (5, 2)
+
+
+def test_refine_block_rejects_cap_0(m11):
+    with pytest.raises(ValueError, match="at least 1"):
+        refine_block(m11, 1, cap=0)
+
+
+@pytest.mark.parametrize("case", ["s4-hint-0123", "a5-hint-6"])
+def test_refine_block_one_point_level_is_empty(s4, case):
+    # A5's one-point level 0 has a point stabilizer of 60 >= 10 * cap
+    # elements, and is still covered by the empty product
+    if case == "s4-hint-0123":
+        chain, level = build_chain(s4.generators, base_hint=[0, 1, 2, 3]), 3
+    else:
+        chain, level = a5_fixing_its_first_base_point(), 0
+    assert len(chain.levels[level].orbit) == 1
+    assert refine_block(chain, level, cap=1) == ProductDecomposition((), level)
+
+
+def test_refine_block_skips_a_level_no_candidate_can_refine(m24):
+    # the first 10 * cap elements of M24 all fix level 0's base point, so
+    # each candidate repeats it; searching them took ~3 s on a 2-CPU x86-64
+    # machine
+    t0 = time.perf_counter()
+    assert refine_block(m24, 0) is None
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.5, "M24 level 0 took %.2fs" % elapsed
 
 
 @pytest.mark.parametrize("cap", [1, 7, 2000])
@@ -484,6 +530,24 @@ def test_build_mls_a5(a5):
     assert ls_length(ls) == 12
     assert is_minimal(ls, factor_integer(60))
     assert verify_exhaustive(ls, a5).ok
+
+
+@pytest.mark.parametrize("name", ["SL(2,3)", "S4", "D300"])
+def test_build_mls_computes_one_derived_series(monkeypatch, name):
+    chain = load_verified_chain(name)
+    derived_series = logsig.chain.derived_series
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return derived_series(c)
+
+    # is_solvable reads the name in logsig.chain
+    for module in (logsig.chain, logsig.construct):
+        monkeypatch.setattr(module, "derived_series", counted)
+    ls = build_mls(chain)
+    assert calls == [chain]
+    assert ls.provenance.tag == "solvable"
 
 
 def test_build_mls_trivial():

@@ -1,12 +1,18 @@
 """The benchmark harness in ``perfbench/`` names library functions by module
-and attribute; a rename in ``logsig`` must fail here, not only in the smoke
+and attribute and checks the library's outputs; a rename in ``logsig``, or a
+change that breaks one of those checks, must fail here, not only in the smoke
 run (``python3 perfbench/smoke.py``, about 30 s)."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def test_tracer_layers_resolve():
@@ -25,3 +31,16 @@ def test_smoke_patch_targets_exist():
     for module, attribute in (("logsig.pgm", "encrypt"),
                               ("logsig.signature", "verify_exhaustive")):
         assert callable(getattr(importlib.import_module(module), attribute, None))
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_workload_output_checks_pass_at_tiny_size(monkeypatch, tmp_path, capsys, workload):
+    # the benchmark's own output checks, at the size perfbench/smoke.py runs
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    run = importlib.import_module("run")
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setattr(run, "OUT", str(tmp_path))
+    code = run.main(["--workload", workload, "--seed", "7", "--seconds", "0"],
+                    sizes=workloads.TINY)
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == 0 and result["correct"] is True, result
