@@ -5,7 +5,6 @@ signatures, meet-in-the-middle for everything else.
 
 from __future__ import annotations
 
-import weakref
 from itertools import accumulate
 from operator import mul
 
@@ -97,11 +96,6 @@ def _generic_index(ls: LogSignature, split: int, scan_right: bool):
 
 _STORE_CAP = 100_000  # most products the stored half of a split may hold
 
-# one index per live signature; an index holds no reference to its signature,
-# and two threads that build one for the same signature build equal ones
-_indexes: "weakref.WeakKeyDictionary[LogSignature, tuple[dict, list]]" = \
-    weakref.WeakKeyDictionary()
-
 
 def factorize_generic(g: Permutation, ls: LogSignature,
                       budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
@@ -113,7 +107,8 @@ def factorize_generic(g: Permutation, ls: LogSignature,
     Agrees with :func:`factorize_tame` wherever both apply.
 
     Both halves are independent of ``g``: they are built into an index on
-    the first call and reused while the signature lives.  The index holds
+    the first call and kept on the signature object, outside its fields, so
+    the signature's value, equality and hash never change.  The index holds
     at most 100,000 stored products plus the larger half's images, and a
     call maps the larger half through ``g`` (or ``g^-1``) in one pass, in
     the same scan order, so the first hit is unchanged.
@@ -132,9 +127,11 @@ def factorize_generic(g: Permutation, ls: LogSignature,
         raise ValueError("smaller half-product %d exceeds store cap %d"
                          % (min(left_n, right_n), _STORE_CAP))
     scan_right = left_n <= right_n
-    index = _indexes.get(ls)
+    index = getattr(ls, "_generic_index", None)
     if index is None:
-        index = _indexes[ls] = _generic_index(ls, split, scan_right)
+        # two threads that race here store equal indexes
+        index = _generic_index(ls, split, scan_right)
+        object.__setattr__(ls, "_generic_index", index)
     stored, scan = index
     pre = g.img if scan_right else _inv_raw(g.img)
     for rank, p in enumerate(_products([scan], pre)):
@@ -142,4 +139,5 @@ def factorize_generic(g: Permutation, ls: LogSignature,
         if hit is not None:
             left, right = (hit, rank) if scan_right else (rank, hit)
             return _digits_of(left * right_n + right, sizes)
-    raise FactorizationError("element has no factorization; not a group member")
+    raise FactorizationError("element has no factorization; it is not a member "
+                             "(or the signature is not exact)")

@@ -105,16 +105,6 @@ class LogSignature:
             raise ValueError("annotation count %d != block count %d"
                              % (len(ann), len(self.blocks)))
 
-    def __hash__(self) -> int:
-        # the dataclass hash of the fields, computed once: factorize_generic
-        # looks up its index by signature on every call
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.degree, self.blocks, self.group, self.provenance))
-            object.__setattr__(self, "_hash", h)
-            return h
-
     @property
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
@@ -165,7 +155,7 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
                       budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Enumerate every product of the signature and check pairwise distinctness.
 
-    All block entries are required to be members of the chain's group, so
+    A block entry outside the chain's group fails the report; for members,
     distinctness together with a product count equal to the group order is
     equivalent to exactness.  A member is fixed by its images of the chain's
     base, so two products are equal exactly when their base images are, and
@@ -196,10 +186,11 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
         raise VerificationBudgetError(
             "%d products exceed the budget of %d; use verify_structural" % (total, budget))
     for bi, block in enumerate(ls.blocks):
-        for e in block:
+        for ei, e in enumerate(block):
             if not chain.contains(e):
-                raise ValueError("block %d entry %s is not a group member"
-                                 % (bi, e))
+                return VerificationReport(
+                    ok=False, method="exhaustive", products_checked=0,
+                    detail="block %d entry %d is not a group member" % (bi, ei))
 
     raws = [[e.img for e in block] for block in ls.blocks]
     ident = _identity_raw(ls.degree)

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import random
+import shlex
 import time
 from pathlib import Path
 
@@ -129,6 +130,24 @@ def test_verify_overbudget_advises_structural(capsys, tmp_path, m22):
     assert code == 0 and "structural" in out
 
 
+def test_verify_nonmember_entry_fails_in_every_mode(capsys, tmp_path):
+    # A4's chain signature with block 0, entry 1 set to the odd (1,2)
+    path = tmp_path / "a4.ls"
+    assert run(capsys, "construct", "--group", "A4", "--method", "chain",
+               "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    doc["blocks"][0][1] = [2, 1, 3, 4]
+    path.write_text(json.dumps(doc))
+    for mode in ("structural", "exhaustive", "auto"):
+        code, out, err = run(capsys, "--json", "verify", "--group", "A4",
+                             "--ls", str(path), "--mode", mode)
+        record = json.loads(out)
+        assert code == 1 and err == "" and record["verdict"] == "fail", mode
+    assert record == {"verdict": "fail", "method": "exhaustive", "products_checked": 0,
+                      "collision": None,
+                      "detail": "block 0 entry 1 is not a group member"}
+
+
 def test_verify_malformed_file(capsys, tmp_path):
     path = tmp_path / "junk.ls"
     path.write_text("{not json")
@@ -213,6 +232,21 @@ def test_factorize_generic_nonmember(capsys, tmp_path):
     assert code == 1 and out.startswith("fail: ")
 
 
+def test_factorize_generic_failure_allows_an_inexact_signature(capsys, tmp_path, s4):
+    # block 0, entry 1 replaced by entry 2 times block 1's entry 1: the
+    # manual signature misses (1,2), which is a member of S4
+    ls = chain_ls(s4)
+    b0 = list(ls.blocks[0])
+    b0[1] = ls.blocks[0][2] * ls.blocks[1][1]
+    path = str(tmp_path / "s4.ls")
+    write_ls(LogSignature(degree=4, blocks=(tuple(b0),) + ls.blocks[1:]), path)
+    code, out, _ = run(capsys, "factorize", "--group", "S4", "--ls", path,
+                       "--element", "(1,2)")
+    assert code == 1
+    assert out == ("fail: element has no factorization; it is not a member "
+                   "(or the signature is not exact)\n")
+
+
 def test_table_check_flags_rows(capsys):
     code, out, _ = run(capsys, "table-check")
     assert code == 1
@@ -276,6 +310,21 @@ def test_pgm_message_out_of_range(capsys, tmp_path):
 def test_pgm_missing_args(capsys):
     code, _, err = run(capsys, "pgm", "encrypt", "--group", "S4")
     assert code == 2
+
+
+def test_readme_command_lines(capsys, tmp_path, monkeypatch):
+    # every `logsig ...` line of README's Command line block, in order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [l for l in block.splitlines() if l.startswith("logsig ")]
+    assert len(lines) == 12
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == (1 if line.split("#")[0].split() == ["logsig", "table-check"]
+                        else 0), (line, err)
+        if "# -> " in line:
+            assert out == line.split("# -> ")[1] + "\n", line
 
 
 # -- malformed inputs: exit 2 with a message, never a traceback ----------------

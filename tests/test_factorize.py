@@ -1,11 +1,15 @@
 import dataclasses
 import functools
 import gc
+import os
 import random
+import subprocess
+import sys
 import time
 import weakref
 from itertools import product
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -170,7 +174,8 @@ def generic_reference(g, ls, budget=10_000_000, store_cap=100_000):
         if hit is not None:
             left, right = (hit, rank) if scan_right else (rank, hit)
             return _digits_of(left * right_n + right, sizes)
-    raise FactorizationError("element has no factorization; not a group member")
+    raise FactorizationError("element has no factorization; it is not a member "
+                             "(or the signature is not exact)")
 
 
 def outcome(fn, g, ls, **limits):
@@ -270,15 +275,59 @@ def test_generic_checks_run_after_the_index_is_built(a5, monkeypatch):
 
 
 def test_generic_index_holds_no_strong_reference(a5):
-    # a group name no other signature carries, so no equal key is cached
-    ls = dataclasses.replace(chain_ls(a5), group="held by no one")
-    cached = len(factorize._indexes)
+    ls = chain_ls(a5)
     factorize_generic(Permutation.identity(5), ls)
-    assert len(factorize._indexes) == cached + 1
+    assert "_generic_index" in vars(ls)
     ref = weakref.ref(ls)
-    del ls
-    gc.collect()
-    assert ref() is None and len(factorize._indexes) == cached
+    gc.disable()
+    try:
+        # with the collector off only reference counting frees the
+        # signature, which a cycle through its index would prevent
+        del ls
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_generic_index_built_once_per_signature(a5, monkeypatch):
+    built = []
+    build = factorize._generic_index
+    monkeypatch.setattr(factorize, "_generic_index",
+                        lambda ls, *split: built.append(ls) or build(ls, *split))
+    ls, twin = chain_ls(a5), copied(chain_ls(a5))
+    g = a5.element_at(17)
+    for _ in range(10):
+        assert factorize_generic(g, ls) == generic_reference(g, ls)
+    assert len(built) == 1 and built[0] is ls
+    assert factorize_generic(g, twin) == generic_reference(g, ls)
+    assert len(built) == 2 and built[1] is twin
+
+
+def test_generic_list_blocks_factorize_like_tuples(a5):
+    ls = chain_ls(a5)
+    listed = LogSignature(degree=5, blocks=[list(b) for b in ls.blocks])
+    for g in [a5.element_at(r) for r in range(0, 60, 7)] + [parse_cycles("(1,2)", 5)]:
+        assert outcome(factorize_generic, g, listed) == outcome(factorize_generic, g, ls)
+
+
+def test_pickled_signature_hashes_as_a_fresh_one(tmp_path):
+    # the hash of bytes and str depends on PYTHONHASHSEED, so a hash kept
+    # inside the pickle would differ from the loading process's own
+    path = tmp_path / "a5.pickle"
+    fresh = ("from logsig import Permutation, chain_ls, factorize_generic, "
+             "load_verified_chain\n"
+             "ls = chain_ls(load_verified_chain('A5'))\n")
+    dump = fresh + ("hash(ls)\n"
+                    "factorize_generic(Permutation.identity(5), ls)\n"
+                    "open(%r, 'wb').write(pickle.dumps(ls))\n" % str(path))
+    load = fresh + ("old = pickle.loads(open(%r, 'rb').read())\n"
+                    "assert old == ls and hash(old) == hash(ls) and old in {ls}\n"
+                    % str(path))
+    src = str(Path(factorize.__file__).resolve().parents[1])
+    for seed, code in (("1", dump), ("2", load)):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", "import pickle\n" + code],
+                       env=env, check=True)
 
 
 def test_generic_budget_refined_m12(m12):

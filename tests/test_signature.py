@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from logsig import (CyclicSetSpec, LogSignature, LsFormatError, Permutation,
                     Provenance, TameIndexer, VerificationBudgetError,
+                    VerificationReport,
                     build_chain, chain_ls, dumps_ls, factor_integer,
                     is_minimal, load_verified_chain, loads_ls, ls_length,
                     minimal_length, mls_cyclic, mls_solvable, parse_cycles,
@@ -235,15 +236,21 @@ def test_budget_exceeded_raises(m22):
         verify_exhaustive(chain_ls(m22), m22, budget=1000)
 
 
+def nonmember_entry(chain):
+    """The chain signature with entry 1 of block 0 set to (1,2), an odd
+    permutation, so for a group of even permutations a nonmember."""
+    ls = chain_ls(chain)
+    entries = list(ls.blocks[0])
+    entries[1] = parse_cycles("(1,2)", chain.degree)
+    return LogSignature(degree=chain.degree, blocks=(tuple(entries),) + ls.blocks[1:],
+                        group=ls.group, provenance=ls.provenance)
+
+
 def test_nonmember_entry_rejected(a5):
-    ls = chain_ls(a5)
-    blocks = list(ls.blocks)
-    entries = list(blocks[0])
-    entries[1] = parse_cycles("(1,2)", 5)  # odd permutation, not in A5
-    blocks[0] = tuple(entries)
-    bad = LogSignature(degree=5, blocks=tuple(blocks), provenance=ls.provenance)
-    with pytest.raises(ValueError):
-        verify_exhaustive(bad, a5)
+    report = verify_exhaustive(nonmember_entry(a5), a5)
+    assert report == VerificationReport(
+        ok=False, method="exhaustive", products_checked=0,
+        detail="block 0 entry 1 is not a group member")
 
 
 def test_block_entry_permutation_preserves_verdict(a5):
@@ -288,8 +295,11 @@ def indexes(ls, chain):
 
 def test_structural_agrees_with_exhaustive(m11, a5, s4):
     for chain in (m11, a5, s4):
-        for ls in (chain_ls(chain), tamper(chain_ls(chain), chain, block=0),
-                   wrong_level_entry(chain, pos=1)):
+        cases = [chain_ls(chain), tamper(chain_ls(chain), chain, block=0),
+                 wrong_level_entry(chain, pos=1)]
+        if chain is not s4:  # S4 holds every permutation of degree 4
+            cases.append(nonmember_entry(chain))
+        for ls in cases:
             verdict = verify_exhaustive(ls, chain).ok
             assert verify_structural(ls, chain).ok == verdict
             assert indexes(ls, chain) == verdict
