@@ -1,8 +1,9 @@
 """Bundled groups and the sporadic-group arithmetic checker.
 
-Fixed groups (the Mathieu groups and two linear groups) ship as generator
-files in ``data/``; parametric families (cyclic, dihedral, symmetric,
-alternating) and a few small named groups are synthesized on demand.  The
+Every entry is a set of permutations and the order they must generate.
+Fixed groups (the Mathieu groups and two linear groups) are read from
+generator files in ``data/``; parametric families (cyclic, dihedral,
+symmetric, alternating) and a few small named groups are built on demand.  The
 ``data/sporadic_claims.json`` table transcribes published arithmetic claims
 about minimal logarithmic signatures of thirteen sporadic groups;
 :func:`check_claim_arithmetic` validates each row with exact integers and
@@ -47,95 +48,96 @@ class CatalogError(ValueError):
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A named group: generators in cycle notation plus the expected order."""
+    """A named group: its generators and the order they must generate."""
 
     name: str
-    degree: int
-    generators: tuple[str, ...]
-    expected_order: int | None
-    source: str
+    generators: GeneratorSet
+    expected_order: int
+
+
+def _spec(name: str, gens: tuple[Permutation, ...], order: int) -> GroupSpec:
+    return GroupSpec(name, GeneratorSet(gens[0].degree, gens, name=name), order)
 
 
 def _data_text(fname: str) -> str:
     return resources.files(__package__).joinpath("data", fname).read_text("utf-8")
 
 
-# name -> (file, expected order, source note)
+# name -> (file, expected order)
 _FILE_GROUPS = {
-    "M11": ("m11.grp", 7920, "classical generators; 4-transitive on 11 points"),
-    "M12": ("m12.grp", 95040, "classical generators; sharply 5-transitive"),
-    "M22": ("m22.grp", 443520, "two-point stabilizer of the degree-24 group, relabeled"),
-    "M24": ("m24.grp", 244823040, "classical generators; 5-transitive on 24 points"),
-    "PSL(2,7)": ("psl27.grp", 168, "projective line over F7: x+1 and -1/x"),
-    "PSL(2,11)": ("psl211.grp", 660, "projective line over F11: x+1 and -1/x"),
+    "M11": ("m11.grp", 7920),  # classical generators; 4-transitive on 11 points
+    "M12": ("m12.grp", 95040),  # classical generators; sharply 5-transitive
+    "M22": ("m22.grp", 443520),  # two-point stabilizer of the degree-24 group, relabeled
+    "M24": ("m24.grp", 244823040),  # classical generators; 5-transitive on 24 points
+    "PSL(2,7)": ("psl27.grp", 168),  # projective line over F7: x+1 and -1/x
+    "PSL(2,11)": ("psl211.grp", 660),  # projective line over F11: x+1 and -1/x
 }
 
 
-def _cycle(points: list[int]) -> str:
-    return "(" + ",".join(str(p) for p in points) + ")"
+def _cycle(degree: int, first: int, last: int) -> Permutation:
+    """The cycle (first, first+1, ..., last) of 0-based points; the rest are fixed."""
+    img = list(range(degree))
+    img[first:last + 1] = [*range(first + 1, last + 1), first]
+    return Permutation(img)
 
 
 def _cyclic_spec(n: int) -> GroupSpec:
+    # a single n-cycle
     if n < 1:
         raise CatalogError("cyclic groups C<n> need n >= 1")
-    gens = (_cycle(list(range(1, n + 1))),) if n > 1 else ("()",)
-    return GroupSpec("C%d" % n, max(n, 1), gens, n, "single n-cycle")
+    return _spec("C%d" % n, (_cycle(n, 0, n - 1),), n)
 
 
 def _dihedral_spec(n: int) -> GroupSpec:
+    # rotation and the reflection x -> -x fixing point 1
     if n < 3:
         raise CatalogError("dihedral groups need at least 3 points")
-    rot = _cycle(list(range(1, n + 1)))
-    refl = "".join(_cycle([i, n + 2 - i]) for i in range(2, n // 2 + 2) if i < n + 2 - i)
-    return GroupSpec("D%d" % n, n, (rot, refl), 2 * n, "rotation and reflection")
+    reflection = Permutation([0, *range(n - 1, 0, -1)])
+    return _spec("D%d" % n, (_cycle(n, 0, n - 1), reflection), 2 * n)
 
 
 def _symmetric_spec(n: int) -> GroupSpec:
-    if n <= 1:
-        return GroupSpec("S%d" % n, max(n, 1), ("()",), 1, "trivial")
-    if n == 2:
-        return GroupSpec("S2", 2, ("(1,2)",), 2, "transposition")
-    return GroupSpec("S%d" % n, n, ("(1,2)", _cycle(list(range(1, n + 1)))),
-                     factorial(n), "transposition and n-cycle")
+    # a transposition and an n-cycle; below three points the cycle alone
+    d = max(n, 1)
+    cycle = _cycle(d, 0, d - 1)
+    return _spec("S%d" % n, (_cycle(d, 0, 1), cycle) if n > 2 else (cycle,), factorial(n))
 
 
 def _alternating_spec(n: int) -> GroupSpec:
+    # a 3-cycle and the longest even cycle through consecutive points
+    name = "A%d" % n
     if n <= 2:
-        return GroupSpec("A%d" % n, max(n, 1), ("()",), 1, "trivial")
+        return _spec(name, (Permutation.identity(max(n, 1)),), 1)
     if n == 3:
-        return GroupSpec("A3", 3, ("(1,2,3)",), 3, "3-cycle")
-    big = _cycle(list(range(1, n + 1))) if n % 2 else _cycle(list(range(2, n + 1)))
-    return GroupSpec("A%d" % n, n, ("(1,2,3)", big), factorial(n) // 2,
-                     "3-cycle and long even cycle")
+        return _spec(name, (_cycle(3, 0, 2),), 3)
+    return _spec(name, (_cycle(n, 0, 2), _cycle(n, 1 - n % 2, n - 1)), factorial(n) // 2)
 
 
 def _q8_spec() -> GroupSpec:
-    # left regular representation on 1:1, 2:-1, 3:i, 4:-i, 5:j, 6:-j, 7:k, 8:-k
-    return GroupSpec("Q8", 8, ("(1,3,2,4)(5,7,6,8)", "(1,5,2,6)(3,8,4,7)"), 8,
-                     "quaternion units acting on themselves by left multiplication")
+    # quaternion units acting on themselves by left multiplication:
+    # 1:1, 2:-1, 3:i, 4:-i, 5:j, 6:-j, 7:k, 8:-k
+    return _spec("Q8", (parse_cycles("(1,3,2,4)(5,7,6,8)", 8),
+                        parse_cycles("(1,5,2,6)(3,8,4,7)", 8)), 8)
 
 
 def _sl23_spec() -> GroupSpec:
-    # action on the eight nonzero vectors of F3^2, lexicographic labels
+    # 2x2 matrices over F3 acting on the eight nonzero vectors of F3^2,
+    # labeled in lexicographic order
     vecs = [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
-    idx = {v: i + 1 for i, v in enumerate(vecs)}
+    idx = {v: i for i, v in enumerate(vecs)}
 
     def mat_perm(m):
-        img = {}
-        for v in vecs:
-            w = ((m[0][0] * v[0] + m[0][1] * v[1]) % 3,
-                 (m[1][0] * v[0] + m[1][1] * v[1]) % 3)
-            img[idx[v]] = idx[w]
-        return format_cycles(Permutation([img[i + 1] - 1 for i in range(8)]))
+        return Permutation(idx[((m[0][0] * x + m[0][1] * y) % 3,
+                                (m[1][0] * x + m[1][1] * y) % 3)] for x, y in vecs)
 
-    s = mat_perm([[0, 2], [1, 0]])   # order 4
-    t = mat_perm([[1, 1], [0, 1]])   # order 3
-    return GroupSpec("SL(2,3)", 8, (s, t), 24, "2x2 matrices over F3 on nonzero vectors")
+    return _spec("SL(2,3)", (mat_perm([[0, 2], [1, 0]]),    # order 4
+                             mat_perm([[1, 1], [0, 1]])),   # order 3
+                 24)
 
 
 def _elementary_2cubed_spec() -> GroupSpec:
-    return GroupSpec("2^3", 6, ("(1,2)", "(3,4)", "(5,6)"), 8,
-                     "three disjoint transpositions")
+    # three disjoint transpositions
+    return _spec("2^3", tuple(parse_cycles(c, 6) for c in ("(1,2)", "(3,4)", "(5,6)")), 8)
 
 
 _NAMED_BUILDERS = {
@@ -143,6 +145,8 @@ _NAMED_BUILDERS = {
     "SL(2,3)": _sl23_spec,
     "2^3": _elementary_2cubed_spec,
 }
+
+_FAMILIES = {"C": _cyclic_spec, "D": _dihedral_spec, "S": _symmetric_spec, "A": _alternating_spec}
 
 _PARAMETRIC = re.compile(r"^([CDSA])(\d+)$")
 
@@ -157,10 +161,8 @@ def bundled_group_names() -> tuple[str, ...]:
 
 def get_spec(name: str) -> GroupSpec:
     if name in _FILE_GROUPS:
-        fname, order, source = _FILE_GROUPS[name]
-        gens = read_group_file_text(_data_text(fname)).gens
-        return GroupSpec(name, gens[0].degree,
-                         tuple(format_cycles(g) for g in gens), order, source)
+        fname, order = _FILE_GROUPS[name]
+        return GroupSpec(name, read_group_file_text(_data_text(fname), name), order)
     if name in _NAMED_BUILDERS:
         return _NAMED_BUILDERS[name]()
     m = _PARAMETRIC.match(name)
@@ -168,13 +170,7 @@ def get_spec(name: str) -> GroupSpec:
         kind, n = m.group(1), int(m.group(2))
         if n > _MAX_DEGREE:
             raise CatalogError("parametric degree %d too large" % n)
-        if kind == "C":
-            return _cyclic_spec(n)
-        if kind == "D":
-            return _dihedral_spec(n)
-        if kind == "S":
-            return _symmetric_spec(n)
-        return _alternating_spec(n)
+        return _FAMILIES[kind](n)
     raise CatalogError("unknown group %r; bundled names: %s, plus C<n>, D<n>, "
                        "S<n>, A<n>" % (name, ", ".join(bundled_group_names())))
 
@@ -187,13 +183,7 @@ def load_group(name_or_path: str) -> GeneratorSet:
         if os.path.exists(name_or_path):
             return read_group_file(name_or_path)
         raise
-    return _generators(spec)
-
-
-def _generators(spec: GroupSpec) -> GeneratorSet:
-    return GeneratorSet(spec.degree,
-                        tuple(parse_cycles(c, spec.degree) for c in spec.generators),
-                        name=spec.name)
+    return spec.generators
 
 
 def load_verified_chain(name: str, base_hint=None) -> StabilizerChain:
@@ -202,8 +192,8 @@ def load_verified_chain(name: str, base_hint=None) -> StabilizerChain:
     A mismatch signals corrupted bundled data and raises CatalogError.
     """
     spec = get_spec(name)
-    chain = build_chain(_generators(spec), base_hint)
-    if spec.expected_order is not None and chain.order != spec.expected_order:
+    chain = build_chain(spec.generators, base_hint)
+    if chain.order != spec.expected_order:
         raise CatalogError("group %s built with order %d, expected %d "
                            "(corrupted data?)" % (name, chain.order, spec.expected_order))
     return chain
@@ -272,7 +262,6 @@ class SporadicClaim:
     stabilizer_order: int
     claimed_index: int
     index_factorization: tuple[tuple[int, int], ...]
-    note: str = ""
 
     @property
     def claimed_order(self) -> int:
@@ -318,7 +307,6 @@ def sporadic_claims() -> tuple[SporadicClaim, ...]:
             stabilizer_order=stab,
             claimed_index=row["claimed_index"],
             index_factorization=tuple((p, a) for p, a in row["index_factorization"]),
-            note=row.get("note", ""),
         ))
     return tuple(rows)
 

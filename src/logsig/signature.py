@@ -112,6 +112,10 @@ class LogSignature:
     def product_count(self) -> int:
         return prod(self.block_sizes)
 
+    def __getstate__(self):
+        # pickles and copies hold the fields, not the index factorize_generic keeps
+        return {k: v for k, v in vars(self).items() if k != "_generic_index"}
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -385,6 +389,8 @@ def _parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise LsFormatError("line %d column %d: %s" % (e.lineno, e.colno, e.msg)) from e
+    except RecursionError as e:
+        raise LsFormatError("JSON nested too deeply") from e
 
 
 def _ls_from_obj(obj) -> LogSignature:

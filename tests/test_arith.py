@@ -68,6 +68,13 @@ def test_primes_strictly_increasing_and_prime():
         assert all(is_probable_prime(p) for p in primes)
 
 
+def test_below_range_inputs():
+    assert not any(is_probable_prime(n) for n in (-7, 0, 1))
+    for n in (0, -12):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            factor_integer(n)
+
+
 @given(st.integers(min_value=1, max_value=10 ** 12))
 def test_matches_trial_division_oracle(n):
     f = factor_integer(n)

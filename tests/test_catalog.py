@@ -1,13 +1,17 @@
+import dataclasses
 import hashlib
 import io
+from math import prod
 
 import pytest
 
-from logsig import (CatalogError, build_chain, check_claim_arithmetic,
-                    get_spec, load_group, load_verified_chain,
-                    read_group_file, sporadic_claims,
+from logsig import (CatalogError, GeneratorSet, GroupSpec, SporadicClaim,
+                    build_chain, check_claim_arithmetic, get_spec, load_group,
+                    load_verified_chain, read_group_file, sporadic_claims,
                     sporadic_minimal_lengths, write_group_file)
+from logsig import catalog
 from logsig.catalog import _data_text, bundled_group_names
+from logsig.cli import main
 
 # every fixed catalog entry plus a sample of the parametric families
 ORDERS = {
@@ -28,6 +32,40 @@ def test_bundled_chain_orders(name, order):
     chain = load_verified_chain(name)
     assert chain.order == order
     assert chain.name == name
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS) + ["S0", "S1", "A0", "A1", "A2"])
+def test_spec_holds_named_permutations(name):
+    spec = get_spec(name)
+    assert [f.name for f in dataclasses.fields(GroupSpec)] == [
+        "name", "generators", "expected_order"]
+    assert spec.name == name and type(spec.expected_order) is int
+    assert isinstance(spec.generators, GeneratorSet) and spec.generators.name == name
+    assert load_group(name) == spec.generators
+
+
+def test_bundled_file_parsed_once_per_generator_line(monkeypatch):
+    calls = {"parse_cycles": 0, "format_cycles": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for fn in (catalog.parse_cycles, catalog.format_cycles):
+        monkeypatch.setattr(catalog, fn.__name__, counted(fn))
+    assert len(load_group("M24").gens) == 3
+    assert calls == {"parse_cycles": 3, "format_cycles": 0}
+
+
+def test_order_mismatch_reports_corrupted_data(monkeypatch, capsys):
+    monkeypatch.setitem(catalog._FILE_GROUPS, "M11", ("m11.grp", 7921))
+    with pytest.raises(CatalogError, match="built with order 7920, expected 7921 "
+                                           r"\(corrupted data\?\)"):
+        load_verified_chain("M11")
+    assert main(["info", "--group", "M11"]) == 2
+    assert "corrupted data" in capsys.readouterr().err
 
 
 def test_q8_is_nonabelian_of_order_8():
@@ -144,6 +182,23 @@ def test_j3_row_is_internally_inconsistent():
 def test_check_is_total_never_raises():
     for claim in sporadic_claims():
         check_claim_arithmetic(claim)  # must not throw on inconsistent rows
+
+
+@pytest.mark.parametrize("factors, detail", [
+    (((4, 1),), "base 4 is not prime"),
+    (((3, 1), (2, 1)), "primes not strictly increasing at 2"),
+    (((2, 0),), "exponent 0 < 1 for prime 2"),
+])
+def test_malformed_order_factorization_flagged(factors, detail):
+    # index and stabilizer agree with the order, so only check (c) fails
+    claim = SporadicClaim(group="X", order_factorization=factors, stabilizer="1",
+                          stabilizer_order=1, claimed_index=prod(p ** a for p, a in factors),
+                          index_factorization=factors)
+    report = check_claim_arithmetic(claim)
+    assert not report.ok and not report.order_product_wellformed
+    assert report.factorization_matches_index
+    assert report.index_times_stabilizer_matches_order
+    assert report.details == (detail,)
 
 
 def test_minimal_length_table():

@@ -144,6 +144,28 @@ def test_subchain_orders(m11):
     assert m11.subchain(4).order == 1
 
 
+def test_generator_set_needs_one_degree():
+    with pytest.raises(ValueError, match="nonempty"):
+        GeneratorSet(3, ())
+    with pytest.raises(ValueError, match="generator degree 4 != set degree 3"):
+        GeneratorSet(3, (Permutation.identity(3), Permutation.identity(4)))
+
+
+def test_out_of_range_base_hint_and_level(m11):
+    with pytest.raises(ValueError, match="base hint point 11 out of range"):
+        build_chain(m11.generators, base_hint=[0, 11])
+    for level in (-1, 5):
+        with pytest.raises(IndexError, match="level %d out of range" % level):
+            m11.subchain(level)
+
+
+def test_membership_rejects_another_degree(m11):
+    g = parse_cycles("(1,2)", 12)
+    for check in (m11.sift, m11.contains, lambda x: normal_closure(m11, [x])):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            check(g)
+
+
 def test_derived_series_of_s4(s4):
     series = derived_series(s4)
     assert [c.order for c in series] == [24, 12, 4, 1]

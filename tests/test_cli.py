@@ -541,6 +541,35 @@ def test_c0_message_names_the_bound(capsys):
     assert code == 2 and "n >= 1" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "encrypt"])
+def test_deeply_nested_json_names_the_file(capsys, tmp_path, command):
+    nested = "[" * 1000 + "]" * 1000
+    path = tmp_path / "nested.json"
+    if command == "verify":
+        path.write_text(nested)
+        argv = ["verify", "--group", "M11", "--ls", str(path)]
+    else:
+        path.write_text(json.dumps({**_s4_key_doc(), "alpha": None}).replace("null", nested))
+        argv = ["pgm", "encrypt", "--group", "S4", "--key", str(path), "5"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: cannot read %s: JSON nested too deeply\n" % path
+
+
+@pytest.mark.parametrize("half", ["alpha", "beta"])
+def test_key_half_with_a_repeated_image_is_named(capsys, tmp_path, half):
+    buf = io.StringIO()
+    write_key(keygen(load_verified_chain("M12"), 42), buf)
+    doc = json.loads(buf.getvalue())
+    blocks = doc[half]["blocks"]
+    blocks[0][1], blocks[1][1] = blocks[1][1], blocks[0][1]
+    path = _json_file(tmp_path, doc)
+    code, _, err = run(capsys, "pgm", "encrypt", "--group", "M12", "--key", path, "5")
+    assert code == 2
+    assert err == ("error: cannot read %s: key half %s: level 0 products repeat "
+                   "a base-point image\n" % (path, half))
+
+
 # -- property: any mutation of a valid input file exits 0, 1 or 2 ----------------
 
 def _valid_inputs():

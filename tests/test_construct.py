@@ -183,6 +183,11 @@ def test_size_mismatch_raises(m11):
         sharply_transitive_check([(x,)], m11, level=0)
 
 
+def test_plain_sets_need_a_level(m11):
+    with pytest.raises(ValueError, match="explicit level"):
+        sharply_transitive_check([chain_ls(m11).blocks[0]], m11)
+
+
 def test_repeated_image_sets_rejected(m11):
     # random same-size sets with a forced repeated base-point image
     rng = random.Random(5)

@@ -1,14 +1,21 @@
 """Static guard against dead code in ``src/logsig``: a module-level import the
 module never uses, a module-level private function or class that nothing
-in the package references outside its own body, or a local name a function
-stores and never reads."""
+in the package references outside its own body, a local name a function
+stores and never reads, or a dataclass field that nothing reads."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "logsig"
-MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
-           for path in sorted(PACKAGE.glob("*.py"))}
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "logsig"
+
+
+def parse_all(paths):
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted(paths)}
+
+
+MODULES = parse_all(PACKAGE.glob("*.py"))
 
 
 def names_read(nodes):
@@ -98,4 +105,28 @@ def test_no_unread_local_names():
             unread += ["%s: %s: %s" % (name, func.name, local)
                        for local in sorted(stored - loaded - declared)
                        if not local.startswith("_")]
+    assert unread == []
+
+
+def is_dataclass(cls):
+    for d in cls.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    # a field counts as read where some code loads it as an attribute
+    trees = (list(MODULES.values()) + list(parse_all(ROOT.glob("tests/*.py")).values())
+             + list(parse_all(ROOT.glob("perfbench/*.py")).values()))
+    read = {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = []
+    for name, tree in MODULES.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and is_dataclass(cls)):
+                continue
+            unread += ["%s: %s.%s" % (name, cls.name, stmt.target.id) for stmt in cls.body
+                       if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read]
     assert unread == []

@@ -1,25 +1,41 @@
 """Byte-level determinism: SHA-256 digests of files the library writes.
 
-The digests pin the outputs of the construction paths (refinement, the
-solvable composition series, cyclic sets) and of PGM key generation.  A
-change that alters these bytes on purpose updates the digest here and says
-why in its change notes.
+The digests pin the catalog's generator sets and the outputs of the
+construction paths (refinement, the solvable composition series, cyclic
+sets) and of PGM key generation.  A change that alters these bytes on
+purpose updates the digest here and says why in its change notes.
 """
 
 import functools
 import hashlib
 import io
+import json
 import time
 
 import pytest
 
-from logsig import (CyclicSetSpec, build_mls, chain_ls, dumps_ls,
-                    load_verified_chain, mls_cyclic, refine_ls)
+from logsig import (CyclicSetSpec, build_mls, bundled_group_names, chain_ls,
+                    dumps_ls, get_spec, load_group, load_verified_chain,
+                    mls_cyclic, refine_ls)
 from logsig.pgm import keygen, write_key
 
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_catalog_generator_sets():
+    # the parametric builders at their small and degenerate sizes too
+    names = list(bundled_group_names()) + [
+        "C1", "C2", "C7", "C100", "D3", "D4", "D11", "D300",
+        "S0", "S1", "S2", "S3", "S7", "A0", "A1", "A2", "A3", "A4", "A5", "A12"]
+    rows = []
+    for name in names:
+        gens = load_group(name)
+        rows.append([name, gens.name, gens.degree, [list(g.images) for g in gens.gens],
+                     get_spec(name).expected_order])
+    assert (sha256(json.dumps(rows))
+            == "0d3af4aa6521701aeeee14033b6ec80147fe4e083486279c2c2aef621c5ff06a")
 
 
 @pytest.mark.parametrize("name, digest", [

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import functools
 import gc
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -328,6 +330,28 @@ def test_pickled_signature_hashes_as_a_fresh_one(tmp_path):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", "import pickle\n" + code],
                        env=env, check=True)
+
+
+def test_pickles_and_copies_hold_only_the_fields(m12):
+    ls = dataclasses.replace(refined_m12(), provenance=Provenance("manual"))
+    before = pickle.dumps(ls)
+    g = m12.element_at(12345)
+    digits = factorize_generic(g, ls)
+    assert "_generic_index" in vars(ls)
+    assert pickle.dumps(ls) == before
+    loaded = pickle.loads(before)
+    assert loaded == ls and hash(loaded) == hash(ls)
+    assert factorize_generic(g, loaded) == digits
+    for twin in (copy.copy(ls), copy.deepcopy(ls)):
+        assert "_generic_index" not in vars(twin) and twin == ls
+
+
+def test_factorizers_reject_another_degree(m11):
+    ls = chain_ls(m11)
+    g = Permutation.identity(12)
+    for factorizer in (TameIndexer(ls, m11).digits, lambda x: factorize_generic(x, ls)):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            factorizer(g)
 
 
 def test_generic_budget_refined_m12(m12):

@@ -38,6 +38,11 @@ def test_compose_degree_mismatch():
         Permutation.identity(3) * Permutation.identity(4)
 
 
+def test_compose_with_a_non_permutation_is_a_type_error():
+    with pytest.raises(TypeError):
+        Permutation.identity(3) * 3
+
+
 def test_inverse_of_three_cycle():
     g = parse_cycles("(1,2,3)", 3)
     assert g.inverse() == parse_cycles("(1,3,2)", 3)

@@ -384,10 +384,22 @@ def test_reject_bad_json_with_position():
     assert "line 2" in str(exc.value)
 
 
+def test_reject_deeply_nested_json():
+    with pytest.raises(LsFormatError, match="nested too deeply"):
+        loads_ls("[" * 1000 + "]" * 1000)
+
+
 def test_reject_unknown_tag():
     text = '{"degree": 2, "provenance": {"tag": "bogus"}, "blocks": [[[1, 2]]]}'
     with pytest.raises(LsFormatError):
         loads_ls(text)
+
+
+def test_reject_provenance_not_object_and_blocks_not_array():
+    for text in ('{"degree": 2, "provenance": ["manual"], "blocks": [[[1, 2]]]}',
+                 '{"degree": 2, "provenance": {"tag": "manual"}, "blocks": {}}'):
+        with pytest.raises(LsFormatError, match="provenance must be an object"):
+            loads_ls(text)
 
 
 @pytest.mark.parametrize("annotations", [
@@ -431,6 +443,16 @@ def test_duplicate_entry_rejected():
     e = Permutation.identity(2)
     with pytest.raises(ValueError):
         LogSignature(degree=2, blocks=((e, e),))
+
+
+def test_entry_of_another_degree_rejected():
+    with pytest.raises(ValueError, match="block 0 entry of degree 3 in a degree-2"):
+        LogSignature(degree=2, blocks=((Permutation.identity(3),),))
+
+
+def test_failing_report_needs_a_witness():
+    with pytest.raises(ValueError, match="without witness"):
+        VerificationReport(ok=False, method="exhaustive", products_checked=0)
 
 
 @settings(max_examples=50, deadline=None)
