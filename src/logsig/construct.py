@@ -11,7 +11,7 @@ from math import prod
 
 from .arith import factor_integer
 from .chain import GeneratorSet, StabilizerChain, build_chain, derived_series
-from .perm import _TAIL, Permutation, _order_raw, _raw
+from .perm import _TAIL, Permutation, _order_raw, _products, _raw
 from .signature import BlockAnnotation, LogSignature, Provenance, _level_table
 
 __all__ = [
@@ -177,16 +177,19 @@ def _size_trials(primes: list[int]) -> list[tuple[int, ...]]:
 class _Candidates:
     """Candidate lists per set size, drawn lazily from one level group.
 
-    The group's elements are read in element-index order, at most ``10 *
-    cap`` of them, and each is read, and its order computed, only when some
-    size's walk has run past every element read so far.  An element joins
-    the list of every size that divides its order and holds fewer than
-    ``cap`` entries, so each list is always a prefix of the list a full scan
-    of the pool would give.
+    The pool is the first ``10 * cap`` products of the inverse transversals,
+    the level's own varying fastest, so consecutive elements stride over the
+    cosets of its point stabilizer: the r-th is ``element_at(i).inverse()``,
+    where i has r's digits with the level's digit least significant.  An
+    element is read, and its order computed, only when some walk has run
+    past every element read so far.  It joins the list of every size that
+    divides its order and holds fewer than ``cap`` entries, so each list is
+    always a prefix of the list a full scan of the pool would give.
     """
 
     def __init__(self, group: StabilizerChain, sizes, cap: int):
-        self._elements = islice(group._iter_raw(), 10 * cap)
+        inverses = [[lv.table[p][1] for p in lv.orbit] for lv in reversed(group.levels)]
+        self._elements = islice(_products(inverses, group._identity), 10 * cap)
         self._lists = {size: [] for size in sizes}
         self._cap = cap
 
@@ -214,21 +217,30 @@ class _Candidates:
             i += 1
 
 
-def _cover_search(walk, sizes, failed, pos: int, images, osize: int):
+_FIRST_PASS_NODES = 1_000  # nodes a size trial may visit in the first pass
+_SEARCH_NODES = 4_000_000  # no pass starts once this many have been visited
+
+
+class _OutOfBudget(Exception):
+    """A size trial wanted more candidates than its pass allows."""
+
+
+def _cover_search(walk, sizes, pos: int, images, osize: int, left: list):
     """Raw generators of cyclic sets of ``sizes[:pos + 1]`` whose product
     extends ``images`` to a cover of the orbit, or None.
 
-    ``failed[pos]`` holds the image sets a candidate at ``pos`` produced
-    whose search below found nothing; pos 0's search below is one length
-    test, so its sets are not kept.  Each position's choice is appended
-    after the inner call returns, so the list comes back in block order.
+    Each candidate a walk yields is one node; ``left[0]`` holds the nodes
+    the trial may still visit, and one more raises :class:`_OutOfBudget`.
+    Choices are appended as the calls return, so they come in block order.
     """
     if pos < 0:
         return [] if len(images) == osize else None
     size = sizes[pos]
     steps = range(size - 1)
-    tried = failed[pos]
     for x in walk(size):
+        if not left[0]:
+            raise _OutOfBudget
+        left[0] -= 1
         # new: images, then their images under x, x^2, ..., x^(size - 1)
         cur = images
         if type(x) is bytes:
@@ -243,15 +255,12 @@ def _cover_search(walk, sizes, failed, pos: int, images, osize: int):
             for _ in steps:
                 cur = [x[p] for p in cur]
                 new.extend(cur)
-        key = frozenset(new)
-        if len(key) != len(new) or key in tried:
+        if len(set(new)) != len(new):
             continue
-        found = _cover_search(walk, sizes, failed, pos - 1, new, osize)
+        found = _cover_search(walk, sizes, pos - 1, new, osize, left)
         if found is not None:
             found.append(x)
             return found
-        if pos:
-            tried.add(key)
     return None
 
 
@@ -259,58 +268,45 @@ def refine_block(chain: StabilizerChain, level: int,
                  cap: int = DEFAULT_SEARCH_CAP) -> ProductDecomposition | None:
     """Search the level group for cyclic sets whose product covers the orbit.
 
-    The set sizes group the prime multiset of the orbit size.  A single
-    cyclic set of full orbit size is tried first, then two sets, three sets
-    and so on, each grouping in ascending size order; the other orderings of
-    every grouping follow.  The candidates of a size are the first ``cap``
-    elements whose order the size divides, in element-index order, among the
-    first ``10 * cap`` elements of the level group; a cap below 1 raises
-    ValueError.  They are drawn lazily, so elements and their orders are
-    computed only as far as the search reaches, and the pool is the one a
-    full scan would give.  Returning None means the search space was
-    exhausted without a cover, which is a legitimate outcome.
-
-    A level whose point stabilizer has at least ``10 * cap`` elements is
-    not searched: the first that many elements of the level group are the
-    ones fixing the base point, so every candidate repeats the base point
-    and the search could only return None.  At the default cap this skips
-    level 0 of M24 and levels 0-1 of A12; at cap 1000, levels 0-2 of M24,
-    levels 0-3 of A12 and level 0 of M22.
-
-    Within one size trial the search never enters the same subtree twice.
-    A candidate maps the base-point images chosen so far to a new image
-    list; when that list is distinct and its set already led to a failed
-    search below, the candidate is skipped.  This is sound: what the search
-    below finds, including the candidates it picks, depends only on that
-    set and on the sizes still to place, since distinctness, the next
-    candidate's images and the final orbit-size test all read only the set.
-    So the first success in the order above is never skipped, and the
-    result is the one the unpruned search gives.  The failed sets cost at
-    most one set of at most orbit-size points per candidate tried at each
-    position but the innermost.  No state of a call refers to itself, so
-    all of it is freed when the call returns.
+    The set sizes group the prime multiset of the orbit size, in
+    :func:`_size_trials` order.  The candidates of a size are the first
+    ``cap`` elements whose order the size divides among the first ``10 *
+    cap`` elements of the level group in :class:`_Candidates`' coset-
+    striding order; a cap below 1 raises ValueError.  The trials run in
+    passes: in the first, each may visit 1,000 nodes (candidates taken from
+    its walks), and each pass doubles that.  A trial that finishes without
+    a cover is dropped, and the first cover found wins.  None, a legitimate
+    outcome, means every trial finished without a cover, or the pass in
+    which the nodes visited reached 4,000,000 ended without one.
     """
     if cap < 1:
         raise ValueError("search cap must be at least 1, got %d" % cap)
     lv = chain.levels[level]
     osize = len(lv.orbit)
-    if osize > 1 and 10 * cap <= prod(len(v.orbit) for v in chain.levels[level + 1:]):
-        return None
     trials = _size_trials(_prime_multiset(osize))
     cands = _Candidates(chain.subchain(level),
                         {size for trial in trials for size in trial}, cap)
     start = _raw((lv.point,), chain.degree)
-    for sizes in trials:
-        got = _cover_search(cands.walk, sizes, [set() for _ in sizes],
-                            len(sizes) - 1, start, osize)
-        if got is not None:
-            decomp = ProductDecomposition(
-                factors=tuple(CyclicSetSpec(Permutation._wrap(raw), s)
-                              for raw, s in zip(got, sizes)),
-                level=level)
-            if not sharply_transitive_check(decomp, chain):
-                raise AssertionError("search returned a non-transitive cover")
-            return decomp
+    budget, nodes = _FIRST_PASS_NODES, 0
+    while trials and nodes < _SEARCH_NODES:
+        running = []
+        for sizes in trials:
+            left = [budget]
+            try:
+                got = _cover_search(cands.walk, sizes, len(sizes) - 1, start,
+                                    osize, left)
+            except _OutOfBudget:
+                running.append(sizes)
+                got = None
+            nodes += budget - left[0]
+            if got is not None:
+                decomp = ProductDecomposition(tuple(
+                    CyclicSetSpec(Permutation._wrap(x), s) for x, s in zip(got, sizes)), level)
+                if not sharply_transitive_check(decomp, chain):
+                    raise AssertionError("search returned a non-transitive cover")
+                return decomp
+        trials = running
+        budget *= 2
     return None
 
 
@@ -318,11 +314,12 @@ def refine_ls(ls: LogSignature, chain: StabilizerChain,
               cap: int = DEFAULT_SEARCH_CAP) -> LogSignature:
     """Replace each composite transversal block by cyclic power blocks.
 
-    Blocks whose size is prime (or 1) are kept.  A block whose level admits
-    no cyclic-set cover within the search caps is kept as well and remains
-    recognizable in the result's annotations as a full-size level block; the
-    result then verifies but is not minimal.  When every composite block
-    refines, the result meets the minimal-length bound.
+    Blocks whose size is prime (or 1) are kept.  A block whose level search
+    (:func:`refine_block`) finds no cover within ``cap`` and its node budget
+    is kept as well and remains recognizable in the result's annotations as
+    a full-size level block; the result then verifies but is not minimal.
+    When every composite block refines, the result meets the minimal-length
+    bound.
     """
     if ls.provenance.tag != "chain" or ls.provenance.annotations is None:
         raise ValueError("refinement needs a chain-provenance signature "

@@ -391,6 +391,8 @@ def _parse_json(text: str):
         raise LsFormatError("line %d column %d: %s" % (e.lineno, e.colno, e.msg)) from e
     except RecursionError as e:
         raise LsFormatError("JSON nested too deeply") from e
+    except ValueError as e:  # an integer literal past the interpreter's digit limit
+        raise LsFormatError("JSON integer has too many digits") from e
 
 
 def _ls_from_obj(obj) -> LogSignature:

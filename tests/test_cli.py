@@ -68,6 +68,23 @@ def test_construct_auto_m11(capsys, tmp_path):
     assert "minimal: true" in out and "length: 30" in out
 
 
+@pytest.mark.parametrize("group, length", [("M22", 43), ("M24", 75), ("A12", 61)])
+def test_construct_auto_reaches_the_bound_at_the_default_cap(capsys, tmp_path, group,
+                                                             length):
+    out_path = str(tmp_path / "out.ls")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "construct", "--group", group, "--method", "auto",
+                       "--out", out_path)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert "length: %d (bound %d)" % (length, length) in out and "minimal: true" in out
+    assert elapsed < 15, "%s took %.2fs" % (group, elapsed)
+    mode = "exhaustive" if group == "M22" else "structural"
+    code, out, _ = run(capsys, "verify", "--group", group, "--ls", out_path,
+                       "--mode", mode)
+    assert code == 0 and "pass (%s" % mode in out
+
+
 def test_construct_solvable_s4(capsys):
     code, out, _ = run(capsys, "construct", "--group", "S4",
                        "--method", "solvable")
@@ -554,6 +571,22 @@ def test_deeply_nested_json_names_the_file(capsys, tmp_path, command):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err == "error: cannot read %s: JSON nested too deeply\n" % path
+
+
+@pytest.mark.parametrize("command", ["verify", "encrypt"])
+def test_overlong_integer_names_the_file(capsys, tmp_path, command):
+    # more digits than the interpreter converts to an int by default
+    path = tmp_path / "long.json"
+    if command == "verify":
+        path.write_text('{"degree": 1' + "0" * 5000 + "}")
+        argv = ["verify", "--group", "M11", "--ls", str(path)]
+    else:
+        path.write_text(json.dumps({**_s4_key_doc(), "seed": 0}).replace(
+            '"seed": 0', '"seed": 1' + "0" * 5000))
+        argv = ["pgm", "encrypt", "--group", "S4", "--key", str(path), "5"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: cannot read %s: JSON integer has too many digits\n" % path
 
 
 @pytest.mark.parametrize("half", ["alpha", "beta"])

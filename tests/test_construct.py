@@ -1,7 +1,6 @@
 import gc
 import random
 import time
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,8 +238,7 @@ def test_refine_block_rejects_cap_0(m11):
 
 @pytest.mark.parametrize("case", ["s4-hint-0123", "a5-hint-6"])
 def test_refine_block_one_point_level_is_empty(s4, case):
-    # A5's one-point level 0 has a point stabilizer of 60 >= 10 * cap
-    # elements, and is still covered by the empty product
+    # a one-point level is covered by the empty product, whatever the cap
     if case == "s4-hint-0123":
         chain, level = build_chain(s4.generators, base_hint=[0, 1, 2, 3]), 3
     else:
@@ -249,14 +247,31 @@ def test_refine_block_one_point_level_is_empty(s4, case):
     assert refine_block(chain, level, cap=1) == ProductDecomposition((), level)
 
 
-def test_refine_block_skips_a_level_no_candidate_can_refine(m24):
-    # the first 10 * cap elements of M24 all fix level 0's base point, so
-    # each candidate repeats it; searching them took ~3 s on a 2-CPU x86-64
-    # machine
+def test_refine_block_m24_level_0_within_budget(m24):
+    # in chain-index order the first 10,000 elements all fix the base point,
+    # so no cover could start from them; coset-striding candidates find one
     t0 = time.perf_counter()
-    assert refine_block(m24, 0) is None
+    decomp = refine_block(m24, 0, cap=1000)
     elapsed = time.perf_counter() - t0
+    assert decomp is not None
+    assert tuple(f.size for f in decomp.factors) == (4, 6)
     assert elapsed < 0.5, "M24 level 0 took %.2fs" % elapsed
+
+
+def coset_striding_pool(chain, cap):
+    """The first ``10 * cap`` elements of the chain's group, as image tuples,
+    in the order the candidates are drawn: the r-th is ``element_at(i)``
+    inverted, where i has r's digits with level 0 least significant."""
+    radices = [len(lv.orbit) for lv in chain.levels]
+    for r in range(min(10 * cap, chain.order)):
+        digits = []
+        for n in radices:
+            r, d = divmod(r, n)
+            digits.append(d)
+        i = 0
+        for d, n in zip(digits, radices):
+            i = i * n + d
+        yield tuple(chain.element_at(i).inverse().img)
 
 
 @pytest.mark.parametrize("cap", [1, 7, 2000])
@@ -264,7 +279,7 @@ def test_candidate_walks_match_a_full_scan(m12, cap):
     # walks of one size and of others run interleaved, as the search's nested
     # positions run them; each still yields the full scan's candidates
     sizes = (2, 3, 4, 6, 12)
-    pool = list(islice(m12._iter_raw(), 10 * cap))
+    pool = [bytes(x) for x in coset_striding_pool(m12, cap)]
     expect = {s: [raw for raw in pool if _order_raw(raw) % s == 0][:cap] for s in sizes}
     assert len(expect[2]) == cap and expect[12] == []  # M12 has no order 12
     cands = _Candidates(m12, sizes, cap)
@@ -281,31 +296,35 @@ def test_candidate_walks_match_a_full_scan(m12, cap):
             got.append(raw)
 
 
+class OutOfBudget(Exception):
+    pass
+
+
 def refine_reference(chain, level, cap=DEFAULT_SEARCH_CAP):
-    """refine_block's search without the failed-set pruning: the same
-    candidate pool and trial order, every subtree searched in full.  Returns
-    the winning ``(sizes, generators)`` or None."""
-    osize = len(chain.levels[level].orbit)
+    """refine_block's search written out eagerly: every candidate list is
+    built before the search starts, from the element_at formula of the
+    coset-striding pool, and each size trial runs in passes of 1,000, 2,000,
+    ... nodes until one finds a cover, all are exhausted or a pass ends with
+    4,000,000 nodes visited.  Returns the winning ``(sizes, generators)`` or
+    None."""
+    point, osize = chain.levels[level].point, len(chain.levels[level].orbit)
     trials = _size_trials(_prime_multiset(osize))
-    all_sizes = {size for trial in trials for size in trial}
-    elems = []
-    pending = dict.fromkeys(all_sizes, 0)
-    for raw in chain.subchain(level)._iter_raw():
-        o = _order_raw(raw)
-        elems.append((raw, o))
-        for s in list(pending):
-            if o % s == 0:
-                pending[s] += 1
-                if pending[s] >= cap:
-                    del pending[s]
-        if not pending or len(elems) >= 10 * cap:
+    lists = {size: [] for trial in trials for size in trial}
+    for x in coset_striding_pool(chain.subchain(level), cap):
+        o = Permutation(x).order()
+        for s, got in lists.items():
+            if o % s == 0 and len(got) < cap:
+                got.append(x)
+        if all(len(got) == cap for got in lists.values()):
             break
 
-    def rec(sizes, pos, images):
+    def rec(sizes, pos, images, left):
         if pos < 0:
             return [] if len(images) == osize else None
-        bucket = [raw for raw, o in elems if o % sizes[pos] == 0][:cap]
-        for x in bucket:
+        for x in lists[sizes[pos]]:
+            if left[0] == 0:
+                raise OutOfBudget
+            left[0] -= 1
             new = list(images)
             cur = images
             for _ in range(sizes[pos] - 1):
@@ -313,22 +332,31 @@ def refine_reference(chain, level, cap=DEFAULT_SEARCH_CAP):
                 new.extend(cur)
             if len(set(new)) != len(new):
                 continue
-            found = rec(sizes, pos - 1, new)
+            found = rec(sizes, pos - 1, new, left)
             if found is not None:
                 return found + [x]
         return None
 
-    for sizes in trials:
-        got = rec(sizes, len(sizes) - 1, (chain.levels[level].point,))
-        if got is not None:
-            return sizes, tuple(Permutation._wrap(raw) for raw in got)
+    budget, nodes = 1000, 0
+    while trials and nodes < 4_000_000:
+        unfinished = []
+        for sizes in trials:
+            left = [budget]
+            try:
+                got = rec(sizes, len(sizes) - 1, [point], left)
+            except OutOfBudget:
+                unfinished.append(sizes)
+                got = None
+            nodes += budget - left[0]
+            if got is not None:
+                return sizes, tuple(map(Permutation, got))
+        trials = unfinished
+        budget *= 2
     return None
 
 
 def test_refine_block_matches_unpruned_reference():
-    outcomes = []
-    # Q8 at cap 3 is won by a candidate tried after one that repeated a
-    # failed image set, so a search that gives up at a repeat fails here;
+    outcomes = {}
     # D300's degree is above 256, so its images are tuples, not bytes
     for name in ("M11", "M12", "A5", "S5", "PSL(2,7)", "PSL(2,11)", "Q8", "D300"):
         chain = load_verified_chain(name)
@@ -342,66 +370,85 @@ def test_refine_block_matches_unpruned_reference():
                     tuple(f.generator for f in decomp.factors))
                 expect = refine_reference(chain, level, cap)
                 assert got == expect, (name, level, cap)
-                outcomes.append(expect)
+                outcomes[name, level, cap] = expect
     # the cases include searches that exhaust every trial and searches won
     # only by a non-ascending ordering, after the ascending one failed
-    assert None in outcomes
-    assert any(o is not None and list(o[0]) != sorted(o[0]) for o in outcomes)
+    assert list(outcomes.values()).count(None) == 10
+    for name, level in (("M11", 1), ("M12", 2)):
+        assert outcomes[name, level, DEFAULT_SEARCH_CAP][0] == (5, 2)
 
 
-def cover_reference(walk, sizes, pos, images, osize, failed, repeats):
-    """``_cover_search`` without the failed-set pruning: every subtree is
-    searched.  The image sets whose subtree failed are kept per position
-    above the innermost in ``failed``, and ``repeats`` collects the
-    positions at which a later candidate reached one again: those are the
-    subtrees the pruned search skips."""
-    if pos < 0:
-        return [] if len(images) == osize else None
-    for x in walk(sizes[pos]):
-        new, cur = list(images), images
-        for _ in range(sizes[pos] - 1):
-            cur = [x[p] for p in cur]
-            new.extend(cur)
-        key = frozenset(new)
-        if len(key) != len(new):
-            continue
-        if key in failed[pos]:
-            repeats.append(pos)
-        found = cover_reference(walk, sizes, pos - 1, new, osize, failed, repeats)
-        if found is not None:
-            return found + [x]
-        if pos:
-            failed[pos].add(key)
-    return None
+def trace_trials(monkeypatch, chain, level, cap):
+    """refine_block's result and, for each size trial's top-level search in
+    run order, its sizes, the nodes its pass allowed, its outcome and the
+    nodes (candidates taken from its walks) it visited."""
+    search = logsig.construct._cover_search
+    trace = []
+
+    def traced(walk, sizes, pos, images, osize, left):
+        if pos < len(sizes) - 1:
+            return search(walk, sizes, pos, images, osize, left)
+        start = left[0]
+        try:
+            got = search(walk, sizes, pos, images, osize, left)
+        except logsig.construct._OutOfBudget:
+            trace.append((sizes, start, "out of budget", start - left[0]))
+            raise
+        trace.append((sizes, start, "exhausted" if got is None else "found",
+                      start - left[0]))
+        return got
+
+    monkeypatch.setattr(logsig.construct, "_cover_search", traced)
+    return refine_block(chain, level, cap=cap), trace
 
 
-# Degree-8 candidate walks, as 1-based images, on which the search must
-# skip a failed image set before its first success.  On each of them a memo
-# keyed on the candidate alone, and a search that gives up at the first
-# repeated failed set, both miss the cover the unpruned search finds.
-PRUNING_WALKS = (
-    ((6, 5, 8, 2, 3, 1, 7, 4), (8, 5, 7, 6, 3, 2, 1, 4),
-     (2, 7, 8, 3, 6, 4, 1, 5), (4, 2, 8, 7, 3, 6, 5, 1)),
-    ((5, 3, 2, 8, 1, 7, 6, 4), (7, 4, 1, 6, 8, 3, 5, 2), (7, 8, 6, 3, 5, 2, 4, 1),
-     (8, 3, 4, 5, 2, 6, 7, 1), (4, 8, 1, 3, 2, 7, 5, 6)),
-    ((8, 6, 1, 7, 3, 5, 2, 4), (7, 1, 8, 5, 6, 3, 2, 4), (2, 5, 4, 3, 8, 6, 1, 7),
-     (4, 1, 8, 3, 6, 2, 5, 7), (6, 1, 4, 8, 7, 2, 3, 5)),
-)
+def test_refine_block_trial_schedule(monkeypatch, m22):
+    decomp, trace = trace_trials(monkeypatch, m22, 0, 1000)
+    assert tuple(f.size for f in decomp.factors) == (11, 2)
+    assert [t[:3] for t in trace] == [((22,), 1000, "exhausted"),
+                                      ((2, 11), 1000, "out of budget"),
+                                      ((11, 2), 1000, "found")]
+    assert trace[0][3] == 0 and trace[1][3] == 1000
 
 
-@pytest.mark.parametrize("kind", [bytes, tuple])
-@pytest.mark.parametrize("walk_images", PRUNING_WALKS)
-def test_cover_search_pruning_is_sound(kind, walk_images):
-    # the search alone, on a hand-made walk that yields the same candidates
-    # for every size, so the result does not hang on refine_block's order
-    raws = [kind(Permutation.from_images(w).img) for w in walk_images]
-    walk = lambda size: iter(raws)
-    sizes = (2, 2, 2)
-    repeats: list = []
-    expect = cover_reference(walk, sizes, 2, [0], 8, [set() for _ in sizes], repeats)
-    assert expect is not None and repeats
-    got = _cover_search(walk, sizes, [set() for _ in sizes], 2, kind([0]), 8)
-    assert got == expect
+def test_refine_block_budget_doubles_each_pass(monkeypatch, m22):
+    # an exhausted trial is dropped; the others run again with twice the nodes
+    monkeypatch.setattr(logsig.construct, "_FIRST_PASS_NODES", 1)
+    decomp, trace = trace_trials(monkeypatch, m22, 0, 1000)
+    assert tuple(f.size for f in decomp.factors) == (11, 2)
+    assert [t[:3] for t in trace] == [
+        ((22,), 1, "exhausted"), ((2, 11), 1, "out of budget"), ((11, 2), 1, "out of budget"),
+        ((2, 11), 2, "out of budget"), ((11, 2), 2, "out of budget"),
+        ((2, 11), 4, "out of budget"), ((11, 2), 4, "found")]
+
+
+def test_refine_ls_keeps_blocks_when_out_of_budget(monkeypatch, m11):
+    # one node per trial and one pass: no composite level can be covered
+    monkeypatch.setattr(logsig.construct, "_FIRST_PASS_NODES", 1)
+    monkeypatch.setattr(logsig.construct, "_SEARCH_NODES", 1)
+    ls = chain_ls(m11)
+    refined = refine_ls(ls, m11)
+    assert refined.blocks == ls.blocks
+    assert [a.set_size for a in refined.provenance.annotations] == [None] * 4
+    assert verify_exhaustive(refined, m11).ok
+    assert verify_structural(refined, m11).ok
+
+
+NON_SOLVABLE = (["A%d" % n for n in range(5, 13)] + ["S%d" % n for n in range(5, 13)]
+                + ["PSL(2,7)", "PSL(2,11)", "M11", "M12", "M22", "M24"])
+
+
+def test_build_mls_reaches_the_bound_on_every_non_solvable_group():
+    chains = {name: load_verified_chain(name) for name in NON_SOLVABLE}
+    t0 = time.perf_counter()
+    built = {name: build_mls(chain, cap=1000) for name, chain in chains.items()}
+    elapsed = time.perf_counter() - t0
+    for name, ls in built.items():
+        chain = chains[name]
+        assert ls.provenance.tag == "refined", name
+        assert ls_length(ls) == minimal_length(factor_integer(chain.order)), name
+        assert verify_structural(ls, chain).ok, name
+    assert elapsed < 10, "22 groups took %.2fs" % elapsed
 
 
 def test_refine_block_leaves_no_cyclic_garbage(m11):

@@ -1,7 +1,8 @@
 """Static guard against dead code in ``src/logsig``: a module-level import the
-module never uses, a module-level private function or class that nothing
-in the package references outside its own body, a local name a function
-stores and never reads, or a dataclass field that nothing reads."""
+module never uses, a module-level private function, class or assignment
+that nothing in the package references outside its own statement, a local
+name a function stores and never reads, or a dataclass field that nothing
+reads."""
 
 import ast
 from pathlib import Path
@@ -60,17 +61,25 @@ def test_no_unused_module_level_imports():
     assert unused == []
 
 
+def defined_names(stmt):
+    """The names a module-level statement defines or assigns."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def test_no_unreferenced_private_definitions():
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unreferenced = []
     for name, tree in MODULES.items():
         for stmt in tree.body:
-            if not (isinstance(stmt, defs) and stmt.name.startswith("_")
-                    and not stmt.name.startswith("__")):
-                continue
-            elsewhere = [s for t in MODULES.values() for s in t.body if s is not stmt]
-            if stmt.name not in names_read(elsewhere):
-                unreferenced.append("%s: %s" % (name, stmt.name))
+            for d in defined_names(stmt):
+                if not d.startswith("_") or d.startswith("__"):
+                    continue
+                elsewhere = [s for t in MODULES.values() for s in t.body if s is not stmt]
+                if d not in names_read(elsewhere):
+                    unreferenced.append("%s: %s" % (name, d))
     assert unreferenced == []
 
 

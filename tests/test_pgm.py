@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from logsig import (PgmKey, TameIndexer, build_chain, chain_ls, decrypt,
-                    encrypt, keygen, load_group, randomize_ls, read_key,
+from logsig import (LsFormatError, PgmKey, TameIndexer, build_chain, chain_ls,
+                    decrypt, encrypt, keygen, load_group, randomize_ls, read_key,
                     verify_structural, write_key)
 
 
@@ -60,6 +60,16 @@ def test_key_file_roundtrip(m11, tmp_path):
     again = read_key(path, m11)
     assert again.alpha == key.alpha and again.beta == key.beta
     assert decrypt(again, encrypt(again, 4321)) == 4321
+
+
+def test_key_with_an_overlong_integer_is_malformed(m11):
+    # more digits than the interpreter converts to an int by default
+    buf = io.StringIO()
+    write_key(keygen(m11, 5), buf)
+    text = buf.getvalue().replace('"seed": 5', '"seed": 1' + "0" * 5000)
+    assert text != buf.getvalue()
+    with pytest.raises(LsFormatError, match="too many digits"):
+        read_key(io.StringIO(text), m11)
 
 
 def test_roundtrip_sampled(m11):

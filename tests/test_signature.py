@@ -389,6 +389,12 @@ def test_reject_deeply_nested_json():
         loads_ls("[" * 1000 + "]" * 1000)
 
 
+def test_reject_overlong_integer():
+    # more digits than the interpreter converts to an int by default
+    with pytest.raises(LsFormatError, match="too many digits"):
+        loads_ls('{"degree": 1' + "0" * 5000 + "}")
+
+
 def test_reject_unknown_tag():
     text = '{"degree": 2, "provenance": {"tag": "bogus"}, "blocks": [[[1, 2]]]}'
     with pytest.raises(LsFormatError):
