@@ -71,14 +71,14 @@ def defined_names(stmt):
 
 
 def test_no_unreferenced_private_definitions():
+    reads = [(s, names_read([s])) for t in MODULES.values() for s in t.body]
     unreferenced = []
     for name, tree in MODULES.items():
         for stmt in tree.body:
             for d in defined_names(stmt):
                 if not d.startswith("_") or d.startswith("__"):
                     continue
-                elsewhere = [s for t in MODULES.values() for s in t.body if s is not stmt]
-                if d not in names_read(elsewhere):
+                if not any(d in r for s, r in reads if s is not stmt):
                     unreferenced.append("%s: %s" % (name, d))
     assert unreferenced == []
 
