@@ -6,7 +6,7 @@ search that replaces a transversal block by a product of cyclic power sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import count, islice, permutations
 from math import prod
 
 from .arith import factor_integer
@@ -175,46 +175,42 @@ def _size_trials(primes: list[int]) -> list[tuple[int, ...]]:
 
 
 class _Candidates:
-    """Candidate lists per set size, drawn lazily from one level group.
+    """One lazy pool of ``(element, order)`` pairs from a level group, read
+    by walks of every set size.
 
     The pool is the first ``10 * cap`` products of the inverse transversals,
     the level's own varying fastest, so consecutive elements stride over the
     cosets of its point stabilizer: the r-th is ``element_at(i).inverse()``,
     where i has r's digits with the level's digit least significant.  An
     element is read, and its order computed, only when some walk has run
-    past every element read so far.  It joins the list of every size that
-    divides its order and holds fewer than ``cap`` entries, so each list is
-    always a prefix of the list a full scan of the pool would give.
+    past every element read so far.
     """
 
-    def __init__(self, group: StabilizerChain, sizes, cap: int):
+    def __init__(self, group: StabilizerChain, cap: int):
         inverses = [[lv.table[p][1] for p in lv.orbit] for lv in reversed(group.levels)]
         self._elements = islice(_products(inverses, group._identity), 10 * cap)
-        self._lists = {size: [] for size in sizes}
+        self._pool = []
         self._cap = cap
 
-    def _read(self) -> bool:
-        """Read one more element; False once the pool is used up."""
-        raw = next(self._elements, None)
-        if raw is None:
-            return False
-        o = _order_raw(raw)
-        for size, got in self._lists.items():
-            if o % size == 0 and len(got) < self._cap:
-                got.append(raw)
-        return True
-
     def walk(self, size: int):
-        """The first ``cap`` pool elements whose order ``size`` divides."""
-        got = self._lists[size]
-        yield from got  # a list iterator also yields what is appended meanwhile
-        i = len(got)
-        while True:
-            while i == len(got):
-                if i == self._cap or not self._read():
+        """For each pool position in turn, the element if ``size`` divides
+        its order and None if not, until ``cap`` elements have been yielded
+        or the pool is used up."""
+        pool, taken = self._pool, 0
+        for i in count():
+            if i == len(pool):
+                raw = next(self._elements, None)
+                if raw is None:
                     return
-            yield got[i]
-            i += 1
+                pool.append((raw, _order_raw(raw)))
+            raw, o = pool[i]
+            if o % size:
+                yield None
+                continue
+            yield raw
+            taken += 1
+            if taken == self._cap:
+                return
 
 
 _FIRST_PASS_NODES = 1_000  # nodes a size trial may visit in the first pass
@@ -222,16 +218,17 @@ _SEARCH_NODES = 4_000_000  # no pass starts once this many have been visited
 
 
 class _OutOfBudget(Exception):
-    """A size trial wanted more candidates than its pass allows."""
+    """A size trial wanted to read more pool positions than its pass allows."""
 
 
 def _cover_search(walk, sizes, pos: int, images, osize: int, left: list):
     """Raw generators of cyclic sets of ``sizes[:pos + 1]`` whose product
     extends ``images`` to a cover of the orbit, or None.
 
-    Each candidate a walk yields is one node; ``left[0]`` holds the nodes
-    the trial may still visit, and one more raises :class:`_OutOfBudget`.
-    Choices are appended as the calls return, so they come in block order.
+    Each pool position a walk reads is one node, whether it yields a
+    candidate or None; ``left[0]`` holds the nodes the trial may still
+    visit, and one more raises :class:`_OutOfBudget`.  Choices are appended
+    as the calls return, so they come in block order.
     """
     if pos < 0:
         return [] if len(images) == osize else None
@@ -241,6 +238,8 @@ def _cover_search(walk, sizes, pos: int, images, osize: int, left: list):
         if not left[0]:
             raise _OutOfBudget
         left[0] -= 1
+        if x is None:
+            continue
         # new: images, then their images under x, x^2, ..., x^(size - 1)
         cur = images
         if type(x) is bytes:
@@ -272,20 +271,21 @@ def refine_block(chain: StabilizerChain, level: int,
     :func:`_size_trials` order.  The candidates of a size are the first
     ``cap`` elements whose order the size divides among the first ``10 *
     cap`` elements of the level group in :class:`_Candidates`' coset-
-    striding order; a cap below 1 raises ValueError.  The trials run in
-    passes: in the first, each may visit 1,000 nodes (candidates taken from
-    its walks), and each pass doubles that.  A trial that finishes without
-    a cover is dropped, and the first cover found wins.  None, a legitimate
-    outcome, means every trial finished without a cover, or the pass in
-    which the nodes visited reached 4,000,000 ended without one.
+    striding order; a cap below 1 raises ValueError.  A node is one pool
+    element a walk reads, whether the size divides its order or not, so a
+    trial's budget bounds its pool reads.  The trials run in passes: in the
+    first, each may visit 1,000 nodes, and each pass doubles that.
+    A trial that finishes without a cover is dropped, and the first cover
+    found wins.  None, a legitimate outcome, means every trial finished
+    without a cover, or the pass in which the nodes visited reached
+    4,000,000 ended without one.
     """
     if cap < 1:
         raise ValueError("search cap must be at least 1, got %d" % cap)
     lv = chain.levels[level]
     osize = len(lv.orbit)
     trials = _size_trials(_prime_multiset(osize))
-    cands = _Candidates(chain.subchain(level),
-                        {size for trial in trials for size in trial}, cap)
+    cands = _Candidates(chain.subchain(level), cap)
     start = _raw((lv.point,), chain.degree)
     budget, nodes = _FIRST_PASS_NODES, 0
     while trials and nodes < _SEARCH_NODES:

@@ -78,7 +78,7 @@ def test_construct_auto_reaches_the_bound_at_the_default_cap(capsys, tmp_path, g
     elapsed = time.perf_counter() - start
     assert code == 0
     assert "length: %d (bound %d)" % (length, length) in out and "minimal: true" in out
-    assert elapsed < 15, "%s took %.2fs" % (group, elapsed)
+    assert elapsed < 3, "%s took %.2fs" % (group, elapsed)
     mode = "exhaustive" if group == "M22" else "structural"
     code, out, _ = run(capsys, "verify", "--group", group, "--ls", out_path,
                        "--mode", mode)

@@ -254,8 +254,24 @@ def test_refine_block_m24_level_0_within_budget(m24):
     decomp = refine_block(m24, 0, cap=1000)
     elapsed = time.perf_counter() - t0
     assert decomp is not None
-    assert tuple(f.size for f in decomp.factors) == (4, 6)
+    assert tuple(f.size for f in decomp.factors) == (12, 2)
     assert elapsed < 0.5, "M24 level 0 took %.2fs" % elapsed
+
+
+@pytest.mark.parametrize("name", ["M12", "M24"])
+def test_refine_block_pool_reads_stay_within_the_budget(monkeypatch, name):
+    # 12 (M12) and 24 (M24) divide no element order; their trials' walks
+    # are charged for each element they read, so they run out of nodes
+    # instead of reading the whole pool (95,040 and 500,000 elements)
+    reads = []
+
+    def counted(raw):
+        reads.append(raw)
+        return _order_raw(raw)
+
+    monkeypatch.setattr(logsig.construct, "_order_raw", counted)
+    assert refine_block(load_verified_chain(name), 0) is not None
+    assert len(reads) < 10_000, len(reads)
 
 
 def coset_striding_pool(chain, cap):
@@ -274,26 +290,41 @@ def coset_striding_pool(chain, cap):
         yield tuple(chain.element_at(i).inverse().img)
 
 
+def full_scan(pool, size, cap):
+    """A walk's yields over an eagerly read pool of ``(element, order)``
+    pairs: per position, the element if ``size`` divides its order and None
+    if not, up to ``cap`` elements."""
+    out, taken = [], 0
+    for x, o in pool:
+        if taken == cap:
+            break
+        out.append(None if o % size else x)
+        taken += o % size == 0
+    return out
+
+
 @pytest.mark.parametrize("cap", [1, 7, 2000])
 def test_candidate_walks_match_a_full_scan(m12, cap):
     # walks of one size and of others run interleaved, as the search's nested
     # positions run them; each still yields the full scan's candidates
     sizes = (2, 3, 4, 6, 12)
-    pool = [bytes(x) for x in coset_striding_pool(m12, cap)]
-    expect = {s: [raw for raw in pool if _order_raw(raw) % s == 0][:cap] for s in sizes}
-    assert len(expect[2]) == cap and expect[12] == []  # M12 has no order 12
-    cands = _Candidates(m12, sizes, cap)
+    pool = [(bytes(x), Permutation(x).order()) for x in coset_striding_pool(m12, cap)]
+    expect = {s: full_scan(pool, s, cap) for s in sizes}
+    first = [x for x in expect[2] if x is not None]
+    assert first == [x for x, o in pool if o % 2 == 0][:cap] and len(first) == cap
+    assert expect[12] == [None] * len(pool)  # M12 has no order 12
+    cands = _Candidates(m12, cap)
     walks = [(s, cands.walk(s), []) for s in sizes for _ in range(3)]
     rng = random.Random(cap)
     while walks:
         i = rng.randrange(len(walks))
         s, walk, got = walks[i]
-        raw = next(walk, None)
-        if raw is None:
+        x = next(walk, StopIteration)
+        if x is StopIteration:
             assert got == expect[s], (s, len(got), len(expect[s]))
             walks.pop(i)
         else:
-            got.append(raw)
+            got.append(x)
 
 
 class OutOfBudget(Exception):
@@ -301,30 +332,27 @@ class OutOfBudget(Exception):
 
 
 def refine_reference(chain, level, cap=DEFAULT_SEARCH_CAP):
-    """refine_block's search written out eagerly: every candidate list is
-    built before the search starts, from the element_at formula of the
-    coset-striding pool, and each size trial runs in passes of 1,000, 2,000,
+    """refine_block's search written out eagerly: the whole coset-striding
+    pool is built from the element_at formula before the search starts,
+    each size's walk over it is a :func:`full_scan`, every position a walk
+    reads is a node, and each size trial runs in passes of 1,000, 2,000,
     ... nodes until one finds a cover, all are exhausted or a pass ends with
     4,000,000 nodes visited.  Returns the winning ``(sizes, generators)`` or
     None."""
     point, osize = chain.levels[level].point, len(chain.levels[level].orbit)
     trials = _size_trials(_prime_multiset(osize))
-    lists = {size: [] for trial in trials for size in trial}
-    for x in coset_striding_pool(chain.subchain(level), cap):
-        o = Permutation(x).order()
-        for s, got in lists.items():
-            if o % s == 0 and len(got) < cap:
-                got.append(x)
-        if all(len(got) == cap for got in lists.values()):
-            break
+    pool = [(x, Permutation(x).order()) for x in coset_striding_pool(chain.subchain(level), cap)]
+    walks = {size: full_scan(pool, size, cap) for trial in trials for size in trial}
 
     def rec(sizes, pos, images, left):
         if pos < 0:
             return [] if len(images) == osize else None
-        for x in lists[sizes[pos]]:
+        for x in walks[sizes[pos]]:
             if left[0] == 0:
                 raise OutOfBudget
             left[0] -= 1
+            if x is None:
+                continue
             new = list(images)
             cur = images
             for _ in range(sizes[pos] - 1):
@@ -376,12 +404,18 @@ def test_refine_block_matches_unpruned_reference():
     assert list(outcomes.values()).count(None) == 10
     for name, level in (("M11", 1), ("M12", 2)):
         assert outcomes[name, level, DEFAULT_SEARCH_CAP][0] == (5, 2)
+    # here the nodes charged for pool elements that are not candidates
+    # decide the winner: (6, 8) runs out of budget and (24, 2) wins
+    chain = psl2(47)
+    decomp = refine_block(chain, 0, cap=100)
+    got = (tuple(f.size for f in decomp.factors), tuple(f.generator for f in decomp.factors))
+    assert got == refine_reference(chain, 0, 100) and got[0] == (24, 2)
 
 
 def trace_trials(monkeypatch, chain, level, cap):
     """refine_block's result and, for each size trial's top-level search in
     run order, its sizes, the nodes its pass allowed, its outcome and the
-    nodes (candidates taken from its walks) it visited."""
+    nodes (pool elements its walks read) it visited."""
     search = logsig.construct._cover_search
     trace = []
 
@@ -403,23 +437,38 @@ def trace_trials(monkeypatch, chain, level, cap):
 
 
 def test_refine_block_trial_schedule(monkeypatch, m22):
+    # 22 divides no element order of M22, so (22,) reads 1,000 elements and
+    # yields none of them
     decomp, trace = trace_trials(monkeypatch, m22, 0, 1000)
     assert tuple(f.size for f in decomp.factors) == (11, 2)
-    assert [t[:3] for t in trace] == [((22,), 1000, "exhausted"),
-                                      ((2, 11), 1000, "out of budget"),
-                                      ((11, 2), 1000, "found")]
-    assert trace[0][3] == 0 and trace[1][3] == 1000
+    assert trace == [((22,), 1000, "out of budget", 1000),
+                     ((2, 11), 1000, "out of budget", 1000),
+                     ((11, 2), 1000, "found", 23)]
 
 
 def test_refine_block_budget_doubles_each_pass(monkeypatch, m22):
-    # an exhausted trial is dropped; the others run again with twice the nodes
+    # the trials still running get twice the nodes in each pass
     monkeypatch.setattr(logsig.construct, "_FIRST_PASS_NODES", 1)
     decomp, trace = trace_trials(monkeypatch, m22, 0, 1000)
     assert tuple(f.size for f in decomp.factors) == (11, 2)
-    assert [t[:3] for t in trace] == [
-        ((22,), 1, "exhausted"), ((2, 11), 1, "out of budget"), ((11, 2), 1, "out of budget"),
-        ((2, 11), 2, "out of budget"), ((11, 2), 2, "out of budget"),
-        ((2, 11), 4, "out of budget"), ((11, 2), 4, "found")]
+    running = [(22,), (2, 11), (11, 2)]
+    assert [t[:3] for t in trace] == (
+        [(sizes, budget, "out of budget") for budget in (1, 2, 4, 8, 16) for sizes in running]
+        + [((22,), 32, "out of budget"), ((2, 11), 32, "out of budget"), ((11, 2), 32, "found")])
+
+
+def test_refine_block_drops_an_exhausted_trial(monkeypatch, m24):
+    # on M24 level 3 at cap 1 (a pool of 10 elements), (21,) and (3, 7)
+    # finish in the pass of 16 nodes and only (7, 3) runs on, until it is
+    # exhausted too
+    monkeypatch.setattr(logsig.construct, "_FIRST_PASS_NODES", 4)
+    decomp, trace = trace_trials(monkeypatch, m24, 3, 1)
+    assert decomp is None
+    running = [(21,), (3, 7), (7, 3)]
+    assert [t[:3] for t in trace] == (
+        [(sizes, budget, "out of budget") for budget in (4, 8) for sizes in running]
+        + [((21,), 16, "exhausted"), ((3, 7), 16, "exhausted"),
+           ((7, 3), 16, "out of budget"), ((7, 3), 32, "exhausted")])
 
 
 def test_refine_ls_keeps_blocks_when_out_of_budget(monkeypatch, m11):
@@ -449,6 +498,33 @@ def test_build_mls_reaches_the_bound_on_every_non_solvable_group():
         assert ls_length(ls) == minimal_length(factor_integer(chain.order)), name
         assert verify_structural(ls, chain).ok, name
     assert elapsed < 10, "22 groups took %.2fs" % elapsed
+
+
+def psl2(p):
+    """PSL(2,p) on the projective line: points 0..p-1 are the residues and
+    point p is infinity, generated by x -> x+1 and x -> -1/x."""
+    shift = Permutation([(x + 1) % p for x in range(p)] + [p])
+    flip = Permutation([p] + [-pow(x, -1, p) % p for x in range(1, p)] + [0])
+    return build_chain(GeneratorSet(p + 1, (shift, flip)))
+
+
+PRIMES_TO_101 = [p for p in range(5, 102) if all(p % q for q in range(2, p))]
+
+
+def test_census_reaches_the_bound_at_the_default_cap():
+    chains = {name: load_verified_chain(name) for name in NON_SOLVABLE}
+    chains["M23"] = load_verified_chain("M24").subchain(1)
+    chains.update(("PSL(2,%d)" % p, psl2(p)) for p in PRIMES_TO_101)
+    assert chains["M23"].order == 10_200_960 and chains["PSL(2,101)"].order == 515_100
+    t0 = time.perf_counter()
+    built = {name: build_mls(chain) for name, chain in chains.items()}
+    elapsed = time.perf_counter() - t0
+    for name, ls in built.items():
+        chain = chains[name]
+        assert ls_length(ls) == minimal_length(factor_integer(chain.order)), name
+        assert verify_structural(ls, chain).ok, name
+    # under 1 s on a 2-CPU x86-64 machine; reading whole pools took ~25 s
+    assert elapsed < 10, "%d groups took %.2fs" % (len(chains), elapsed)
 
 
 def test_refine_block_leaves_no_cyclic_garbage(m11):

@@ -76,7 +76,7 @@ def refined_at_cap_1000(name):
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("M24", "5fc4cf1a977530598406ff2a933b1cb37afb35a3af77e01485fa514185f6aaa3"),
+    ("M24", "83b71522b2a35eb71e694e08d036300ac3a4b6758ee314a8e95ab657daa89892"),
     ("M22", "7354a20200a3b174ca9de5675774d056003a754fb4bc7dee951b9768efc21621"),
 ])
 def test_refine_cap_1000_bytes(name, digest):
