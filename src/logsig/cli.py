@@ -54,6 +54,11 @@ def _load_chain(args) -> StabilizerChain:
     return load_verified_chain(args.group)
 
 
+def _at_least_one(flag: str, value: int) -> None:
+    if value < 1:
+        raise ValueError("%s must be at least 1, got %d" % (flag, value))
+
+
 def _add_group_args(p: argparse.ArgumentParser, required: bool = True) -> None:
     g = p.add_mutually_exclusive_group(required=required)
     g.add_argument("--group", help="bundled group name (see 'info --list')")
@@ -88,8 +93,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    if args.search_cap < 1:
-        raise ValueError("--search-cap must be at least 1, got %d" % args.search_cap)
+    _at_least_one("--search-cap", args.search_cap)
     chain = _load_chain(args)
     method = args.method
     if method == "auto":
@@ -127,6 +131,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _at_least_one("--budget", args.budget)
     chain = _load_chain(args)
     ls = _read(args.ls, read_ls)
     mode = args.mode
@@ -154,6 +159,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_factorize(args) -> int:
+    _at_least_one("--budget", args.budget)
     chain = _load_chain(args)
     ls = _read(args.ls, read_ls)
     g = parse_cycles(args.element, chain.degree)
@@ -246,8 +252,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "structural", "auto"),
                    default="auto")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="max products for exhaustive verification "
-                        "(about 85 bytes of memory each)")
+                   help="max products for exhaustive verification (about 85 "
+                        "bytes each for |G| / first base point's orbit size)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("factorize", help="digits of an element under a signature")

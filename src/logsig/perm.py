@@ -53,8 +53,9 @@ def _products(raw_blocks, pre):
     Each entry of the last block is mapped point by point through its
     prefix, so it may be any sequence of points, longer than the degree
     too: a packed string of several image arrays yields the packed images
-    of the products.  The exhaustive oracle relies on this to map a packed
-    string of base images in one step.
+    of the products.  The exhaustive oracle relies on this to expand its
+    tail of packed base images, and to map one group of that tail into a
+    class through one product of the leading blocks, in one step each.
     """
     k = len(raw_blocks) - 1
     if k < 0:
@@ -73,9 +74,9 @@ def _products(raw_blocks, pre):
             for e in last:
                 yield e.translate(table)
         else:
-            p = p.__getitem__
             for e in last:
-                yield mk(map(p, e))
+                # itemgetter of one point returns the point, not a tuple
+                yield _mul_raw(p, e) if len(e) > 1 else (p[e[0]],)
         i = k - 1
         while i >= 0 and digits[i] + 1 == len(raw_blocks[i]):
             digits[i] = 0

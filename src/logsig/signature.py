@@ -165,17 +165,19 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
     base, so two products are equal exactly when their base images are, and
     only those are computed and stored.  For degree <= 256 a product's key
     is its base images packed into 8-byte ints (the base padded to a
-    multiple of 8 points by repeating one); with a base of up to 8 points
-    the peak memory is about 85 bytes per product.  For degree > 256 the
-    key is the tuple of base images.
+    multiple of 8 points by repeating one); for degree > 256 it is the
+    tuple of base images.
 
-    The trailing blocks are expanded once into a packed tail string of the
-    base images of at least ``_CHUNK`` products; each product of the leading
-    blocks maps that tail in one C-level step to one chunk of keys, in rank
-    order (mixed radix, digits varying fastest in the last block).  A chunk
-    that adds fewer new keys than it holds contains the first collision,
-    which a second pass locates, so the reported collision is still the
-    first one in rank order.
+    Products with different images x of the first base point b0 differ, so
+    each class x is checked with its own key set.  The trailing blocks are
+    expanded once into packed base images of at least ``_CHUNK`` products,
+    grouped by their image y of b0; each product p of the leading blocks (a
+    head) maps group y into class p(y) in one C-level step.  Peak memory is
+    about 85 bytes per product of the largest class (|G| / |orbit of b0|)
+    plus the tail.  A class sees its products in rank order (mixed radix,
+    digits varying fastest in the last block); one that stores fewer keys
+    than it holds is walked again to its first repeat, and the report names
+    the least second rank over the classes.
     """
     if ls.degree != chain.degree:
         raise ValueError("degree mismatch")
@@ -198,33 +200,61 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
 
     raws = [[e.img for e in block] for block in ls.blocks]
     ident = _identity_raw(ls.degree)
+    base = list(chain.base) or [0]
+    # b0 goes last, into a key's high byte, so the low bytes vary in a class
+    pad = -len(base) % 8 if type(ident) is bytes else 0
+    points = base[1:] + base[-1:] * pad + base[:1]
+    width = len(points)
+    # expand the trailing blocks right to left into packed base images,
+    # grouped by b0's image y (each string's last point), in rank order
     mk = type(ident)
-    points = list(chain.base) or [0]
-    if mk is bytes:
-        points += points[:1] * (-len(points) % 8)
-    # expand the trailing blocks right to left into one packed tail
-    tail, n, h = mk(points), 1, len(raws)
+    tails, h, n = {base[0]: mk(points)}, len(raws), 1
     while h and n < _CHUNK:
         h -= 1
-        parts = _products([raws[h], [tail]], ident)
-        tail = b"".join(parts) if mk is bytes else tuple(iterchain.from_iterable(parts))
         n *= sizes[h]
-    head = raws[:h] + [[tail]]
-    width = len(points)
-    seen: set = set()
-    for c, chunk in enumerate(_products(head, ident)):
-        seen.update(_keys(chunk, width))
-        if len(seen) < (c + 1) * n:
-            seen.clear()
-            first, second = _first_collision(head, ident, width, c, n)
-            return VerificationReport(
-                ok=False, method="exhaustive", products_checked=second + 1,
-                collision=(_digits_of(first, sizes), _digits_of(second, sizes)),
-                detail="identical products at two index tuples")
+        parts: dict = {}
+        for s in _products([raws[h], list(tails.values())], ident):
+            parts.setdefault(s[-1], []).append(s)
+        tails = {y: b"".join(v) if mk is bytes else tuple(iterchain.from_iterable(v))
+                 for y, v in parts.items()}
+    # class x -> (rank c, head p, group y) for each head that maps y to x
+    feeds: dict = {}
+    for c, p in enumerate(_products(raws[:h], ident)):
+        for y in tails:
+            feeds.setdefault(p[y], []).append((c, p, y))
+
+    def chunks(x, stop):  # (c, y, packed base images) of class x, rank order
+        for c, p, y in feeds[x]:
+            if c >= stop:
+                return
+            yield c, y, next(_products([[tails[y]]], p))
+
+    ranks, best, stop = None, None, total // n
+    for x in feeds:
+        seen, count = set(), 0
+        for c, _, chunk in chunks(x, stop):
+            seen.update(_keys(chunk, width))
+            count += len(chunk) // width
+            if len(seen) < count:
+                seen.clear()
+                if ranks is None:  # each tail group's ranks, once per call
+                    ranks = {}
+                    for r, q in enumerate(_products(raws[h:], ident)):
+                        ranks.setdefault(q[base[0]], []).append(r)
+                pair = _first_repeat(chunks(x, c + 1), ranks, width, n)
+                # a later class can only hold an earlier collision up to head c
+                best, stop = min(best or pair, pair), c + 1
+                break
+    if best:
+        second, first = best
+        return VerificationReport(
+            ok=False, method="exhaustive", products_checked=second + 1,
+            collision=(_digits_of(first, sizes), _digits_of(second, sizes)),
+            detail="identical products at two index tuples")
     return VerificationReport(ok=True, method="exhaustive", products_checked=total)
 
 
-# least number of products per chunk of the exhaustive oracle
+# least number of products in the expanded tail of the exhaustive oracle
 _CHUNK = 4096
 
 
@@ -237,26 +267,16 @@ def _keys(chunk, width: int):
     return zip(*(chunk[i::width] for i in range(width)))
 
 
-def _first_collision(head, ident, width: int, c: int, n: int) -> tuple[int, int]:
-    """Ranks ``(first, second)`` of the first repeated key in rank order,
-    given that it lies in chunk ``c`` of ``n`` keys: rebuild the keys of
-    the earlier chunks, walk chunk ``c``, and scan for the partner."""
-    chunks = _products(head, ident)
-    seen = set()
-    for _ in range(c):
-        seen.update(_keys(next(chunks), width))
-    keys = list(_keys(next(chunks), width))
-    for i, key in enumerate(keys):
-        if key in seen:
-            break
-        seen.add(key)
-    j = keys.index(key)
-    if j < i:
-        return c * n + j, c * n + i
-    for j, chunk in enumerate(_products(head, ident)):
-        earlier = list(_keys(chunk, width))
-        if key in earlier:
-            return j * n + earlier.index(key), c * n + i
+def _first_repeat(chunks, ranks: dict, width: int, n: int) -> tuple[int, int]:
+    """Ranks ``(second, first)`` of the first repeated key of a class, walking
+    its ``chunks`` in rank order; ``ranks[y]`` holds the tail ranks of group y."""
+    first: dict = {}
+    for c, y, chunk in chunks:
+        for key, r in zip(_keys(chunk, width), ranks[y]):
+            r += c * n
+            r0 = first.setdefault(key, r)
+            if r0 != r:
+                return r, r0
 
 
 def _index_levels(ls: LogSignature, chain: StabilizerChain):

@@ -147,6 +147,21 @@ def test_verify_overbudget_advises_structural(capsys, tmp_path, m22):
     assert code == 0 and "structural" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mode", "exhaustive", "--budget", "0"],
+    ["verify", "--mode", "auto", "--budget", "-5"],
+    ["verify", "--mode", "structural", "--budget", "0"],
+    ["factorize", "--element", "()", "--budget", "0"],
+    ["factorize", "--element", "()", "--budget", "-5"],
+])
+def test_budget_below_one_exits_2(capsys, tmp_path, argv):
+    # used to fall back to structural (auto) or to report that 7920
+    # products exceed the budget of 0 (exhaustive)
+    code, out, err = run(capsys, *argv, "--group", "M11", "--ls", _m11_file(tmp_path))
+    assert code == 2 and out == ""
+    assert err == "error: --budget must be at least 1, got %s\n" % argv[-1]
+
+
 def test_verify_nonmember_entry_fails_in_every_mode(capsys, tmp_path):
     # A4's chain signature with block 0, entry 1 set to the odd (1,2)
     path = tmp_path / "a4.ls"

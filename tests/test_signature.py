@@ -3,6 +3,8 @@ import json
 import random
 import time
 import tracemalloc
+from collections import Counter
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,9 @@ from logsig import (CyclicSetSpec, LogSignature, LsFormatError, Permutation,
                     is_minimal, load_verified_chain, loads_ls, ls_length,
                     minimal_length, mls_cyclic, mls_solvable, parse_cycles,
                     read_ls, verify_exhaustive, verify_structural, write_ls)
+from logsig import signature
 from logsig.chain import GeneratorSet
+from logsig.factorize import reconstruct
 from logsig.perm import _digits_of, _identity_raw, _products, _value_of
 
 
@@ -157,7 +161,7 @@ def seeded_tamper(ls, chain, rng):
     return LogSignature(degree=ls.degree, blocks=tuple(blocks))
 
 
-def test_exhaustive_matches_full_image_reference(m11, a5):
+def test_exhaustive_matches_full_image_reference(m11, a5, monkeypatch):
     d300, c1000 = load_verified_chain("D300"), load_verified_chain("C1000")
     two9 = two_to_the_ninth()
     assert len(two9.base) == 9 and type(_identity_raw(18)) is bytes
@@ -171,18 +175,40 @@ def test_exhaustive_matches_full_image_reference(m11, a5):
         bad = seeded_tamper(ls, chain, rng)
         expect = full_image_reference(bad)
         assert verdict(bad, chain) == expect
+        # every case fits in one tail; with a chunk of 1 the tail is empty
+        # and each product is its own head
+        with monkeypatch.context() as mp:
+            mp.setattr(signature, "_CHUNK", 1)
+            assert verdict(bad, chain) == expect
         outcomes.add(expect[0])
     assert outcomes == {True, False}
 
 
-M12_CHUNK = 11 * 10 * 9 * 8  # M12's chain signature is checked in 12 chunks, one per block-0 digit
+def test_exhaustive_multi_head_m12_matches_full_image_reference(m12):
+    ls = chain_ls(m12)
+    assert ls.product_count() // prod(ls.block_sizes[1:]) == 12  # heads at _CHUNK
+    rng = random.Random(20151008)
+    outcomes = set()
+    for _ in range(10):
+        bad = seeded_tamper(ls, m12, rng)
+        expect = full_image_reference(bad)
+        assert verdict(bad, m12) == expect
+        outcomes.add(expect[0])
+    assert outcomes == {True, False}
+
+
+# M12's chain signature is checked with a tail of its last four blocks, so
+# the product of rank r comes from head r // M12_TAIL, its block-0 digit.
+# Each pair below lies in one class, the tampered entry's image of b0; the
+# parameter keeps its old name, ``chunks``, for stable test ids.
+M12_TAIL = 11 * 10 * 9 * 8
 
 
 @pytest.mark.parametrize("block, src, dst, chunks", [
-    (3, 0, 5, (0, 0)),    # both products inside the first chunk
+    (3, 0, 5, (0, 0)),    # both ranks come from the first head
     (1, 2, 7, (0, 0)),
-    (0, 3, 7, (3, 7)),    # a later chunk repeats an earlier one after the first
-    (0, 0, 11, (0, 11)),  # the last chunk repeats the first
+    (0, 3, 7, (3, 7)),    # a later head repeats an earlier one of its class
+    (0, 0, 11, (0, 11)),  # the last head repeats the first
 ])
 def test_exhaustive_collision_chunks_match_reference(m12, block, src, dst, chunks):
     bad = tamper(chain_ls(m12), m12, block=block, src=src, dst=dst)
@@ -190,8 +216,46 @@ def test_exhaustive_collision_chunks_match_reference(m12, block, src, dst, chunk
     assert not ok
     first, second = (_value_of(c, bad.block_sizes) for c in collision)
     assert second + 1 == checked
-    assert (first // M12_CHUNK, second // M12_CHUNK) == chunks
+    assert (first // M12_TAIL, second // M12_TAIL) == chunks
     assert verdict(bad, m12) == expect
+
+
+def test_exhaustive_reports_the_rank_first_of_several_failing_classes(m12):
+    # block-0 entry i maps b0 to orbit[i] and is head i; each tamper doubles
+    # the class of its source.  Class orbit[1], first fed by head 1, repeats
+    # from head 9 on; class orbit[4], first fed by head 3, repeats from head
+    # 4 on and holds the first collision in rank order
+    orbit, b0 = m12.levels[0].orbit, m12.base[0]
+    once = tamper(chain_ls(m12), m12, block=0, src=1, dst=9)
+    twice = tamper(once, m12, block=0, src=4, dst=3)
+    found = []
+    for bad in (once, twice):
+        ok, checked, collision = expect = full_image_reference(bad)
+        assert not ok
+        first, second = (reconstruct(bad, c) for c in collision)
+        assert first == second
+        found.append((first(b0), (checked - 1) // M12_TAIL))
+        assert verdict(bad, m12) == expect
+    # entries 1 and 9 are the same in both, so class orbit[1] fails in both
+    assert found == [(orbit[1], 9), (orbit[4], 4)]
+
+
+def test_exhaustive_many_failing_classes_time_budget():
+    # each class of C1000 holds one product; a tampered power block repeats
+    # products in hundreds of classes, and every class walk reuses the tail
+    # ranks built once per call
+    c1000 = load_verified_chain("C1000")
+    ls = c1000_signature(c1000)
+    blocks = list(ls.blocks)
+    bi = ls.block_sizes.index(max(ls.block_sizes))
+    blocks[bi] = blocks[bi][:1] + tuple(e * blocks[bi][1] for e in blocks[bi][1:])
+    bad = LogSignature(degree=ls.degree, blocks=tuple(blocks))
+    repeats = Counter(reconstruct(bad, _digits_of(r, bad.block_sizes)) for r in range(1000))
+    assert sum(k > 1 for k in repeats.values()) >= 100
+    start = time.perf_counter()
+    got = verdict(bad, c1000)
+    assert time.perf_counter() - start < 0.1
+    assert got == full_image_reference(bad)
 
 
 def tampered_m22(m22):
@@ -219,7 +283,7 @@ def test_exhaustive_m22_time_and_memory_budget(m22, tampered, expect):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / report.products_checked < 100
+    assert peak / report.products_checked < 20
 
 
 def test_size_product_mismatch_is_immediate_fail(m11):
