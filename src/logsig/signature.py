@@ -200,14 +200,14 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
 
     raws = [[e.img for e in block] for block in ls.blocks]
     ident = _identity_raw(ls.degree)
+    mk = type(ident)
     base = list(chain.base) or [0]
     # b0 goes last, into a key's high byte, so the low bytes vary in a class
-    pad = -len(base) % 8 if type(ident) is bytes else 0
+    pad = -len(base) % 8 if mk is bytes else 0
     points = base[1:] + base[-1:] * pad + base[:1]
     width = len(points)
     # expand the trailing blocks right to left into packed base images,
     # grouped by b0's image y (each string's last point), in rank order
-    mk = type(ident)
     tails, h, n = {base[0]: mk(points)}, len(raws), 1
     while h and n < _CHUNK:
         h -= 1
