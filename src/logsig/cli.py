@@ -252,8 +252,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "structural", "auto"),
                    default="auto")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="max products for exhaustive verification (about 85 "
-                        "bytes each for |G| / first base point's orbit size)")
+                   help="max products for exhaustive verification (every "
+                        "product counts, whether or not its key is stored)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("factorize", help="digits of an element under a signature")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain as iterchain
+from itertools import chain as iterchain, repeat
 from math import prod
 from typing import IO
 
@@ -169,15 +169,20 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
     tuple of base images.
 
     Products with different images x of the first base point b0 differ, so
-    each class x is checked with its own key set.  The trailing blocks are
-    expanded once into packed base images of at least ``_CHUNK`` products,
-    grouped by their image y of b0; each product p of the leading blocks (a
-    head) maps group y into class p(y) in one C-level step.  Peak memory is
-    about 85 bytes per product of the largest class (|G| / |orbit of b0|)
-    plus the tail.  A class sees its products in rank order (mixed radix,
-    digits varying fastest in the last block); one that stores fewer keys
-    than it holds is walked again to its first repeat, and the report names
-    the least second rank over the classes.
+    each class x is checked on its own.  The trailing blocks are expanded
+    once into packed base images of at least ``_CHUNK`` products, grouped
+    by their image y of b0; each product p of the leading blocks (a head)
+    maps group y into class p(y) in one C-level step.  A head maps keys one
+    to one, so its chunk of a class repeats a key exactly when its group
+    does: each group is checked once, and a class fed by one head is done
+    when that head's group is.  Only a class fed by two or more heads is
+    walked, storing its keys.  Past the tail, the work grows with the
+    products of such classes, not with |G|, and the keys stored at once are
+    one group's or one walked class's; the budget still counts all |G|
+    products.  A class sees its products in rank order (mixed radix, digits
+    varying fastest in the last block); at its first chunk that repeats a
+    key, its chunks are scanned again for the first repeat, and the report
+    names the least second rank over the classes.
     """
     if ls.degree != chain.degree:
         raise ValueError("degree mismatch")
@@ -217,32 +222,36 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
             parts.setdefault(s[-1], []).append(s)
         tails = {y: b"".join(v) if mk is bytes else tuple(iterchain.from_iterable(v))
                  for y, v in parts.items()}
+    # a head maps keys one to one, so the chunk p·T_y of a head p repeats a
+    # key iff its group T_y does: each group is checked once, here
+    distinct = {y: len(dict.fromkeys(_keys(t, width))) * width == len(t)
+                for y, t in tails.items()}
     # class x -> (rank c, head p, group y) for each head that maps y to x
     feeds: dict = {}
     for c, p in enumerate(_products(raws[:h], ident)):
         for y in tails:
             feeds.setdefault(p[y], []).append((c, p, y))
 
-    def chunks(x, stop):  # (c, y, packed base images) of class x, rank order
-        for c, p, y in feeds[x]:
-            if c >= stop:
-                return
-            yield c, y, next(_products([[tails[y]]], p))
+    def chunk(p, y):  # the packed base images of head p times group y
+        return next(_products([[tails[y]]], p))
 
     ranks, best, stop = None, None, total // n
-    for x in feeds:
-        seen, count = set(), 0
-        for c, _, chunk in chunks(x, stop):
-            seen.update(_keys(chunk, width))
-            count += len(chunk) // width
+    for fed in feeds.values():
+        # a later class can only hold an earlier collision up to head stop - 1
+        fed = [f for f in fed if f[0] < stop]
+        if len(fed) == 1 and distinct[fed[0][2]]:
+            continue
+        seen, count = {}, 0
+        for i, (c, p, y) in enumerate(fed):
+            seen.update(zip(_keys(chunk(p, y), width), repeat(None)))
+            count += len(tails[y]) // width
             if len(seen) < count:
-                seen.clear()
+                seen.clear()  # freed before _first_repeat builds its own
+                j, i0, j0 = _first_repeat([chunk(q, z) for _, q, z in fed[:i + 1]], width)
                 if ranks is None:  # each tail group's ranks, once per call
-                    ranks = {}
-                    for r, q in enumerate(_products(raws[h:], ident)):
-                        ranks.setdefault(q[base[0]], []).append(r)
-                pair = _first_repeat(chunks(x, c + 1), ranks, width, n)
-                # a later class can only hold an earlier collision up to head c
+                    ranks = _tail_ranks(raws[h:], base[0])
+                c0, _, y0 = fed[i0]
+                pair = c * n + ranks[y][j], c0 * n + ranks[y0][j0]
                 best, stop = min(best or pair, pair), c + 1
                 break
     if best:
@@ -267,16 +276,36 @@ def _keys(chunk, width: int):
     return zip(*(chunk[i::width] for i in range(width)))
 
 
-def _first_repeat(chunks, ranks: dict, width: int, n: int) -> tuple[int, int]:
-    """Ranks ``(second, first)`` of the first repeated key of a class, walking
-    its ``chunks`` in rank order; ``ranks[y]`` holds the tail ranks of group y."""
-    first: dict = {}
-    for c, y, chunk in chunks:
-        for key, r in zip(_keys(chunk, width), ranks[y]):
-            r += c * n
-            r0 = first.setdefault(key, r)
-            if r0 != r:
-                return r, r0
+def _first_repeat(chunks: list, width: int) -> tuple[int, int, int]:
+    """Where the first repeated key of a class lies, given its ``chunks`` in
+    rank order, of which only the last repeats a key: key ``j`` of the last
+    chunk repeats key ``j0`` of chunk ``i0``."""
+    *earlier, last = chunks
+    # an earlier chunk's key maps to None, one of the last chunk to its place
+    seen = dict.fromkeys(iterchain.from_iterable(_keys(s, width) for s in earlier))
+    for j, key in enumerate(_keys(last, width)):
+        j0 = seen.setdefault(key, j)
+        if j0 != j:
+            break
+    if j0 is not None:
+        return j, len(earlier), j0
+    for i0, s in enumerate(earlier):
+        for j0, k in enumerate(_keys(s, width)):
+            if k == key:
+                return j, i0, j0
+
+
+def _tail_ranks(blocks, b0: int) -> dict:
+    """The ranks of the products of ``blocks``, grouped by their image y of
+    ``b0``, each group in rank order: one image of one point per product,
+    not a product of full image arrays."""
+    images = [b0]
+    for block in reversed(blocks):
+        images = [e[z] for e in block for z in images]
+    ranks: dict = {}
+    for r, y in enumerate(images):
+        ranks.setdefault(y, []).append(r)
+    return ranks
 
 
 def _index_levels(ls: LogSignature, chain: StabilizerChain):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from logsig import (CyclicSetSpec, LogSignature, LsFormatError, Permutation,
                     Provenance, TameIndexer, VerificationBudgetError,
                     VerificationReport,
-                    build_chain, chain_ls, dumps_ls, factor_integer,
+                    build_chain, build_mls, chain_ls, dumps_ls, factor_integer,
                     is_minimal, load_verified_chain, loads_ls, ls_length,
                     minimal_length, mls_cyclic, mls_solvable, parse_cycles,
                     read_ls, verify_exhaustive, verify_structural, write_ls)
@@ -144,12 +144,12 @@ def c1000_signature(c1000):
 
 def seeded_tamper(ls, chain, rng):
     """Replace a random entry of a random block by a random group member not
-    in that block, or (one time in four) only reverse one block, which keeps
-    an exact signature exact."""
+    in that block, or (one time in four, and always when the block holds the
+    whole group) only reverse one block, which keeps an exact signature exact."""
     blocks = list(ls.blocks)
     bi = rng.randrange(len(blocks))
     entries = list(blocks[bi])
-    if rng.randrange(4) == 0:
+    if rng.randrange(4) == 0 or len(entries) == chain.order:
         entries.reverse()
     else:
         while True:
@@ -161,16 +161,25 @@ def seeded_tamper(ls, chain, rng):
     return LogSignature(degree=ls.degree, blocks=tuple(blocks))
 
 
+def regular_two_cubed():
+    """2^3 acting on itself, x -> x xor b: one base point, so its chain
+    signature is one block holding all 8 elements."""
+    gens = tuple(Permutation([x ^ b for x in range(8)]) for b in (1, 2, 4))
+    return build_chain(GeneratorSet(8, gens))
+
+
 def test_exhaustive_matches_full_image_reference(m11, a5, monkeypatch):
     d300, c1000 = load_verified_chain("D300"), load_verified_chain("C1000")
-    two9 = two_to_the_ninth()
+    two9, two3 = two_to_the_ninth(), regular_two_cubed()
     assert len(two9.base) == 9 and type(_identity_raw(18)) is bytes
     assert type(_identity_raw(300)) is tuple
+    assert chain_ls(two3).block_sizes == (two3.order,)
     cases = [(m11, chain_ls(m11)), (a5, chain_ls(a5)), (two9, chain_ls(two9)),
-             (d300, chain_ls(d300)), (c1000, c1000_signature(c1000))]
+             (d300, chain_ls(d300)), (c1000, c1000_signature(c1000)),
+             (two3, chain_ls(two3))]
     rng = random.Random(20151007)
     outcomes = set()
-    for i in range(150):
+    for i in range(180):
         chain, ls = cases[i % len(cases)]
         bad = seeded_tamper(ls, chain, rng)
         expect = full_image_reference(bad)
@@ -196,6 +205,58 @@ def test_exhaustive_multi_head_m12_matches_full_image_reference(m12):
         assert verdict(bad, m12) == expect
         outcomes.add(expect[0])
     assert outcomes == {True, False}
+
+
+def test_exhaustive_tail_repeat_in_one_head_classes(m22):
+    # the tail is the last four blocks, which fix b0, so it is one group T
+    # and each of the 22 heads feeds its own class.  Replacing the last
+    # entry by b3[1] * b4[1] makes T, and so every class, repeat a product:
+    # a check that passed one-head classes without checking T would pass it
+    ls = chain_ls(m22)
+    assert prod(ls.block_sizes[2:]) < signature._CHUNK <= prod(ls.block_sizes[1:])
+    b0 = m22.base[0]
+    assert all(e(b0) == b0 for block in ls.blocks[1:] for e in block)
+    last = list(ls.blocks[4])
+    last[-1] = ls.blocks[3][1] * ls.blocks[4][1]
+    bad = LogSignature(degree=ls.degree, blocks=ls.blocks[:4] + (tuple(last),))
+    expect = full_image_reference(bad)
+    assert expect == (False, 5, ((0, 0, 0, 0, 2), (0, 0, 0, 1, 1)))
+    assert verdict(bad, m22) == expect
+
+
+def first_repeat_reference(chunks, width):
+    """``signature._first_repeat`` by storing every key with its place: key
+    j of the last chunk is the first to repeat one, key j0 of chunk i0."""
+    seen: dict = {}
+    for i, chunk in enumerate(chunks):
+        for j, key in enumerate(signature._keys(chunk, width)):
+            place = seen.setdefault(key, (i, j))
+            if place != (i, j):
+                assert i == len(chunks) - 1
+                return (j,) + place
+
+
+def test_exhaustive_first_repeat_inside_or_before_its_chunk(m12, monkeypatch):
+    # two seeded tampers of M12's chain signature; a replaced tail entry
+    # that moves b0 splits the tail into groups, so classes are fed by
+    # several heads.  Every failing class's first repeat is checked where
+    # it is found: inside the failing chunk, the class's first or a later
+    # one, and in the chunk just before it or further back
+    first_repeat, places = signature._first_repeat, set()
+
+    def checked_first_repeat(chunks, width):
+        got = first_repeat(chunks, width)
+        assert got == first_repeat_reference(chunks, width)
+        places.add((len(chunks) > 1, min(len(chunks) - 1 - got[1], 2)))
+        return got
+
+    monkeypatch.setattr(signature, "_first_repeat", checked_first_repeat)
+    rng = random.Random(20151009)
+    for _ in range(24):
+        bad = seeded_tamper(seeded_tamper(chain_ls(m12), m12, rng), m12, rng)
+        assert verdict(bad, m12) == full_image_reference(bad)
+    # (earlier chunks in the class, chunks back from the failing one, at most 2)
+    assert places == {(False, 0), (True, 0), (True, 1), (True, 2)}
 
 
 # M12's chain signature is checked with a tail of its last four blocks, so
@@ -276,15 +337,25 @@ def test_exhaustive_m22_time_and_memory_budget(m22, tampered, expect):
     ls = tampered_m22(m22) if tampered else chain_ls(m22)
     start = time.perf_counter()
     report = verify_exhaustive(ls, m22)
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < 0.25
     assert (report.ok, report.products_checked, report.collision) == expect
+    assert peak_bytes(ls, m22) / report.products_checked < 10
+
+
+def test_exhaustive_refined_m12_memory_budget(m12):
+    ls = build_mls(m12)
+    assert ls.provenance.tag == "refined"
+    assert peak_bytes(ls, m12) / m12.order < 10
+
+
+def peak_bytes(ls, chain):
+    """The traced peak of one exhaustive check."""
     tracemalloc.start()
     try:
-        verify_exhaustive(ls, m22)
-        _, peak = tracemalloc.get_traced_memory()
+        verify_exhaustive(ls, chain)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / report.products_checked < 20
 
 
 def test_size_product_mismatch_is_immediate_fail(m11):
