@@ -54,6 +54,16 @@ def _load_chain(args) -> StabilizerChain:
     return load_verified_chain(args.group)
 
 
+def _read_signature(args, chain: StabilizerChain):
+    """The ``--ls`` file, which must have the group's degree."""
+    ls = _read(args.ls, read_ls)
+    if ls.degree != chain.degree:
+        raise ValueError("degree mismatch: %s has degree %d, group %s has degree %d"
+                         % (args.ls, ls.degree, args.group or args.group_file,
+                            chain.degree))
+    return ls
+
+
 def _at_least_one(flag: str, value: int) -> None:
     if value < 1:
         raise ValueError("%s must be at least 1, got %d" % (flag, value))
@@ -133,7 +143,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     _at_least_one("--budget", args.budget)
     chain = _load_chain(args)
-    ls = _read(args.ls, read_ls)
+    ls = _read_signature(args, chain)
     mode = args.mode
     if mode == "auto":
         mode = "exhaustive" if ls.product_count() <= args.budget else "structural"
@@ -161,7 +171,7 @@ def cmd_verify(args) -> int:
 def cmd_factorize(args) -> int:
     _at_least_one("--budget", args.budget)
     chain = _load_chain(args)
-    ls = _read(args.ls, read_ls)
+    ls = _read_signature(args, chain)
     g = parse_cycles(args.element, chain.degree)
     try:
         if ls.provenance.tag in ("chain", "refined") and ls.provenance.annotations:
@@ -262,8 +272,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--element", required=True, help="element in cycle notation")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="max products for generic factorization of a signature "
-                        "without chain annotations (its stored half is capped "
-                        "at 100,000)")
+                        "without chain annotations, by runs read off its entries "
+                        "or by meet-in-the-middle (whose smaller half is capped "
+                        "at 100,000); checked either way")
     p.set_defaults(fn=cmd_factorize)
 
     p = sub.add_parser("table-check",

@@ -1,17 +1,20 @@
 """Recovering the unique factorization of a group element with respect to a
 signature: constant lookups per level for transversal-structured (tame)
-signatures, meet-in-the-middle for everything else.
+signatures, and for signatures without a chain a sift through runs read off
+the entries, or meet-in-the-middle where there are none.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from operator import mul
+from typing import NamedTuple
 
 from .chain import StabilizerChain
 from .perm import (Permutation, _digits_of, _identity_raw, _inv_raw, _mul_raw,
                    _products, _sift)
-from .signature import DEFAULT_BUDGET, LogSignature, _index_levels
+from .signature import (DEFAULT_BUDGET, LogSignature, _index_levels,
+                        _level_table, _run_structure)
 
 __all__ = ["TameIndexer", "FactorizationError", "factorize_tame",
            "factorize_generic", "reconstruct"]
@@ -72,26 +75,67 @@ def reconstruct(ls: LogSignature, digits: tuple[int, ...]) -> Permutation:
     return Permutation._wrap(raw)
 
 
-def _generic_index(ls: LogSignature, split: int, scan_right: bool):
-    """The g-independent half of a meet-in-the-middle split ``g = left * right``.
+class _GenericIndex(NamedTuple):
+    """Everything a generic factorization reads that does not depend on g:
+    the block sizes, the product count, the balanced split's two half
+    sizes, and one of two forms.  ``runs`` is the run form: the ``(point,
+    table)`` pairs :func:`~logsig.perm._sift` walks, and the identity a
+    member leaves.  ``mitm`` is the meet-in-the-middle form ``(stored,
+    scan)``."""
 
-    Returns ``(stored, scan)``.  Scanning the right half, ``stored`` maps
-    each left product to its first rank and ``scan`` lists the right
+    sizes: tuple[int, ...]
+    total: int
+    left_n: int
+    right_n: int
+    runs: tuple | None
+    mitm: tuple | None
+
+
+def _check_limits(total: int, left_n: int, right_n: int, budget: int) -> None:
+    if total > budget:
+        raise ValueError("%d products exceed the budget of %d" % (total, budget))
+    if min(left_n, right_n) > _STORE_CAP:
+        raise ValueError("smaller half-product %d exceeds store cap %d"
+                         % (min(left_n, right_n), _STORE_CAP))
+
+
+def _generic_index(ls: LogSignature, budget: int) -> _GenericIndex:
+    """The per-signature index of :func:`factorize_generic`.
+
+    The limits are checked before either form is built.  The run form is
+    taken when :func:`~logsig.signature._run_structure` finds runs whose
+    tables hold at most ``left_n + right_n`` products, as many as the
+    meet-in-the-middle form's two halves.
+
+    In the meet-in-the-middle form, scanning the right half, ``stored``
+    maps each left product to its first rank and ``scan`` lists the right
     products' inverses, so scanning ``g * right^-1`` finds ``left``.
     Scanning the left half, ``stored`` maps each right product's inverse to
     its first rank and ``scan`` lists the left products, so scanning
     ``g^-1 * left`` finds ``right^-1``.  Either way ``scan`` is in rank
     order, so the first hit is the one the direct scan finds.
     """
-    raws = [[e.img for e in block] for block in ls.blocks]
+    sizes = ls.block_sizes
+    prefix = list(accumulate(sizes, mul, initial=1))
+    total = prefix[-1]
+    split = min(range(len(sizes) + 1),
+                key=lambda t: (max(prefix[t], total // prefix[t]), t))
+    left_n, right_n = prefix[split], total // prefix[split]
+    _check_limits(total, left_n, right_n, budget)
     e = _identity_raw(ls.degree)
+    runs = _run_structure(ls, left_n + right_n)
+    if runs is not None:
+        levels = [(point, _level_table(ls.blocks[start:stop], point, ls.degree))
+                  for start, stop, point in runs]
+        return _GenericIndex(sizes, total, left_n, right_n, (levels, e), None)
+    raws = [[x.img for x in block] for block in ls.blocks]
     left = _products(raws[:split], e)
     right = map(_inv_raw, _products(raws[split:], e))
-    stored_half, scan_half = (left, right) if scan_right else (right, left)
+    stored_half, scan_half = (left, right) if left_n <= right_n else (right, left)
     stored: dict = {}
     for rank, p in enumerate(stored_half):
         stored.setdefault(p, rank)
-    return stored, list(scan_half)
+    return _GenericIndex(sizes, total, left_n, right_n, None, (stored, list(scan_half)))
 
 
 _STORE_CAP = 100_000  # most products the stored half of a split may hold
@@ -99,45 +143,54 @@ _STORE_CAP = 100_000  # most products the stored half of a split may hold
 
 def factorize_generic(g: Permutation, ls: LogSignature,
                       budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
-    """Meet-in-the-middle factorization over a balanced block split.
+    """Factorization of ``g`` without a chain: sifting through runs read
+    off the entries where they exist, meet-in-the-middle otherwise.
 
-    The blocks are split so the two half-products are as balanced as
-    possible; the smaller half is expanded into a lookup table (at most
-    100,000 products), the larger is scanned in enumeration order.
-    Agrees with :func:`factorize_tame` wherever both apply.
+    The run form needs a split of the blocks into runs, each with a point
+    that every entry after the run fixes and that the run's products send
+    to distinct points.  A product then sends the first run's point where
+    its first-run factor does, so that factor is read off one table;
+    stripping it, induction on the runs shows the product map is one to
+    one, and the sift finds the element's only factorization.  A missed
+    lookup or a nonidentity residue means there is none.
 
-    Both halves are independent of ``g``: they are built into an index on
-    the first call and kept on the signature object, outside its fields, so
-    the signature's value, equality and hash never change.  The index holds
-    at most 100,000 stored products plus the larger half's images, and a
-    call maps the larger half through ``g`` (or ``g^-1``) in one pass, in
-    the same scan order, so the first hit is unchanged.
+    Otherwise the blocks are split so the two half-products are as
+    balanced as possible; the smaller half is expanded into a lookup table
+    (at most 100,000 products), the larger is scanned in enumeration
+    order, and the first hit is returned.  The run form is taken only when
+    its tables hold no more products than the two halves.  Both forms give
+    the same digits wherever both apply, and agree with
+    :func:`factorize_tame`.
+
+    The index is independent of ``g``: it holds the block sizes, the
+    product count, the split's half sizes and one form.  It is built on
+    the first call and kept on the signature object, outside its fields,
+    so the signature's value, equality and hash never change.  Every call
+    checks ``budget`` and the store cap against the product count and the
+    smaller half, as meet-in-the-middle needs, whichever form it reads.
     """
     if g.degree != ls.degree:
         raise ValueError("degree mismatch")
-    sizes = ls.block_sizes
-    prefix = list(accumulate(sizes, mul, initial=1))
-    total = prefix[-1]
-    if total > budget:
-        raise ValueError("%d products exceed the budget of %d" % (total, budget))
-    split = min(range(len(sizes) + 1),
-                key=lambda t: (max(prefix[t], total // prefix[t]), t))
-    left_n, right_n = prefix[split], total // prefix[split]
-    if min(left_n, right_n) > _STORE_CAP:
-        raise ValueError("smaller half-product %d exceeds store cap %d"
-                         % (min(left_n, right_n), _STORE_CAP))
-    scan_right = left_n <= right_n
     index = getattr(ls, "_generic_index", None)
     if index is None:
         # two threads that race here store equal indexes
-        index = _generic_index(ls, split, scan_right)
+        index = _generic_index(ls, budget)
         object.__setattr__(ls, "_generic_index", index)
-    stored, scan = index
-    pre = g.img if scan_right else _inv_raw(g.img)
-    for rank, p in enumerate(_products([scan], pre)):
-        hit = stored.get(p)
-        if hit is not None:
-            left, right = (hit, rank) if scan_right else (rank, hit)
-            return _digits_of(left * right_n + right, sizes)
+    sizes, total, left_n, right_n, runs, mitm = index
+    _check_limits(total, left_n, right_n, budget)
+    if runs is not None:
+        levels, identity = runs
+        raw, digits, passed = _sift(g.img, levels)
+        if passed == len(levels) and raw == identity:
+            return digits
+    else:
+        stored, scan = mitm
+        scan_right = left_n <= right_n
+        pre = g.img if scan_right else _inv_raw(g.img)
+        for rank, p in enumerate(_products([scan], pre)):
+            hit = stored.get(p)
+            if hit is not None:
+                left, right = (hit, rank) if scan_right else (rank, hit)
+                return _digits_of(left * right_n + right, sizes)
     raise FactorizationError("element has no factorization; it is not a member "
                              "(or the signature is not exact)")

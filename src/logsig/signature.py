@@ -372,6 +372,73 @@ def _level_table(sets, point: int, degree: int) -> dict:
             for rank, q in enumerate(_products(raws, _identity_raw(degree)))}
 
 
+def _run_structure(ls: LogSignature, limit: int):
+    """A split of the blocks into runs, read off the entries alone, that
+    proves the product map one to one; None if none is found within ``limit``.
+
+    Returns ``(start, stop, point)`` triples that cover the blocks in order.
+    Every entry of ``blocks[stop:]`` fixes ``point``, and the products of
+    ``blocks[start:stop]`` send ``point`` to distinct points.  So a product
+    sends the first run's point where its first-run factor does, which
+    fixes that factor; stripping it, the same holds for the next run, and
+    by induction distinct digit tuples give distinct products.  Sifting an
+    element through :func:`_level_table` of each run therefore finds its
+    one factorization if it has one.  In a chain signature the runs are
+    the levels and the points the base.
+
+    Each run is the shortest that holds more than one product and has such
+    a point, which keeps every split that exists reachable; one-entry
+    blocks at the end join the last run.  None when a run would hold more
+    products than the degree, or the runs together more than ``limit``.
+    """
+    blocks, n = ls.blocks, ls.degree
+    # fixed[u]: the points every entry of blocks[u:] fixes, in order
+    fixed = [()] * len(blocks) + [range(n)]
+    for u in range(len(blocks) - 1, 0, -1):
+        f = fixed[u + 1]
+        for e in blocks[u]:
+            img = e.img
+            f = [x for x in f if img[x] == x]
+        fixed[u] = f
+        if not f:
+            break
+    runs: list = []
+    start, count, held = 0, 1, 0
+    for stop in range(1, len(blocks) + 1):
+        count *= len(blocks[stop - 1])
+        if count == 1:
+            continue
+        if count > n or held + count > limit:
+            return None
+        point = next((b for b in fixed[stop]
+                      if _maps_apart(blocks[start:stop], b)), None)
+        if point is not None:
+            runs.append((start, stop, point))
+            start, count, held = stop, 1, held + count
+    if count > 1:
+        return None
+    if start < len(blocks):  # one-entry blocks, which fix every run's point
+        if runs:
+            runs[-1] = (runs[-1][0], len(blocks), runs[-1][2])
+        elif n:
+            runs.append((0, len(blocks), 0))
+        else:
+            return None
+    return runs
+
+
+def _maps_apart(blocks, point: int) -> bool:
+    """Whether the products of ``blocks`` send ``point`` to distinct points.
+    Each suffix's products must already, so the check stops at the first
+    suffix that repeats an image."""
+    images = [point]
+    for block in reversed(blocks):
+        images = [e.img[z] for e in block for z in images]
+        if len(set(images)) < len(images):
+            return False
+    return True
+
+
 def verify_structural(ls: LogSignature, chain: StabilizerChain) -> VerificationReport:
     """Certify exactness level by level instead of by full enumeration.
 

@@ -466,6 +466,8 @@ MALFORMED = {
         "factorize", "--group", "M12", "--ls", _m11_file(t), "--element", "()"],
     "verify-wrong-degree": lambda t: [
         "verify", "--group", "M12", "--ls", _m11_file(t)],
+    "verify-wrong-degree-structural": lambda t: [
+        "verify", "--group", "M12", "--ls", _m11_file(t), "--mode", "structural"],
     "encrypt-list-key": lambda t: [
         "pgm", "encrypt", "--group", "M11", "--key", _json_file(t, [1, 2]), "3"],
     "decrypt-key-without-alpha": lambda t: [
@@ -553,6 +555,9 @@ MALFORMED_MESSAGES = {
     "verify-annotation-count": "annotation count 2 != block count 3",
     "verify-repeated-entry": "block 0 has repeated entries",
     "encrypt-unknown-key-format": "unsupported key format 'logsig-key/0'",
+    "factorize-wrong-degree": "m11.ls has degree 11, group M12 has degree 12",
+    "verify-wrong-degree": "m11.ls has degree 11, group M12 has degree 12",
+    "verify-wrong-degree-structural": "m11.ls has degree 11, group M12 has degree 12",
 }
 
 

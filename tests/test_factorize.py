@@ -16,9 +16,10 @@ from pathlib import Path
 import pytest
 
 from logsig import (FactorizationError, LogSignature, Permutation, Provenance,
-                    TameIndexer, build_chain, chain_ls, factorize_generic,
-                    factorize_tame, load_group, load_verified_chain,
-                    mls_solvable, parse_cycles, reconstruct, refine_ls)
+                    TameIndexer, build_chain, build_mls, chain_ls,
+                    factorize_generic, factorize_tame, load_group,
+                    load_verified_chain, mls_solvable, parse_cycles,
+                    reconstruct, refine_ls)
 from logsig import factorize
 from logsig.perm import (_digits_of, _identity_raw, _inv_raw, _mul_raw,
                          _products, _value_of)
@@ -291,18 +292,20 @@ def test_generic_index_holds_no_strong_reference(a5):
         gc.enable()
 
 
-def test_generic_index_built_once_per_signature(a5, monkeypatch):
-    built = []
+def test_generic_index_built_once_per_signature(a5, s4, monkeypatch):
     build = factorize._generic_index
-    monkeypatch.setattr(factorize, "_generic_index",
-                        lambda ls, *split: built.append(ls) or build(ls, *split))
-    ls, twin = chain_ls(a5), copied(chain_ls(a5))
-    g = a5.element_at(17)
-    for _ in range(10):
-        assert factorize_generic(g, ls) == generic_reference(g, ls)
-    assert len(built) == 1 and built[0] is ls
-    assert factorize_generic(g, twin) == generic_reference(g, ls)
-    assert len(built) == 2 and built[1] is twin
+    for chain, make, form in ((a5, chain_ls, "runs"), (s4, mls_solvable, "mitm")):
+        built = []
+        monkeypatch.setattr(factorize, "_generic_index",
+                            lambda ls, *split: built.append(ls) or build(ls, *split))
+        ls, twin = make(chain), copied(make(chain))
+        g = chain.element_at(17)
+        for _ in range(10):
+            assert factorize_generic(g, ls) == generic_reference(g, ls)
+        assert len(built) == 1 and built[0] is ls
+        assert getattr(ls._generic_index, form) is not None
+        assert factorize_generic(g, twin) == generic_reference(g, ls)
+        assert len(built) == 2 and built[1] is twin
 
 
 def test_generic_list_blocks_factorize_like_tuples(a5):
@@ -364,3 +367,89 @@ def test_generic_budget_refined_m12(m12):
     for g in elements[1:]:
         factorize_generic(g, ls)
     assert time.perf_counter() - start < 0.1
+
+
+def unannotated(ls):
+    return dataclasses.replace(ls, provenance=Provenance("manual"))
+
+
+def _all_products(ls):
+    return list(dict.fromkeys(reconstruct(ls, d)
+                              for d in product(*map(range, ls.block_sizes))))
+
+
+def _sampled_products(ls, rng, k):
+    return [reconstruct(ls, tuple(rng.randrange(n) for n in ls.block_sizes))
+            for _ in range(k)]
+
+
+def overlapping_run(chain):
+    """Blocks {e, (1,2)}, {e, (1,2)(3,4)}, {e, (3,4)} of S4.  The last block
+    fixes points 1 and 2, and the middle one sends each to two points, but
+    the first two blocks together repeat an image of either, so the
+    signature has no runs."""
+    e = Permutation.identity(4)
+    blocks = tuple((e, parse_cycles(c, 4)) for c in ("(1,2)", "(1,2)(3,4)", "(3,4)"))
+    return LogSignature(degree=4, blocks=blocks)
+
+
+def _generic_cases():
+    """name -> (chain name, signature builder, form the index must take)."""
+    from test_signature import c1000_signature, nonmember_entry, wrong_level_entry
+    cases = {}
+    for name in ("M11", "M12", "M22", "A5", "A6", "A7", "A8", "A9", "PSL(2,7)",
+                 "PSL(2,11)", "S3", "S4", "A4", "D12", "SL(2,3)", "D300", "C100"):
+        cases[name + "-chain"] = (name, lambda c: unannotated(chain_ls(c)), "runs")
+    for name in ("M11", "M12", "M22", "A5", "A6", "A7", "A8", "A9", "PSL(2,7)",
+                 "PSL(2,11)"):
+        cases[name + "-refined"] = (name, lambda c: unannotated(build_mls(c)), "runs")
+    # these solvable signatures split into no runs; C100's is one run of 100
+    # products, more than its halves' 10 + 10, and C1000's of 1,000 > 40 + 25
+    for name in ("S3", "S4", "A4", "D12", "SL(2,3)", "D300", "C100"):
+        cases[name + "-solvable"] = (name, lambda c: unannotated(build_mls(c)), "mitm")
+    cases["C1000-cyclic"] = ("C1000", c1000_signature, "mitm")
+    # inexact or repeating signatures, queried on their own products too
+    cases["S3-doubled"] = ("S3", lambda c: doubled(chain_ls(c).blocks), "mitm")
+    cases["A5-doubled"] = ("A5", lambda c: doubled(chain_ls(c).blocks[::-1]), "mitm")
+    cases["M11-wrong-level"] = ("M11", wrong_level_entry, "mitm")
+    cases["A5-wrong-level"] = ("A5", wrong_level_entry, "mitm")
+    cases["A5-nonmember-entry"] = ("A5", nonmember_entry, "runs")
+    cases["S4-overlapping-run"] = ("S4", overlapping_run, "mitm")
+    return cases
+
+
+GENERIC_CASES = _generic_cases()
+OWN_PRODUCTS = ("-doubled", "-wrong-level", "-nonmember-entry", "-overlapping-run")
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_CASES))
+def test_generic_forms_match_reference(name):
+    group, build, form = GENERIC_CASES[name]
+    chain = load_verified_chain(group)
+    ls = build(chain)
+    rng = random.Random(20261019)
+    n = chain.degree
+    members = [chain.element_at(rng.randrange(chain.order)) for _ in range(20)]
+    others = [Permutation(rng.sample(range(n), n)) for _ in range(5)]
+    if name.endswith(OWN_PRODUCTS):
+        # a doubled signature repeats products, so the first in scan rank
+        # order must be returned; an inexact one may miss group members
+        members += (_all_products(ls) if ls.product_count() <= 600
+                    else _sampled_products(ls, rng, 300))
+    for g in members + others:
+        assert outcome(factorize_generic, g, ls) == outcome(generic_reference, g, ls), g
+    index = vars(ls)["_generic_index"]
+    assert (index.runs is not None, index.mitm is not None) == (form == "runs", form == "mitm")
+
+
+def test_generic_run_form_is_fast_when_warm(m12):
+    ls = unannotated(refined_m12())
+    rng = random.Random(21)
+    elements = [m12.element_at(rng.randrange(m12.order)) for _ in range(1000)]
+    factorize_generic(elements[0], ls)
+    assert vars(ls)["_generic_index"].runs is not None
+    start = time.perf_counter()
+    for g in elements:
+        factorize_generic(g, ls)
+    # ~0.013 s on a 2-CPU x86-64 machine; meet-in-the-middle took ~0.1 s
+    assert time.perf_counter() - start < 0.03
