@@ -168,21 +168,30 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
     multiple of 8 points by repeating one); for degree > 256 it is the
     tuple of base images.
 
-    Products with different images x of the first base point b0 differ, so
-    each class x is checked on its own.  The trailing blocks are expanded
-    once into packed base images of at least ``_CHUNK`` products, grouped
-    by their image y of b0; each product p of the leading blocks (a head)
-    maps group y into class p(y) in one C-level step.  A head maps keys one
-    to one, so its chunk of a class repeats a key exactly when its group
-    does: each group is checked once, and a class fed by one head is done
-    when that head's group is.  Only a class fed by two or more heads is
-    walked, storing its keys.  Past the tail, the work grows with the
-    products of such classes, not with |G|, and the keys stored at once are
-    one group's or one walked class's; the budget still counts all |G|
-    products.  A class sees its products in rank order (mixed radix, digits
-    varying fastest in the last block); at its first chunk that repeats a
-    key, its chunks are scanned again for the first repeat, and the report
-    names the least second rank over the classes.
+    The trailing blocks (the tail) are expanded once into packed base
+    images, grouped by their image y of the first base point b0.  The tail
+    grows right to left until it holds ``_CHUNK`` products or the square of
+    its count reaches |G|, and then on to a level boundary: up to the next
+    block that moves a base point every tail entry fixes (when there is
+    one).  Every tail product fixes those points, the pinned ones, so a
+    product of a leading product p (a head) and the tail sends them where
+    p does.  Products with different images of b0 or of a pinned point
+    are different, so the products are split into classes by those
+    images, each checked on its own; a head maps group y into class
+    (p(y), p(pinned)) in one C-level step.  A head maps keys one to one,
+    so its chunk of a class repeats a key exactly when its group does:
+    each group is checked once, and a class fed by one head is done when
+    that head's group is.  Only a class fed by two or more heads is
+    walked, storing its keys.  Where the tail of an exact chain or refined
+    signature ends at a level boundary, the heads are coset
+    representatives, distinct on the pinned points: every class has one
+    head, and the check is the tail plus one class key per head.  Besides
+    the packed tail, the keys stored at once are one group's or one
+    walked class's; the budget still counts all |G| products.  A class
+    sees its products in rank order (mixed radix, digits varying fastest
+    in the last block); at its first chunk that repeats a key, its chunks
+    are scanned again for the first repeat, and the report names the
+    least second rank over the classes.
     """
     if ls.degree != chain.degree:
         raise ValueError("degree mismatch")
@@ -211,10 +220,15 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
     pad = -len(base) % 8 if mk is bytes else 0
     points = base[1:] + base[-1:] * pad + base[:1]
     width = len(points)
+    # pinned[u]: the base points that every entry of blocks[u:] fixes
+    pinned = _fixed_points(ls.blocks, base)
     # expand the trailing blocks right to left into packed base images,
-    # grouped by b0's image y (each string's last point), in rank order
+    # grouped by b0's image y (each string's last point), in rank order:
+    # up to the balance point, then on to the next block that moves a
+    # base point the tail fixes
     tails, h, n = {base[0]: mk(points)}, len(raws), 1
-    while h and n < _CHUNK:
+    while h and (n < _CHUNK and n * n < total
+                 or pinned[h] and pinned[h - 1] == pinned[h]):
         h -= 1
         n *= sizes[h]
         parts: dict = {}
@@ -226,11 +240,14 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
     # key iff its group T_y does: each group is checked once, here
     distinct = {y: len(dict.fromkeys(_keys(t, width))) * width == len(t)
                 for y, t in tails.items()}
-    # class x -> (rank c, head p, group y) for each head that maps y to x
-    feeds: dict = {}
+    # every tail product fixes the points of pin, so a product maps them
+    # as its head does: class (x, images of pin) -> (rank c, head p, group
+    # y) for each head that maps y to x
+    pin, feeds = pinned[h], {}
     for c, p in enumerate(_products(raws[:h], ident)):
+        at = tuple(map(p.__getitem__, pin))
         for y in tails:
-            feeds.setdefault(p[y], []).append((c, p, y))
+            feeds.setdefault((p[y], at), []).append((c, p, y))
 
     def chunk(p, y):  # the packed base images of head p times group y
         return next(_products([[tails[y]]], p))
@@ -263,7 +280,8 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
     return VerificationReport(ok=True, method="exhaustive", products_checked=total)
 
 
-# least number of products in the expanded tail of the exhaustive oracle
+# the exhaustive oracle's tail stops growing toward the balance point at
+# this many products; it may still grow on to a level boundary
 _CHUNK = 4096
 
 
@@ -365,11 +383,18 @@ def _index_levels(ls: LogSignature, chain: StabilizerChain):
 def _level_table(sets, point: int, degree: int) -> dict:
     """The image of ``point`` under each product of the element sets, mapped
     to the product's digit tuple and inverse.  A product set as large as an
-    orbit maps ``point`` one to one onto it iff the keys are its points."""
-    sizes = [len(s) for s in sets]
-    raws = [[e.img for e in s] for s in sets]
-    return {q[point]: (_digits_of(rank, sizes), _inv_raw(q))
-            for rank, q in enumerate(_products(raws, _identity_raw(degree)))}
+    orbit maps ``point`` one to one onto it iff the keys are its points.
+
+    Only the inverses are expanded: they are the products of the inverted
+    entries in reverse set order, whose digits are the product's reversed,
+    and an inverse sends the product's image of ``point`` back to it."""
+    sizes = [len(s) for s in reversed(sets)]
+    inverted = [[_inv_raw(e.img) for e in s] for s in reversed(sets)]
+    # one set's inverses are its inverted entries, not composed with the identity
+    inverses = (inverted[0] if len(inverted) == 1
+                else _products(inverted, _identity_raw(degree)))
+    return {u.index(point): (_digits_of(rank, sizes)[::-1], u)
+            for rank, u in enumerate(inverses)}
 
 
 def _run_structure(ls: LogSignature, limit: int):
@@ -392,16 +417,7 @@ def _run_structure(ls: LogSignature, limit: int):
     products than the degree, or the runs together more than ``limit``.
     """
     blocks, n = ls.blocks, ls.degree
-    # fixed[u]: the points every entry of blocks[u:] fixes, in order
-    fixed = [()] * len(blocks) + [range(n)]
-    for u in range(len(blocks) - 1, 0, -1):
-        f = fixed[u + 1]
-        for e in blocks[u]:
-            img = e.img
-            f = [x for x in f if img[x] == x]
-        fixed[u] = f
-        if not f:
-            break
+    fixed = _fixed_points(blocks, range(n))
     runs: list = []
     start, count, held = 0, 1, 0
     for stop in range(1, len(blocks) + 1):
@@ -425,6 +441,22 @@ def _run_structure(ls: LogSignature, limit: int):
         else:
             return None
     return runs
+
+
+def _fixed_points(blocks, points) -> list:
+    """``fixed[u]``: the points of ``points`` that every entry of
+    ``blocks[u:]`` fixes, in order, for u from 0 to ``len(blocks)``."""
+    f = list(points)
+    fixed = [f]
+    for block in reversed(blocks):
+        for e in block:
+            if not f:
+                break
+            img = e.img
+            f = [x for x in f if img[x] == x]
+        fixed.append(f)
+    fixed.reverse()
+    return fixed
 
 
 def _maps_apart(blocks, point: int) -> bool:

@@ -20,7 +20,7 @@ from logsig import (FactorizationError, LogSignature, Permutation, Provenance,
                     factorize_generic, factorize_tame, load_group,
                     load_verified_chain, mls_solvable, parse_cycles,
                     reconstruct, refine_ls)
-from logsig import factorize
+from logsig import factorize, signature
 from logsig.perm import (_digits_of, _identity_raw, _inv_raw, _mul_raw,
                          _products, _value_of)
 
@@ -440,6 +440,36 @@ def test_generic_forms_match_reference(name):
         assert outcome(factorize_generic, g, ls) == outcome(generic_reference, g, ls), g
     index = vars(ls)["_generic_index"]
     assert (index.runs is not None, index.mitm is not None) == (form == "runs", form == "mitm")
+
+
+def level_table_reference(sets, point, degree):
+    """``signature._level_table`` by inverting every product."""
+    sizes = [len(s) for s in sets]
+    raws = [[e.img for e in s] for s in sets]
+    return {q[point]: (_digits_of(rank, sizes), _inv_raw(q))
+            for rank, q in enumerate(_products(raws, _identity_raw(degree)))}
+
+
+@pytest.mark.parametrize("name, build", [
+    ("D300", chain_ls),  # tuple images, one block per level
+    ("M24", chain_ls),
+    ("M24", build_mls),  # several blocks per level
+    ("M12", build_mls),
+])
+def test_level_tables_match_inverting_every_product(name, build):
+    chain = load_verified_chain(name)
+    ls = build(chain)
+    levels: dict = {}
+    for block, a in zip(ls.blocks, ls.provenance.annotations):
+        levels.setdefault(a.level, []).append(block)
+    for level, sets in levels.items():
+        point = chain.levels[level].point
+        table = signature._level_table(sets, point, ls.degree)
+        assert table == level_table_reference(sets, point, ls.degree)
+        assert len(table) == len(chain.levels[level].orbit)
+    # no sets: the one product is the identity
+    e = _identity_raw(ls.degree)
+    assert signature._level_table([], 0, ls.degree) == {0: ((), e)}
 
 
 def test_generic_run_form_is_fast_when_warm(m12):

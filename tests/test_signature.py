@@ -184,19 +184,52 @@ def test_exhaustive_matches_full_image_reference(m11, a5, monkeypatch):
         bad = seeded_tamper(ls, chain, rng)
         expect = full_image_reference(bad)
         assert verdict(bad, chain) == expect
-        # every case fits in one tail; with a chunk of 1 the tail is empty
-        # and each product is its own head
+        # with a chunk of 1 the tail is empty and each product is its own
+        # head.  The boundary rule adds no block to it: the last block holds
+        # two members or more, so a nonidentity one, which moves a base point
+        assert len(bad.blocks[-1]) > 1
         with monkeypatch.context() as mp:
             mp.setattr(signature, "_CHUNK", 1)
-            assert verdict(bad, chain) == expect
+            if expect[0]:
+                assert verdict(bad, chain) == expect
+            else:
+                assert failing_verdict_and_tail(bad, chain, mp) == (expect, 0)
         outcomes.add(expect[0])
     assert outcomes == {True, False}
 
 
+def tail_cut_after_block_1(ls, chain):
+    """Assert that the oracle's tail is ``blocks[2:]``: it reaches the
+    balance point there, below ``_CHUNK``, and block 1 moves b1, which every
+    later entry fixes, as b0."""
+    sizes, (b0, b1) = ls.block_sizes, chain.base[:2]
+    assert prod(sizes[3:]) ** 2 < chain.order <= prod(sizes[2:]) ** 2
+    assert prod(sizes[3:]) < signature._CHUNK
+    assert all(e(b0) == b0 and e(b1) == b1 for block in ls.blocks[2:] for e in block)
+    assert any(e(b1) != b1 for e in ls.blocks[1])
+
+
+def failing_verdict_and_tail(ls, chain, monkeypatch):
+    """The verdict of a failing check, and the number of blocks in its tail
+    as the oracle passes them to ``_tail_ranks``."""
+    tail_ranks, tails = signature._tail_ranks, []
+
+    def counted_tail_ranks(blocks, b0):
+        tails.append(len(blocks))
+        return tail_ranks(blocks, b0)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(signature, "_tail_ranks", counted_tail_ranks)
+        got = verdict(ls, chain)
+    assert not got[0] and len(tails) == 1
+    return got, tails[0]
+
+
 def test_exhaustive_multi_head_m12_matches_full_image_reference(m12):
     ls = chain_ls(m12)
-    # the tail is the last four blocks, so block 0's 12 entries are the heads
-    assert prod(ls.block_sizes[2:]) < signature._CHUNK <= prod(ls.block_sizes[1:])
+    # the tail is the last three blocks, so the 132 products of blocks 0
+    # and 1 are the heads, each in its own class until a tamper joins two
+    tail_cut_after_block_1(ls, m12)
     rng = random.Random(20151008)
     outcomes = set()
     for _ in range(10):
@@ -207,21 +240,20 @@ def test_exhaustive_multi_head_m12_matches_full_image_reference(m12):
     assert outcomes == {True, False}
 
 
-def test_exhaustive_tail_repeat_in_one_head_classes(m22):
-    # the tail is the last four blocks, which fix b0, so it is one group T
-    # and each of the 22 heads feeds its own class.  Replacing the last
-    # entry by b3[1] * b4[1] makes T, and so every class, repeat a product:
-    # a check that passed one-head classes without checking T would pass it
+def test_exhaustive_tail_repeat_in_one_head_classes(m22, monkeypatch):
+    # the tail is the last three blocks, which fix b0 and b1, so it is one
+    # group T and each of the 462 heads feeds its own class.  Replacing the
+    # last entry by b3[1] * b4[1] makes T, and so every class, repeat a
+    # product: a check that passed one-head classes without checking T
+    # would pass it
     ls = chain_ls(m22)
-    assert prod(ls.block_sizes[2:]) < signature._CHUNK <= prod(ls.block_sizes[1:])
-    b0 = m22.base[0]
-    assert all(e(b0) == b0 for block in ls.blocks[1:] for e in block)
     last = list(ls.blocks[4])
     last[-1] = ls.blocks[3][1] * ls.blocks[4][1]
     bad = LogSignature(degree=ls.degree, blocks=ls.blocks[:4] + (tuple(last),))
+    tail_cut_after_block_1(bad, m22)
     expect = full_image_reference(bad)
     assert expect == (False, 5, ((0, 0, 0, 0, 2), (0, 0, 0, 1, 1)))
-    assert verdict(bad, m22) == expect
+    assert failing_verdict_and_tail(bad, m22, monkeypatch) == (expect, 3)
 
 
 def first_repeat_reference(chunks, width):
@@ -237,11 +269,14 @@ def first_repeat_reference(chunks, width):
 
 
 def test_exhaustive_first_repeat_inside_or_before_its_chunk(m12, monkeypatch):
-    # two seeded tampers of M12's chain signature; a replaced tail entry
-    # that moves b0 splits the tail into groups, so classes are fed by
-    # several heads.  Every failing class's first repeat is checked where
-    # it is found: inside the failing chunk, the class's first or a later
-    # one, and in the chunk just before it or further back
+    # two seeded tampers of M12's chain signature.  A replaced head entry
+    # that repeats a coset, or a replaced tail entry that moves b0 or b1,
+    # lets several heads feed one class.  Every failing class's first
+    # repeat is checked where it is found: inside the failing chunk, the
+    # class's first or a later one, and in the chunk just before it or
+    # further back.  A repeat inside a later chunk needs its tail group to
+    # repeat a key and the class's earlier chunks to come from a group
+    # that does not; the first 42 draws of this seed reach it
     first_repeat, places = signature._first_repeat, set()
 
     def checked_first_repeat(chunks, width):
@@ -251,42 +286,46 @@ def test_exhaustive_first_repeat_inside_or_before_its_chunk(m12, monkeypatch):
         return got
 
     monkeypatch.setattr(signature, "_first_repeat", checked_first_repeat)
-    rng = random.Random(20151009)
-    for _ in range(24):
+    rng = random.Random(20151010)
+    for _ in range(48):
         bad = seeded_tamper(seeded_tamper(chain_ls(m12), m12, rng), m12, rng)
         assert verdict(bad, m12) == full_image_reference(bad)
     # (earlier chunks in the class, chunks back from the failing one, at most 2)
     assert places == {(False, 0), (True, 0), (True, 1), (True, 2)}
 
 
-# M12's chain signature is checked with a tail of its last four blocks, so
-# the product of rank r comes from head r // M12_TAIL, its block-0 digit.
-# Each pair below lies in one class, the tampered entry's image of b0; the
-# parameter name ``chunks`` is part of the test ids.
-M12_TAIL = 11 * 10 * 9 * 8
+# M12's chain signature is checked with a tail of its last three blocks,
+# so the product of rank r comes from head r // M12_TAIL, the rank of its
+# digits in blocks 0 and 1.  Each pair below lies in one class, the images
+# of b0 and b1 under the tampered head; the parameter name ``chunks`` is
+# part of the test ids.
+M12_TAIL = 10 * 9 * 8
 
 
 @pytest.mark.parametrize("block, src, dst, chunks", [
-    (3, 0, 5, (0, 0)),    # both ranks come from the first head
-    (1, 2, 7, (0, 0)),
-    (0, 3, 7, (3, 7)),    # a later head repeats an earlier one of its class
-    (0, 0, 11, (0, 11)),  # the last head repeats the first
+    (3, 0, 5, (0, 0)),       # both ranks come from the first head
+    (1, 2, 7, (2, 7)),       # a later head repeats an earlier one of its class
+    (0, 3, 7, (38, 77)),     # head (7, 0) repeats head (3, 5)
+    (0, 0, 11, (5, 121)),    # head (11, 0), of the last block-0 entry, repeats (0, 5)
 ])
-def test_exhaustive_collision_chunks_match_reference(m12, block, src, dst, chunks):
+def test_exhaustive_collision_chunks_match_reference(m12, block, src, dst, chunks,
+                                                    monkeypatch):
     bad = tamper(chain_ls(m12), m12, block=block, src=src, dst=dst)
+    tail_cut_after_block_1(bad, m12)
     ok, checked, collision = expect = full_image_reference(bad)
     assert not ok
     first, second = (_value_of(c, bad.block_sizes) for c in collision)
     assert second + 1 == checked
     assert (first // M12_TAIL, second // M12_TAIL) == chunks
-    assert verdict(bad, m12) == expect
+    assert failing_verdict_and_tail(bad, m12, monkeypatch) == (expect, 3)
 
 
 def test_exhaustive_reports_the_rank_first_of_several_failing_classes(m12):
-    # block-0 entry i maps b0 to orbit[i] and is head i; each tamper doubles
-    # the class of its source.  Class orbit[1], first fed by head 1, repeats
-    # from head 9 on; class orbit[4], first fed by head 3, repeats from head
-    # 4 on and holds the first collision in rank order
+    # block-0 entry i maps b0 to orbit[i]; each tamper doubles the classes
+    # of its source, which join a head of entry dst to one of entry src.
+    # A class of entry 1 repeats from entry 9 on; a class of entry 4, first
+    # fed by entry 3, repeats from entry 4 on and holds the first collision
+    # in rank order
     orbit, b0 = m12.levels[0].orbit, m12.base[0]
     once = tamper(chain_ls(m12), m12, block=0, src=1, dst=9)
     twice = tamper(once, m12, block=0, src=4, dst=3)
@@ -296,7 +335,8 @@ def test_exhaustive_reports_the_rank_first_of_several_failing_classes(m12):
         assert not ok
         first, second = (reconstruct(bad, c) for c in collision)
         assert first == second
-        found.append((first(b0), (checked - 1) // M12_TAIL))
+        assert _digits_of(checked - 1, bad.block_sizes) == collision[1]
+        found.append((first(b0), collision[1][0]))
         assert verdict(bad, m12) == expect
     # entries 1 and 9 are the same in both, so class orbit[1] fails in both
     assert found == [(orbit[1], 9), (orbit[4], 4)]
@@ -334,12 +374,29 @@ def tampered_m22(m22):
     (True, (False, 423_361, ((1, 1, 0, 0, 0), (21, 0, 0, 0, 0)))),
 ])
 def test_exhaustive_m22_time_and_memory_budget(m22, tampered, expect):
+    # the tamper joins each head of the last block-0 entry to one of entry
+    # 1 in a class; every other head, a product of blocks 0 and 1, feeds
+    # its own class, which is not walked
     ls = tampered_m22(m22) if tampered else chain_ls(m22)
     start = time.perf_counter()
     report = verify_exhaustive(ls, m22)
-    assert time.perf_counter() - start < 0.25
+    assert time.perf_counter() - start < 0.05
     assert (report.ok, report.products_checked, report.collision) == expect
-    assert peak_bytes(ls, m22) / report.products_checked < 10
+    assert peak_bytes(ls, m22) / report.products_checked < 2
+
+
+@pytest.mark.parametrize("name", ["A10", "S10"])
+def test_exhaustive_alternating_and_symmetric_chain_budget(name):
+    # the tail is cut at a level boundary, so each head feeds its own class
+    # and no class is walked: one tail group of 2,520 (A10) or 5,040 (S10)
+    # keys instead of walks of 181,440 or 362,880 keys per class
+    chain = load_verified_chain(name)
+    ls = chain_ls(chain)
+    start = time.perf_counter()
+    report = verify_exhaustive(ls, chain)
+    assert time.perf_counter() - start < 0.1
+    assert report.ok and report.products_checked == chain.order
+    assert peak_bytes(ls, chain) / chain.order < 1
 
 
 def test_exhaustive_refined_m12_memory_budget(m12):
