@@ -103,10 +103,14 @@ class StabilizerChain:
         return Permutation._wrap(_sift(g.img, self._walk[start:])[0])
 
     def contains(self, g: Permutation) -> bool:
-        """True iff ``g`` is a product of this chain's generators."""
+        """True iff ``g`` is a product of this chain's generators.
+
+        The sift stops once the residue is the identity: every level's table
+        maps its own point to the identity, so the later levels would keep
+        it, and a level-k member is decided in at most k + 1 products."""
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        return _sift(g.img, self._walk)[0] == self._identity
+        return _sift(g.img, self._walk, self._identity)[0] == self._identity
 
     def __contains__(self, g: Permutation) -> bool:
         return self.contains(g)

@@ -21,8 +21,9 @@ class CycleFormatError(ValueError):
 
 # Image arrays are stored as ``bytes`` for degree <= 256 and as a tuple of
 # ints otherwise.  Both are hashable, compact and O(1)-indexable; the helpers
-# below, ``construct._cover_search``, ``signature.verify_exhaustive`` and
-# ``signature._keys`` are the only places that care which one they got.
+# below, ``construct._cover_search``, ``signature.verify_exhaustive``,
+# ``signature._join`` and ``signature._keys`` are the only places that care
+# which one they got.
 
 def _raw(images: Iterable[int], degree: int):
     if degree <= 256:
@@ -51,11 +52,9 @@ def _products(raw_blocks, pre):
     With no blocks the only product is ``pre``.
 
     Each entry of the last block is mapped point by point through its
-    prefix, so it may be any sequence of points, longer than the degree
-    too: a packed string of several image arrays yields the packed images
-    of the products.  The exhaustive oracle relies on this to expand its
-    tail of packed base images, and to map one group of that tail into a
-    class through one product of the leading blocks, in one step each.
+    prefix, as :func:`_images` maps it, so it may be any sequence of
+    points, longer than the degree too: a packed string of several image
+    arrays yields the packed images of the products.
     """
     k = len(raw_blocks) - 1
     if k < 0:
@@ -88,6 +87,19 @@ def _products(raw_blocks, pre):
             prefix[j + 1] = _mul_raw(prefix[j], raw_blocks[j][digits[j]])
 
 
+def _images(p, points):
+    """The images under ``p`` of a packed string of points, as
+    :func:`_products` maps one entry of its last block through one prefix.
+
+    One C-level step whatever the string's length: the exhaustive oracle
+    expands its tail and its class keys with it, one call per block entry,
+    and maps a tail group into a class through one head."""
+    if type(p) is bytes:
+        return points.translate(p + _TAIL[len(p):])
+    # itemgetter of one point returns the point, not a tuple
+    return itemgetter(*points)(p) if len(points) > 1 else (p[points[0]],)
+
+
 def _digits_of(rank: int, sizes) -> tuple[int, ...]:
     """Mixed-radix digits of ``rank``, the last size least significant."""
     out = []
@@ -117,11 +129,12 @@ def _sift(raw, levels, stop=None):
     number of levels stripped.  Every table holds its own point, so a walk
     that stops early leaves a nonidentity residue.
 
-    A residue equal to ``stop`` (the identity, as chain building passes it)
-    ends the walk with every level counted as passed.  That is the full
-    walk's outcome only when each table maps its own point to
-    ``((), identity)``, as the tables chain building strips through do; the
-    randomized transversals of PGM keys do not.
+    A residue equal to ``stop`` (the identity, as chain building and the
+    membership test pass it) ends the walk with every level counted as
+    passed.  That is the full walk's outcome only when each table maps its
+    own point to the identity, as a chain's tables do; the randomized
+    transversals of PGM keys do not.  Membership reads only the residue, so
+    the digits a stopped walk leaves out do not matter there.
     """
     out = ()
     for passed, (point, table) in enumerate(levels):
@@ -136,10 +149,14 @@ def _sift(raw, levels, stop=None):
 
 
 def _inv_raw(a):
-    out = [0] * len(a)
+    n = len(a)
+    if type(a) is bytes:
+        # the translate table that sends a[i] to i, cut to the degree
+        return bytes.maketrans(a, _TAIL[:n])[:n]
+    out = [0] * n
     for i, j in enumerate(a):
         out[j] = i
-    return _raw(out, len(a))
+    return _raw(out, n)
 
 
 def _identity_raw(n: int):

@@ -17,7 +17,8 @@ from typing import IO
 
 from .arith import PrimeFactorization
 from .chain import StabilizerChain
-from .perm import Permutation, _digits_of, _identity_raw, _inv_raw, _products
+from .perm import (Permutation, _digits_of, _identity_raw, _images, _inv_raw,
+                   _products)
 
 __all__ = [
     "BlockAnnotation",
@@ -177,21 +178,29 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
     product of a leading product p (a head) and the tail sends them where
     p does.  Products with different images of b0 or of a pinned point
     are different, so the products are split into classes by those
-    images, each checked on its own; a head maps group y into class
-    (p(y), p(pinned)) in one C-level step.  A head maps keys one to one,
-    so its chunk of a class repeats a key exactly when its group does:
-    each group is checked once, and a class fed by one head is done when
-    that head's group is.  Only a class fed by two or more heads is
-    walked, storing its keys.  Where the tail of an exact chain or refined
-    signature ends at a level boundary, the heads are coset
-    representatives, distinct on the pinned points: every class has one
-    head, and the check is the tail plus one class key per head.  Besides
-    the packed tail, the keys stored at once are one group's or one
-    walked class's; the budget still counts all |G| products.  A class
-    sees its products in rank order (mixed radix, digits varying fastest
-    in the last block); at its first chunk that repeats a key, its chunks
-    are scanned again for the first repeat, and the report names the
-    least second rank over the classes.
+    images, each checked on its own: a head p maps group y into class
+    (p(y), p(pinned)).  A head maps keys one to one, so its chunk of a
+    class repeats a key exactly when its group does: each group is checked
+    once, and a class fed by one head is done when that head's group is.
+
+    The class keys of all heads are one packed expansion: the points y and
+    pinned of every group, padded to whole 8-byte words as the base keys
+    are, mapped right to left through the leading blocks, one C-level
+    image step per entry, with no head computed.  If no class key repeats
+    and no group repeats a key, the check passes there.  Where the tail of
+    an exact chain or refined signature ends at a level boundary, the
+    heads are coset representatives, distinct on the pinned points, so
+    the check is the tail plus one class key per head.  Otherwise the
+    classes are mapped from the packed keys, and only a class fed by two
+    or more heads, or by a group that repeats a key, is walked, storing
+    its keys; its heads come from one pass over the leading blocks.
+    Besides the packed tail and class keys, the keys stored at once are
+    one group's or one walked class's; the budget still counts all |G|
+    products.  A class sees its products in rank order (mixed radix,
+    digits varying fastest in the last block); at its first chunk that
+    repeats a key, its chunks are scanned again for the first repeat, and
+    the report names the least second rank over the classes.  A group of
+    order 1, of degree 0 too, has one product and passes.
     """
     if ls.degree != chain.degree:
         raise ValueError("degree mismatch")
@@ -212,10 +221,13 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
                     ok=False, method="exhaustive", products_checked=0,
                     detail="block %d entry %d is not a group member" % (bi, ei))
 
+    if total == 1:  # one product repeats nothing, and a degree-0 group has no base
+        return VerificationReport(ok=True, method="exhaustive", products_checked=1)
+
     raws = [[e.img for e in block] for block in ls.blocks]
     ident = _identity_raw(ls.degree)
     mk = type(ident)
-    base = list(chain.base) or [0]
+    base = list(chain.base)
     # b0 goes last, into a key's high byte, so the low bytes vary in a class
     pad = -len(base) % 8 if mk is bytes else 0
     points = base[1:] + base[-1:] * pad + base[:1]
@@ -232,43 +244,63 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
         h -= 1
         n *= sizes[h]
         parts: dict = {}
-        for s in _products([raws[h], list(tails.values())], ident):
-            parts.setdefault(s[-1], []).append(s)
-        tails = {y: b"".join(v) if mk is bytes else tuple(iterchain.from_iterable(v))
-                 for y, v in parts.items()}
+        for e in raws[h]:
+            for t in tails.values():
+                s = _images(e, t)
+                parts.setdefault(s[-1], []).append(s)
+        tails = {y: _join(v, mk) for y, v in parts.items()}
     # a head maps keys one to one, so the chunk p·T_y of a head p repeats a
     # key iff its group T_y does: each group is checked once, here
-    distinct = {y: len(dict.fromkeys(_keys(t, width))) * width == len(t)
+    distinct = {y: len(t) == width
+                   or len(dict.fromkeys(_keys(t, width))) * width == len(t)
                 for y, t in tails.items()}
-    # every tail product fixes the points of pin, so a product maps them
-    # as its head does: class (x, images of pin) -> (rank c, head p, group
-    # y) for each head that maps y to x
-    pin, feeds = pinned[h], {}
-    for c, p in enumerate(_products(raws[:h], ident)):
-        at = tuple(map(p.__getitem__, pin))
-        for y in tails:
-            feeds.setdefault((p[y], at), []).append((c, p, y))
-
-    def chunk(p, y):  # the packed base images of head p times group y
-        return next(_products([[tails[y]]], p))
+    # every tail product fixes the points of pin, so a product maps them as
+    # its head p does: p sends group y into class (p(y), p(pin)).  The
+    # points y and pin of every group, padded as the base is, are expanded
+    # right to left through the head blocks, as the tail is, into the
+    # packed class keys of every head in rank order
+    pin, ys = pinned[h], list(tails)
+    g = len(ys)
+    kpad = -(1 + len(pin)) % 8 if mk is bytes else 0
+    kwidth = 1 + len(pin) + kpad
+    packed = mk(iterchain.from_iterable([y, *pin] + [y] * kpad for y in ys))
+    for block in reversed(raws[:h]):
+        packed = _join([_images(e, packed) for e in block], mk)
+    if (len(set(_keys(packed, kwidth))) * kwidth == len(packed)
+            and all(distinct.values())):
+        # each class is fed by one head, through a group with no repeat
+        return VerificationReport(ok=True, method="exhaustive", products_checked=total)
+    # class key -> the places c * g + j of the heads c feeding it through
+    # group ys[j]; walk the classes fed twice or by a repeating group
+    classes: dict = {}
+    for i, key in enumerate(_keys(packed, kwidth)):
+        classes.setdefault(key, []).append(i)
+    walked = [fed for fed in classes.values()
+              if len(fed) > 1 or not distinct[ys[fed[0] % g]]]
+    del classes, packed  # freed before the heads are stored
+    need = {i // g for fed in walked for i in fed}
+    heads = {c: p for c, p in zip(range(max(need) + 1), _products(raws[:h], ident))
+             if c in need}
 
     ranks, best, stop = None, None, total // n
-    for fed in feeds.values():
+    for fed in walked:
         # a later class can only hold an earlier collision up to head stop - 1
-        fed = [f for f in fed if f[0] < stop]
-        if len(fed) == 1 and distinct[fed[0][2]]:
+        fed = [divmod(i, g) for i in fed if i < stop * g]
+        if len(fed) == 1 and distinct[ys[fed[0][1]]]:
             continue
         seen, count = {}, 0
-        for i, (c, p, y) in enumerate(fed):
-            seen.update(zip(_keys(chunk(p, y), width), repeat(None)))
+        for i, (c, j) in enumerate(fed):
+            y = ys[j]
+            seen.update(zip(_keys(_images(heads[c], tails[y]), width), repeat(None)))
             count += len(tails[y]) // width
             if len(seen) < count:
                 seen.clear()  # freed before _first_repeat builds its own
-                j, i0, j0 = _first_repeat([chunk(q, z) for _, q, z in fed[:i + 1]], width)
+                j, i0, j0 = _first_repeat(
+                    [_images(heads[q], tails[ys[z]]) for q, z in fed[:i + 1]], width)
                 if ranks is None:  # each tail group's ranks, once per call
                     ranks = _tail_ranks(raws[h:], base[0])
-                c0, _, y0 = fed[i0]
-                pair = c * n + ranks[y][j], c0 * n + ranks[y0][j0]
+                c0, z0 = fed[i0]
+                pair = c * n + ranks[y][j], c0 * n + ranks[ys[z0]][j0]
                 best, stop = min(best or pair, pair), c + 1
                 break
     if best:
@@ -283,6 +315,11 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
 # the exhaustive oracle's tail stops growing toward the balance point at
 # this many products; it may still grow on to a level boundary
 _CHUNK = 4096
+
+
+def _join(parts, mk):
+    """One packed string of image strings of type ``mk``: bytes or tuple."""
+    return b"".join(parts) if mk is bytes else tuple(iterchain.from_iterable(parts))
 
 
 def _keys(chunk, width: int):
@@ -358,10 +395,10 @@ def _index_levels(ls: LogSignature, chain: StabilizerChain):
     levels: list = []
     checked = 0
     for level, block_ids in grouped.items():
-        lv = chain.levels[level]
+        lv, group = chain.levels[level], chain.subchain(level)
         for bi in block_ids:
             for e in ls.blocks[bi]:
-                if not chain.sift(e, start=level).is_identity():
+                if not group.contains(e):
                     return levels, ("block %d entry %s is outside the level-%d group"
                                     % (bi, e, level)), checked
         sets = [ls.blocks[bi] for bi in block_ids]

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from logsig import (GeneratorSet, Permutation, build_chain, derived_series,
-                    derived_subgroup, is_solvable, load_group,
-                    normal_closure, parse_cycles)
+from logsig import (GeneratorSet, Permutation, build_chain, chain_ls, derived_series,
+                    derived_subgroup, is_solvable, load_group, load_verified_chain,
+                    normal_closure, parse_cycles, perm)
+from logsig.perm import _mul_raw as mul_raw
 
 
 def gens_of(*cycle_strs, degree):
@@ -240,3 +241,57 @@ def test_random_generator_sets_match_bfs(m11):
             Permutation(rng.sample(range(degree), degree)) for _ in range(k)))
         chain = build_chain(gens)
         assert chain.order == len(bfs_closure(gens))
+
+
+@pytest.mark.parametrize("name", ["M22", "M24"])
+def test_contains_stops_once_the_residue_is_the_identity(name, monkeypatch):
+    # a level-k entry of the chain signature fixes b0..b(k-1), so its sift
+    # multiplies by the identity k times, by its own inverse once, and
+    # stops there instead of walking the levels below
+    chain = load_verified_chain(name)
+    ls = chain_ls(chain)
+    calls = []
+
+    def counted_mul_raw(a, b):
+        calls.append(None)
+        return mul_raw(a, b)
+
+    monkeypatch.setattr(perm, "_mul_raw", counted_mul_raw)
+    for block, ann in zip(ls.blocks, ls.provenance.annotations):
+        for e in block:
+            calls.clear()
+            assert chain.contains(e)
+            assert len(calls) <= ann.level + 1, (ann.level, e)
+    assert ann.level + 1 == len(chain.levels)
+
+
+def later_level_nonmember(chain, rng):
+    """A member times a transposition that fixes b0 and sends b1 outside its
+    level-1 orbit: the sift passes level 0 and leaves the orbit at level 1."""
+    b0, b1 = chain.base[:2]
+    out = next(p for p in range(chain.degree) if p != b0 and p not in chain.levels[1].orbit)
+    img = list(range(chain.degree))
+    img[b1], img[out] = out, b1
+    return chain.element_at(rng.randrange(chain.order)) * Permutation(img)
+
+
+@pytest.mark.parametrize("name, leaves_later", [
+    ("M12", False), ("A5", False), ("D300", True)])
+def test_contains_agrees_with_the_full_walk(name, leaves_later):
+    # D300 has tuple images, and its level-1 orbit is two points, so a
+    # nonmember's walk can pass level 0 and leave the orbit at level 1
+    chain = load_verified_chain(name)
+    rng = random.Random(name)
+    n = chain.degree
+    members = [chain.element_at(rng.randrange(chain.order)) for _ in range(30)]
+    members += [Permutation.identity(n)] + [g for lv in chain.levels for g in lv.gens]
+    others = [Permutation(rng.sample(range(n), n)) for _ in range(30)]
+    if leaves_later:
+        later = [later_level_nonmember(chain, rng) for _ in range(10)]
+        assert all(0 < perm._sift(g.img, chain._walk)[2] < len(chain.levels)
+                   for g in later)
+        others += later
+    assert all(chain.contains(g) for g in members)
+    assert [chain.contains(g) for g in others] == [chain.sift(g).is_identity()
+                                                   for g in others]
+    assert not all(chain.contains(g) for g in others)

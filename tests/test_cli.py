@@ -180,6 +180,25 @@ def test_verify_nonmember_entry_fails_in_every_mode(capsys, tmp_path):
                       "detail": "block 0 entry 1 is not a group member"}
 
 
+@pytest.mark.parametrize("degree", [0, 1])
+def test_verify_trivial_group_file_in_every_mode(capsys, tmp_path, degree):
+    # a degree-0 group has no point for the exhaustive oracle to key by
+    group = tmp_path / "trivial.grp"
+    group.write_text("degree %d\n" % degree)
+    path = str(tmp_path / "trivial.ls")
+    assert run(capsys, "construct", "--group-file", str(group), "--out", path)[0] == 0
+    for mode, method, checked in (("exhaustive", "exhaustive", 1),
+                                  ("auto", "exhaustive", 1),
+                                  ("structural", "structural", 0)):
+        code, out, err = run(capsys, "--json", "verify", "--group-file", str(group),
+                             "--ls", path, "--mode", mode)
+        assert "Traceback" not in err
+        assert (code, err) == (0, ""), mode
+        assert json.loads(out) == {"verdict": "pass", "method": method,
+                                   "products_checked": checked, "collision": None,
+                                   "detail": ""}
+
+
 def test_verify_malformed_file(capsys, tmp_path):
     path = tmp_path / "junk.ls"
     path.write_text("{not json")

@@ -11,6 +11,9 @@ from logsig.perm import _digits_of, _identity_raw, _order_raw, _products, _value
 
 perms = st.integers(min_value=1, max_value=12).flatmap(
     lambda n: st.permutations(list(range(n)))).map(Permutation)
+# across the 256-point boundary between bytes and tuple image arrays
+wide_perms = st.integers(min_value=1, max_value=300).flatmap(
+    lambda n: st.permutations(list(range(n)))).map(Permutation)
 
 
 def test_identity_fixes_everything():
@@ -105,8 +108,11 @@ def test_large_degree_uses_tuple_storage():
     assert parse_cycles(format_cycles(g), n) == g
 
 
-@given(perms)
+@given(wide_perms)
+@example(Permutation(list(range(1, 256)) + [0]))
+@example(Permutation(list(range(1, 257)) + [0]))
 def test_double_inverse_roundtrip(g):
+    assert type(g.inverse().img) is type(g.img)
     assert g.inverse().inverse() == g
 
 
@@ -122,7 +128,9 @@ def test_composition_associative(triple):
     assert (g * h) * k == g * (h * k)
 
 
-@given(perms)
+@given(wide_perms)
+@example(Permutation(list(range(1, 256)) + [0]))
+@example(Permutation(list(range(1, 257)) + [0]))
 def test_inverse_law(g):
     assert (g * g.inverse()).is_identity()
     assert (g.inverse() * g).is_identity()
@@ -135,8 +143,7 @@ def test_order_is_least_annihilating_exponent(g):
         assert not (g ** d).is_identity()
 
 
-@given(st.integers(min_value=1, max_value=300).flatmap(
-    lambda n: st.permutations(list(range(n)))).map(Permutation))
+@given(wide_perms)
 @example(Permutation.identity(1))
 @example(Permutation.identity(256))
 @example(Permutation.identity(300))

@@ -77,13 +77,16 @@ def test_exhaustive_m12_chain(m12):
 
 
 def test_empty_signature_of_trivial_group():
-    trivial = build_chain(GeneratorSet(3, (Permutation.identity(3),)))
-    assert trivial.base == ()
-    ls = LogSignature(degree=3, blocks=(), provenance=Provenance("chain", ()))
-    assert verify_exhaustive(ls, trivial).ok
-    assert verify_structural(ls, trivial).ok
-    for ls in (ls, LogSignature(degree=3, blocks=((Permutation.identity(3),),))):
-        assert verdict(ls, trivial) == full_image_reference(ls) == (True, 1, None)
+    # degree 0 has no point for the oracle to key a product by
+    for degree in (0, 1, 3):
+        e = Permutation.identity(degree)
+        trivial = build_chain(GeneratorSet(degree, (e,)))
+        assert trivial.base == ()
+        ls = LogSignature(degree=degree, blocks=(), provenance=Provenance("chain", ()))
+        assert verify_exhaustive(ls, trivial).ok
+        assert verify_structural(ls, trivial).ok
+        for ls in (ls, LogSignature(degree=degree, blocks=((e,),))):
+            assert verdict(ls, trivial) == full_image_reference(ls) == (True, 1, None)
 
 
 def tamper(ls, chain, block=0, src=0, dst=1):
@@ -174,12 +177,15 @@ def test_exhaustive_matches_full_image_reference(m11, a5, monkeypatch):
     assert len(two9.base) == 9 and type(_identity_raw(18)) is bytes
     assert type(_identity_raw(300)) is tuple
     assert chain_ls(two3).block_sizes == (two3.order,)
+    # D300's solvable signature feeds each class from several heads, on
+    # tuple images
     cases = [(m11, chain_ls(m11)), (a5, chain_ls(a5)), (two9, chain_ls(two9)),
              (d300, chain_ls(d300)), (c1000, c1000_signature(c1000)),
-             (two3, chain_ls(two3))]
+             (two3, chain_ls(two3)), (d300, build_mls(d300))]
+    assert cases[-1][1].provenance.tag == "solvable"
     rng = random.Random(20151007)
     outcomes = set()
-    for i in range(180):
+    for i in range(210):
         chain, ls = cases[i % len(cases)]
         bad = seeded_tamper(ls, chain, rng)
         expect = full_image_reference(bad)
