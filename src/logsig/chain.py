@@ -96,11 +96,11 @@ class StabilizerChain:
 
     # -- membership ------------------------------------------------------
 
-    def sift(self, g: Permutation, start: int = 0) -> Permutation:
-        """Strip ``g`` through levels ``start..``; identity residue iff member."""
+    def sift(self, g: Permutation) -> Permutation:
+        """Strip ``g`` through every level; identity residue iff member."""
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        return Permutation._wrap(_sift(g.img, self._walk[start:])[0])
+        return Permutation._wrap(_sift(g.img, self._walk)[0])
 
     def contains(self, g: Permutation) -> bool:
         """True iff ``g`` is a product of this chain's generators.

@@ -15,7 +15,7 @@ def oracle_cases(*argv):
 
 
 def test_oracle_cases_prints_a_row_per_case():
-    done = oracle_cases("--repeat", "2", "M11 refined", "M22 tampered")
+    done = oracle_cases("M11 refined", "M22 tampered")
     assert done.returncode == 0 and done.stderr == ""
     header, *rows = done.stdout.splitlines()
     assert header.split()[:2] == ["case", "verdict"]

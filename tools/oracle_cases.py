@@ -3,10 +3,10 @@
 Run from the root of a source checkout:
 
     python3 tools/oracle_cases.py                       # every case
-    python3 tools/oracle_cases.py --repeat 5 "M11 refined" "C1000 cyclic"
+    python3 tools/oracle_cases.py "M11 refined" "C1000 cyclic"
     python3 tools/oracle_cases.py --src ../other/src    # another checkout's library
 
-For each case it prints the verdict, the median time of ``--repeat`` calls
+For each case it prints the verdict, the median time of ``REPEAT`` calls
 of ``verify_exhaustive``, the products per second that gives (the product
 count over the median) and the tracemalloc peak of one more call, in bytes
 per product.  Signatures and chains are built before any timing.  To compare
@@ -26,6 +26,7 @@ import time
 import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPEAT = 21     # timed calls per case
 
 
 def _tampered_m22(lib):
@@ -66,12 +67,12 @@ CASES = {
 }
 
 
-def measure(lib, name: str, repeat: int) -> dict:
+def measure(lib, name: str) -> dict:
     build, budget = CASES[name]
     ls, chain = build(lib)
     kwargs = {} if budget is None else {"budget": budget}
     times = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter()
         report = lib.verify_exhaustive(ls, chain, **kwargs)
         times.append(time.perf_counter() - t0)
@@ -92,8 +93,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("cases", nargs="*", metavar="CASE",
                         help="case names (default: all)")
-    parser.add_argument("--repeat", type=int, default=21,
-                        help="timed calls per case (default 21)")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory that holds the logsig package")
     args = parser.parse_args(argv)
@@ -102,16 +101,13 @@ def main(argv=None) -> int:
         print("error: unknown case %r; the cases are: %s"
               % (unknown[0], ", ".join(CASES)), file=sys.stderr)
         return 2
-    if args.repeat < 1:
-        print("error: --repeat must be at least 1", file=sys.stderr)
-        return 2
     sys.path.insert(0, os.path.abspath(args.src))
     import logsig
 
     print("%-14s %-16s %12s %10s %14s %10s" % (
         "case", "verdict", "products", "median_ms", "products/s", "B/product"))
     for name in args.cases or CASES:
-        row = measure(logsig, name, args.repeat)
+        row = measure(logsig, name)
         verdict = "pass" if row["ok"] else "fail at %d" % row["checked"]
         print("%-14s %-16s %12d %10.3f %14.4g %10.3f" % (
             name, verdict, row["products"], row["median_ms"],
