@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .perm import (Permutation, _digits_of, _identity_raw, _inv_raw, _mul_raw,
-                   _products, _sift, _value_of)
+from .perm import (Permutation, _digits_of, _identity_raw, _images, _inv_raw,
+                   _mul_raw, _products, _sift, _value_of)
 
 __all__ = [
     "GeneratorSet",
@@ -57,9 +57,12 @@ class ChainLevel:
     digit order of the element <-> index bijection.  ``transversal[p]`` is the
     coset representative ``u`` with ``u(point) = p``; the representative of
     the base point itself is the identity.  ``table`` is the sift table read
-    by :func:`~logsig.perm._sift`: ``table[p]`` is ``((i,), inverse)`` with
-    ``i`` the position of ``p`` in the orbit and ``inverse`` the raw image
-    array of ``transversal[p]`` inverted.
+    by :func:`~logsig.perm._sift`: ``table[p]`` is ``((i,), inverse,
+    forward)`` with ``i`` the position of ``p`` in the orbit, ``inverse``
+    the raw image array of ``transversal[p]`` inverted and ``forward`` its
+    own raw image array, the very object the transversal wraps.  A residue
+    equal to ``forward`` is stripped to the identity, which a membership
+    sift sees without the product.
     """
 
     point: int
@@ -105,9 +108,12 @@ class StabilizerChain:
     def contains(self, g: Permutation) -> bool:
         """True iff ``g`` is a product of this chain's generators.
 
-        The sift stops once the residue is the identity: every level's table
-        maps its own point to the identity, so the later levels would keep
-        it, and a level-k member is decided in at most k + 1 products."""
+        The sift passes the identity as ``stop``: it ends as soon as the
+        residue equals the transversal element its base-point image
+        selects, whose product would be the identity that the later levels
+        keep, and it multiplies nothing at a level whose point the residue
+        fixes.  So a transversal element of any level, such as an entry of
+        a chain signature, is decided without a product."""
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
         return _sift(g.img, self._walk, self._identity)[0] == self._identity
@@ -167,38 +173,41 @@ class StabilizerChain:
 def _orbit_transversal(point: int, gens_raw: list, degree: int):
     """BFS orbit of ``point``; FIFO order with generators in list order.
 
-    Returns the transversal ``{p: u}`` and the sift table ``{p: ((), u^-1)}``,
-    whose digits are filled in once the orbit order is final.  A new
-    representative ``t = s * u`` is inverted by composition,
+    Returns the sift table ``{p: ((), u^-1, u)}`` of the transversal, where
+    ``u(point) = p`` and the digits are filled in once the orbit order is
+    final, and the set of BFS tree edges ``(p, k)``: generator ``k`` first
+    reached its image of ``p`` from ``p``, so the representative there is
+    ``s_k * u_p`` and the Schreier generator of the edge is the identity.
+    A new representative ``t = s * u`` is inverted by composition,
     ``t^-1 = u^-1 * s^-1``, with each ``s^-1`` computed once.
     """
     e = _identity_raw(degree)
-    trans = {point: e}
-    table = {point: ((), e)}
+    table = {point: ((), e, e)}
+    tree = set()
     gens_inv = [(s, _inv_raw(s)) for s in gens_raw]
     queue = [point]
     for p in queue:  # grows while it is read: breadth-first order
-        up = trans[p]
-        up_inv = table[p][1]
-        for s, s_inv in gens_inv:
+        _, up_inv, up = table[p]
+        for k, (s, s_inv) in enumerate(gens_inv):
             q = s[p]
-            if q not in trans:
-                trans[q] = _mul_raw(s, up)
-                table[q] = ((), _mul_raw(up_inv, s_inv))
+            if q not in table:
+                table[q] = ((), _images(up_inv, s_inv), _images(s, up))
+                tree.add((p, k))
                 queue.append(q)
-    return trans, table
+    return table, tree
 
 
 class _Node:
-    __slots__ = ("point", "gens", "trans", "table")
+    __slots__ = ("point", "gens", "table", "tree", "sifted")
 
     def __init__(self, point: int, degree: int):
         self.point = point
         self.gens: list = []
-        self.trans, self.table = _orbit_transversal(point, [], degree)
+        self.sifted: set = set()
+        self.table, self.tree = _orbit_transversal(point, [], degree)
 
     def rebuild(self, degree: int):
-        self.trans, self.table = _orbit_transversal(self.point, self.gens, degree)
+        self.table, self.tree = _orbit_transversal(self.point, self.gens, degree)
 
 
 def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> StabilizerChain:
@@ -209,6 +218,15 @@ def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> S
     generator that forced the extension.  For a fixed generator list and hint
     the resulting chain, and everything derived from it, is identical from
     run to run.
+
+    Two kinds of Schreier generator are skipped without a sift, which
+    leaves every level as it would be with none skipped.  A BFS tree edge's
+    generator is the identity (see :func:`_orbit_transversal`).  And each
+    level keeps the set of generators that already sifted to the identity
+    through the levels below it; installing a strong generator at levels
+    lo..hi clears the sets of levels 0..hi-1.  So a remembered generator
+    was sifted through the very tables the levels below still hold, and
+    its sift, which is deterministic, would end in the identity again.
     """
     n = gens.degree
     e = _identity_raw(n)
@@ -238,6 +256,8 @@ def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> S
         for k in range(lo, hi + 1):
             nodes[k].gens.append(raw)
             nodes[k].rebuild(n)
+        for k in range(hi):
+            nodes[k].sifted.clear()
 
     for g in gens.gens:
         raw = g.img
@@ -250,12 +270,15 @@ def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> S
     i = len(nodes) - 1
     while i >= 0:
         node = nodes[i]
+        table, tree, sifted = node.table, node.tree, node.sifted
         restart = False
-        for p in sorted(node.trans):
-            up = node.trans[p]
-            for s in node.gens:
-                sch = _mul_raw(node.table[s[p]][1], _mul_raw(s, up))
-                if sch == e:
+        for p in sorted(table):
+            up = table[p][2]
+            for k, s in enumerate(node.gens):
+                if (p, k) in tree:
+                    continue
+                sch = _images(table[s[p]][1], _images(s, up))
+                if sch == e or sch in sifted:
                     continue
                 h, j = strip(sch, i + 1)
                 if h != e:
@@ -263,6 +286,7 @@ def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> S
                     i = j
                     restart = True
                     break
+                sifted.add(sch)
             if restart:
                 break
         if not restart:
@@ -270,14 +294,14 @@ def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> S
 
     levels = []
     for node in nodes:
-        orbit = (node.point,) + tuple(sorted(p for p in node.trans if p != node.point))
-        transversal = {p: Permutation._wrap(t) for p, t in node.trans.items()}
+        table = node.table
+        orbit = (node.point,) + tuple(sorted(p for p in table if p != node.point))
         levels.append(ChainLevel(
             point=node.point,
             orbit=orbit,
-            transversal=transversal,
+            transversal={p: Permutation._wrap(t[2]) for p, t in table.items()},
             gens=tuple(Permutation._wrap(s) for s in node.gens),
-            table={p: ((i,), node.table[p][1]) for i, p in enumerate(orbit)},
+            table={p: ((i,),) + table[p][1:] for i, p in enumerate(orbit)},
         ))
     return StabilizerChain(gens.degree, levels, gens)
 

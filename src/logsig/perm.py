@@ -31,6 +31,15 @@ def _raw(images: Iterable[int], degree: int):
     return tuple(images)
 
 
+# Per-element products stay map-based, though ``_images`` gives the same
+# bytes about nine times faster at degree 24: the benchmark keeps every op
+# latency, so a faster serving path reads as a memory regression until it
+# keeps them bounded (ROADMAP item 6).  In ``perfbench`` ``lookup`` runs
+# (seed 1, 30 s, one pair each, 2-CPU x86-64), ``peak_rss_mib`` went 56.8 ->
+# 87.0 MiB (+53%) with this function through ``translate``, and 50.3 ->
+# 58.6 MiB (+16.5%, ``ops_per_s`` +45%) with ``translate`` in ``_sift``'s
+# product step only.  Chain building, which serves no element, uses
+# ``_images``.
 def _mul_raw(a, b):
     if type(a) is bytes:
         return bytes(map(a.__getitem__, b))
@@ -122,29 +131,44 @@ def _sift(raw, levels, stop=None):
     """Strip ``raw`` level by level: the one walk from an element to its digits.
 
     ``levels`` is a sequence of ``(point, table)`` pairs with
-    ``table[image] = (digits, inverse)``.  At each level the image of
+    ``table[image] = (digits, inverse, ...)``.  At each level the image of
     ``point`` selects an entry, its digits are appended and its inverse is
     multiplied on the left.  Returns ``(residue, digits, passed)``; the walk
     stops at the first image missing from its table, so ``passed`` is the
     number of levels stripped.  Every table holds its own point, so a walk
     that stops early leaves a nonidentity residue.
 
-    A residue equal to ``stop`` (the identity, as chain building and the
-    membership test pass it) ends the walk with every level counted as
-    passed.  That is the full walk's outcome only when each table maps its
-    own point to the identity, as a chain's tables do; the randomized
-    transversals of PGM keys do not.  Membership reads only the residue, so
-    the digits a stopped walk leaves out do not matter there.
+    ``stop`` is the identity, as chain building and the membership test
+    pass it, and needs tables that map their own point to the identity and
+    whose entries carry a third field, the forward image whose inverse the
+    entry holds, as a chain's tables do; the two-field tables of tame and
+    generic factorization are never walked with it.  Before each product
+    the residue is compared with that forward image: on a match the
+    product would be the identity, which the later levels keep, so the
+    walk returns ``stop`` with every level counted as passed.  A residue
+    that fixes the level's point is multiplied by nothing.  Membership
+    reads only the residue, so the digits a stopped walk leaves out do
+    not matter there.
     """
     out = ()
+    if stop is None:
+        for passed, (point, table) in enumerate(levels):
+            hit = table.get(raw[point])
+            if hit is None:
+                return raw, out, passed
+            out += hit[0]
+            raw = _mul_raw(hit[1], raw)
+        return raw, out, len(levels)
     for passed, (point, table) in enumerate(levels):
-        hit = table.get(raw[point])
+        image = raw[point]
+        hit = table.get(image)
         if hit is None:
             return raw, out, passed
         out += hit[0]
-        raw = _mul_raw(hit[1], raw)
-        if raw == stop:
-            break
+        if raw == hit[2]:
+            return stop, out, len(levels)
+        if image != point:
+            raw = _mul_raw(hit[1], raw)
     return raw, out, len(levels)
 
 

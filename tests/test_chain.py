@@ -3,9 +3,12 @@ import random
 
 import pytest
 
-from logsig import (GeneratorSet, Permutation, build_chain, chain_ls, derived_series,
-                    derived_subgroup, is_solvable, load_group, load_verified_chain,
-                    normal_closure, parse_cycles, perm)
+from logsig import (GeneratorSet, Permutation, build_chain, bundled_group_names,
+                    chain_ls, derived_series, derived_subgroup, is_solvable,
+                    load_group, load_verified_chain, normal_closure, parse_cycles,
+                    perm)
+from logsig.perm import _identity_raw as identity_raw
+from logsig.perm import _inv_raw as inv_raw
 from logsig.perm import _mul_raw as mul_raw
 
 
@@ -243,11 +246,123 @@ def test_random_generator_sets_match_bfs(m11):
         assert chain.order == len(bfs_closure(gens))
 
 
-@pytest.mark.parametrize("name", ["M22", "M24"])
+def build_chain_reference(gens, base_hint=()):
+    """Deterministic Schreier-Sims as it was before any Schreier generator
+    was skipped: every level sifts the generator of every orbit point and
+    strong generator, tree edges and repeats included, and every product is
+    a ``_mul_raw``.  Returns one ``(point, orbit, forward, gens, table)``
+    tuple per level, ``forward`` and ``table`` keyed by orbit point, in the
+    terms of :class:`~logsig.chain.ChainLevel`."""
+    n = gens.degree
+    e = identity_raw(n)
+    nodes = []  # [point, strong gens, forward images, inverse images]
+
+    def rebuild(node):
+        point, strong = node[0], node[1]
+        fwd, inv = {point: e}, {point: e}
+        queue = [point]
+        for p in queue:
+            for s in strong:
+                q = s[p]
+                if q not in fwd:
+                    fwd[q] = mul_raw(s, fwd[p])
+                    inv[q] = mul_raw(inv[p], inv_raw(s))
+                    queue.append(q)
+        node[2:] = [fwd, inv]
+
+    def new_node(p):
+        nodes.append([p, [], None, None])
+        rebuild(nodes[-1])
+
+    def strip(raw, start):
+        for k in range(start, len(nodes)):
+            inv = nodes[k][3].get(raw[nodes[k][0]])
+            if inv is None:
+                return raw, k
+            raw = mul_raw(inv, raw)
+            if raw == e:
+                break
+        return raw, len(nodes)
+
+    def install(raw, lo, hi):
+        if hi == len(nodes):
+            used = {nd[0] for nd in nodes}
+            new_node(next(p for p in range(n) if raw[p] != p and p not in used))
+        for k in range(lo, hi + 1):
+            nodes[k][1].append(raw)
+            rebuild(nodes[k])
+
+    for p in base_hint:
+        new_node(p)
+    for g in gens.gens:
+        if g.img != e:
+            h, j = strip(g.img, 0)
+            if h != e:
+                install(h, 0, j)
+    i = len(nodes) - 1
+    while i >= 0:
+        point, strong, fwd, inv = nodes[i]
+        found = None
+        for p in sorted(fwd):
+            for s in strong:
+                sch = mul_raw(inv[s[p]], mul_raw(s, fwd[p]))
+                if sch != e:
+                    h, j = strip(sch, i + 1)
+                    if h != e:
+                        found = h, j
+                        break
+            if found:
+                break
+        if found:
+            install(found[0], i + 1, found[1])
+            i = found[1]
+        else:
+            i -= 1
+    out = []
+    for point, strong, fwd, inv in nodes:
+        orbit = (point,) + tuple(sorted(p for p in fwd if p != point))
+        out.append((point, orbit, fwd, strong,
+                    {p: ((i,), inv[p]) for i, p in enumerate(orbit)}))
+    return out
+
+
+def chain_levels(chain):
+    """The chain's levels in the terms of :func:`build_chain_reference`;
+    each table entry's forward image must be its transversal's own array."""
+    out = []
+    for lv in chain.levels:
+        assert all(lv.table[p][2] is lv.transversal[p].img for p in lv.orbit)
+        out.append((lv.point, lv.orbit, {p: u.img for p, u in lv.transversal.items()},
+                    [g.img for g in lv.gens], {p: t[:2] for p, t in lv.table.items()}))
+    return out
+
+
+@pytest.mark.parametrize("name", bundled_group_names())
+def test_build_chain_matches_the_reference_on_catalog_groups(name):
+    gens = load_group(name)
+    assert chain_levels(build_chain(gens)) == build_chain_reference(gens)
+
+
+def test_build_chain_matches_the_reference_with_a_base_hint(m24):
+    assert (chain_levels(build_chain(m24.generators, base_hint=[22, 23]))
+            == build_chain_reference(m24.generators, base_hint=[22, 23]))
+
+
+def test_build_chain_matches_the_reference_on_random_generator_sets():
+    rng = random.Random(24)
+    for trial in range(40):
+        degree = rng.randrange(2, 13)
+        gens = GeneratorSet(degree, tuple(
+            Permutation(rng.sample(range(degree), degree))
+            for _ in range(rng.randrange(1, 4))))
+        assert chain_levels(build_chain(gens)) == build_chain_reference(gens), trial
+
+
+@pytest.mark.parametrize("name", ["M22", "M24", "D300"])
 def test_contains_stops_once_the_residue_is_the_identity(name, monkeypatch):
     # a level-k entry of the chain signature fixes b0..b(k-1), so its sift
-    # multiplies by the identity k times, by its own inverse once, and
-    # stops there instead of walking the levels below
+    # multiplies by nothing there, and at level k it is the transversal
+    # element its image selects: the sift stops before any product
     chain = load_verified_chain(name)
     ls = chain_ls(chain)
     calls = []
@@ -259,9 +374,8 @@ def test_contains_stops_once_the_residue_is_the_identity(name, monkeypatch):
     monkeypatch.setattr(perm, "_mul_raw", counted_mul_raw)
     for block, ann in zip(ls.blocks, ls.provenance.annotations):
         for e in block:
-            calls.clear()
             assert chain.contains(e)
-            assert len(calls) <= ann.level + 1, (ann.level, e)
+            assert calls == [], (ann.level, e)
     assert ann.level + 1 == len(chain.levels)
 
 
@@ -276,21 +390,25 @@ def later_level_nonmember(chain, rng):
 
 
 @pytest.mark.parametrize("name, leaves_later", [
-    ("M12", False), ("A5", False), ("D300", True)])
+    ("M12", False), ("A5", False), ("C1000", False), ("D300", True)])
 def test_contains_agrees_with_the_full_walk(name, leaves_later):
     # D300 has tuple images, and its level-1 orbit is two points, so a
-    # nonmember's walk can pass level 0 and leave the orbit at level 1
+    # nonmember's walk can pass level 0 and leave the orbit at level 1;
+    # C1000's chain has one level, so every walk ends after one table
     chain = load_verified_chain(name)
     rng = random.Random(name)
     n = chain.degree
     members = [chain.element_at(rng.randrange(chain.order)) for _ in range(30)]
     members += [Permutation.identity(n)] + [g for lv in chain.levels for g in lv.gens]
+    members += [lv.transversal[p] for lv in chain.levels for p in lv.orbit[:20]]
     others = [Permutation(rng.sample(range(n), n)) for _ in range(30)]
     if leaves_later:
         later = [later_level_nonmember(chain, rng) for _ in range(10)]
         assert all(0 < perm._sift(g.img, chain._walk)[2] < len(chain.levels)
                    for g in later)
-        others += later
+        # and transversal elements of every level times such a nonmember
+        others += later + [lv.transversal[p] * later[0]
+                           for lv in chain.levels for p in lv.orbit[:20]]
     assert all(chain.contains(g) for g in members)
     assert [chain.contains(g) for g in others] == [chain.sift(g).is_identity()
                                                    for g in others]

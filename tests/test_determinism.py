@@ -1,8 +1,8 @@
 """Byte-level determinism: SHA-256 digests of files the library writes.
 
-The digests pin the catalog's generator sets and the outputs of the
-construction paths (refinement, the solvable composition series, cyclic
-sets) and of PGM key generation.  A change that alters these bytes on
+The digests pin the catalog's generator sets, the chains that Schreier-Sims
+builds, and the outputs of the construction paths (refinement, the
+solvable composition series, cyclic sets) and of PGM key generation.  A change that alters these bytes on
 purpose updates the digest here and says why in its change notes.
 """
 
@@ -48,6 +48,34 @@ def test_catalog_generator_sets():
 ])
 def test_build_mls_bytes(name, digest):
     assert sha256(dumps_ls(build_mls(load_verified_chain(name)))) == digest
+
+
+@functools.cache
+def built_chain(name):
+    """The catalog group's chain and the seconds its build took."""
+    t0 = time.perf_counter()
+    chain = load_verified_chain(name)
+    return chain, time.perf_counter() - t0
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("S20", "d1a5d746b4b4df64a26d14f0b86485979aaa3b8d5eced791587b2a0a6b1c0633"),
+    ("S40", "c6cd008ea5909578e949cc8be9b3f22fb1d311a492b5f132a72832757af5c264"),
+    ("A30", "07f492ddd242b5dcb961b48a9e805543b08b016e2528b3228c876e5f3a7d700f"),
+    ("D300", "d9e31006581af71241f5948aa152dea97742e2644690760bfc919a80332f75e0"),
+])
+def test_chain_bytes(name, digest):
+    # the chain signature's file and every level's strong generators
+    chain = built_chain(name)[0]
+    gens = [[list(g.images) for g in lv.gens] for lv in chain.levels]
+    assert sha256(dumps_ls(chain_ls(chain)) + json.dumps(gens)) == digest
+
+
+def test_chain_build_budget():
+    # ~0.2 s on a 2-CPU x86-64 machine; sifting every Schreier generator
+    # took ~6.5 s
+    elapsed = built_chain("S40")[1]
+    assert elapsed < 1.5, "S40 chain build took %.2fs" % elapsed
 
 
 def test_mls_cyclic_bytes():

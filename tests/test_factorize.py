@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import functools
 import gc
+import hashlib
+import json
 import os
 import pickle
 import random
@@ -21,6 +23,7 @@ from logsig import (FactorizationError, LogSignature, Permutation, Provenance,
                     load_verified_chain, mls_solvable, parse_cycles,
                     reconstruct, refine_ls)
 from logsig import factorize, signature
+from logsig.pgm import keygen
 from logsig.perm import (_digits_of, _identity_raw, _inv_raw, _mul_raw,
                          _products, _value_of)
 
@@ -78,6 +81,24 @@ def test_tame_digits_of_chain_ls_are_chain_index(name):
     sizes = [len(lv.orbit) for lv in chain.levels]
     for g in chain.elements():
         assert chain.index_of(g) == _value_of(idx.digits(g), sizes)
+
+
+def test_tame_digits_of_key_halves_and_refined_m12_are_pinned(m12):
+    # PGM key halves and refined signatures have two-field tables that are
+    # sifted without a stop; their digits on seeded elements are fixed
+    key = keygen(m12, 42)
+    rng = random.Random("tame digits")
+    elems = [m12.element_at(rng.randrange(m12.order)) for _ in range(200)]
+    digests = {}
+    for name, idx in (("alpha", key.alpha_indexer), ("beta", key.beta_indexer),
+                      ("refined", TameIndexer(build_mls(m12), m12))):
+        digits = [factorize_tame(g, idx) for g in elems]
+        digests[name] = hashlib.sha256(json.dumps(digits).encode()).hexdigest()
+    assert digests == {
+        "alpha": "9700690a14ae5a4fc92629ea43f86dab0024c407242483fa3965a9ca76f552ec",
+        "beta": "a73263e722d5853c454d409fc3d09533e1382f2eee80bc869aff1d69bfbc4975",
+        "refined": "c466d8c1ca27d864457877d9fbbc8ed496bbd254d9a1190581972a6b4faa8926",
+    }
 
 
 def test_generic_c2():
