@@ -113,7 +113,10 @@ class StabilizerChain:
         selects, whose product would be the identity that the later levels
         keep, and it multiplies nothing at a level whose point the residue
         fixes.  So a transversal element of any level, such as an entry of
-        a chain signature, is decided without a product."""
+        a chain signature, is decided without a product.  Its other
+        products are one ``bytes.translate`` each (``perm._images``), not
+        the map-based product of the per-element paths: membership is
+        tested while chains, indexes, oracles and keys are set up."""
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
         return _sift(g.img, self._walk, self._identity)[0] == self._identity
@@ -231,16 +234,24 @@ def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> S
     n = gens.degree
     e = _identity_raw(n)
     nodes: list[_Node] = []
+    # the (point, table) pair of every node, as strip walks them: refreshed
+    # when a node is added or rebuilt, the only times a table changes
+    walk: list = []
     used: set[int] = set()
+
+    def add_node(p):
+        nodes.append(_Node(p, n))
+        walk.append((p, nodes[-1].table))
+        used.add(p)
+
     for p in base_hint or ():
         if not 0 <= p < n:
             raise ValueError("base hint point %d out of range" % p)
         if p not in used:
-            nodes.append(_Node(p, n))
-            used.add(p)
+            add_node(p)
 
     def strip(raw, start):
-        raw, _, passed = _sift(raw, [(nd.point, nd.table) for nd in nodes[start:]], e)
+        raw, _, passed = _sift(raw, walk[start:], e)
         return raw, start + passed
 
     def add_strong_gen(raw, lo, hi):
@@ -248,14 +259,15 @@ def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> S
         if hi == len(nodes):
             for p in range(n):
                 if raw[p] != p and p not in used:
-                    nodes.append(_Node(p, n))
-                    used.add(p)
+                    add_node(p)
                     break
             else:
                 raise AssertionError("generator moves no unused point")
         for k in range(lo, hi + 1):
-            nodes[k].gens.append(raw)
-            nodes[k].rebuild(n)
+            node = nodes[k]
+            node.gens.append(raw)
+            node.rebuild(n)
+            walk[k] = (node.point, node.table)
         for k in range(hi):
             nodes[k].sifted.clear()
 
@@ -325,7 +337,7 @@ def normal_closure(chain: StabilizerChain, elems: Iterable[Permutation]) -> Stab
         changed = False
         for s, s_inv in ambient:
             for x in list(closure.generators.gens):
-                conj = Permutation._wrap(_mul_raw(s, _mul_raw(x.img, s_inv)))
+                conj = Permutation._wrap(_images(s, _images(x.img, s_inv)))
                 if not closure.contains(conj):
                     work.append(conj)
                     closure = build_chain(GeneratorSet(degree, tuple(work)))

@@ -31,15 +31,21 @@ def _raw(images: Iterable[int], degree: int):
     return tuple(images)
 
 
-# Per-element products stay map-based, though ``_images`` gives the same
-# bytes about nine times faster at degree 24: the benchmark keeps every op
-# latency, so a faster serving path reads as a memory regression until it
-# keeps them bounded (ROADMAP item 6).  In ``perfbench`` ``lookup`` runs
-# (seed 1, 30 s, one pair each, 2-CPU x86-64), ``peak_rss_mib`` went 56.8 ->
-# 87.0 MiB (+53%) with this function through ``translate``, and 50.3 ->
-# 58.6 MiB (+16.5%, ``ops_per_s`` +45%) with ``translate`` in ``_sift``'s
-# product step only.  Chain building, which serves no element, uses
-# ``_images``.
+# The map-based product, kept for the per-element paths only: ``_sift``'s
+# digit walk (tame and generic factorization), ``factorize.reconstruct`` and
+# ``StabilizerChain.element_at``.  Every other product (chain building,
+# membership, the prefixes of ``_products``, ``Permutation`` arithmetic)
+# goes through ``_images``, which gives the same bytes about nine times
+# faster at degree 24.  The benchmark keeps every op latency, so a faster
+# per-element path reads as a memory regression until it keeps them bounded
+# (ROADMAP item 6).  In ``perfbench`` ``lookup`` runs (seed 1, 30 s, one
+# pair each, 2-CPU x86-64), ``peak_rss_mib`` went 56.8 -> 87.0 MiB (+53%)
+# with this function through ``translate``, and 50.3 -> 58.6 MiB (+16.5%,
+# ``ops_per_s`` +45%) with ``translate`` in ``_sift``'s product step only.
+# ``element_at`` through ``_images`` raised ``construct``'s ``peak_rss_mib``
+# in four pairs (52.5 -> 55.9, 54.5 -> 59.2, 47.9 -> 59.6 and 47.2 -> 52.6
+# MiB) with ``setup_s`` within 4%: perfbench draws its untimed inputs with
+# it, so more passes fit in a run.
 def _mul_raw(a, b):
     if type(a) is bytes:
         return bytes(map(a.__getitem__, b))
@@ -74,7 +80,7 @@ def _products(raw_blocks, pre):
     digits = [0] * k
     prefix = [pre]
     for i in range(k):
-        prefix.append(_mul_raw(prefix[i], raw_blocks[i][0]))
+        prefix.append(_images(prefix[i], raw_blocks[i][0]))
     while True:
         p = prefix[k]
         if mk is bytes:
@@ -83,8 +89,7 @@ def _products(raw_blocks, pre):
                 yield e.translate(table)
         else:
             for e in last:
-                # itemgetter of one point returns the point, not a tuple
-                yield _mul_raw(p, e) if len(e) > 1 else (p[e[0]],)
+                yield _images(p, e)
         i = k - 1
         while i >= 0 and digits[i] + 1 == len(raw_blocks[i]):
             digits[i] = 0
@@ -93,7 +98,7 @@ def _products(raw_blocks, pre):
             return
         digits[i] += 1
         for j in range(i, k):
-            prefix[j + 1] = _mul_raw(prefix[j], raw_blocks[j][digits[j]])
+            prefix[j + 1] = _images(prefix[j], raw_blocks[j][digits[j]])
 
 
 def _images(p, points):
@@ -136,7 +141,9 @@ def _sift(raw, levels, stop=None):
     multiplied on the left.  Returns ``(residue, digits, passed)``; the walk
     stops at the first image missing from its table, so ``passed`` is the
     number of levels stripped.  Every table holds its own point, so a walk
-    that stops early leaves a nonidentity residue.
+    that stops early leaves a nonidentity residue.  Without ``stop`` each
+    product is a map-based :func:`_mul_raw`: this walk serves every tame and
+    generic factorization, a per-element path (see the comment there).
 
     ``stop`` is the identity, as chain building and the membership test
     pass it, and needs tables that map their own point to the identity and
@@ -146,9 +153,11 @@ def _sift(raw, levels, stop=None):
     the residue is compared with that forward image: on a match the
     product would be the identity, which the later levels keep, so the
     walk returns ``stop`` with every level counted as passed.  A residue
-    that fixes the level's point is multiplied by nothing.  Membership
-    reads only the residue, so the digits a stopped walk leaves out do
-    not matter there.
+    that fixes the level's point is multiplied by nothing, and the other
+    products go through :func:`_images`: membership runs while chains,
+    indexes, oracles and keys are set up, never per served element.
+    Membership reads only the residue, so the digits a stopped walk
+    leaves out do not matter there.
     """
     out = ()
     if stop is None:
@@ -168,7 +177,7 @@ def _sift(raw, levels, stop=None):
         if raw == hit[2]:
             return stop, out, len(levels)
         if image != point:
-            raw = _mul_raw(hit[1], raw)
+            raw = _images(hit[1], raw)
     return raw, out, len(levels)
 
 
@@ -267,7 +276,7 @@ class Permutation:
             return NotImplemented
         if len(self.img) != len(other.img):
             raise ValueError("degree mismatch: %d vs %d" % (len(self.img), len(other.img)))
-        return Permutation._wrap(_mul_raw(self.img, other.img))
+        return Permutation._wrap(_images(self.img, other.img))
 
     def __pow__(self, exponent: int) -> "Permutation":
         n = len(self.img)
@@ -278,8 +287,8 @@ class Permutation:
         e = exponent
         while e:
             if e & 1:
-                result = _mul_raw(base, result)
-            base = _mul_raw(base, base)
+                result = _images(base, result)
+            base = _images(base, base)
             e >>= 1
         return Permutation._wrap(result)
 

@@ -19,11 +19,11 @@ def test_oracle_cases_prints_a_row_per_case():
     assert done.returncode == 0 and done.stderr == ""
     header, *rows = done.stdout.splitlines()
     assert header.split()[:2] == ["case", "verdict"]
-    assert header.split()[-1] == "chain_ms"
+    assert header.split()[-2:] == ["member_ms", "chain_ms"]
     assert [row[:14].strip() for row in rows] == ["M11 refined", "M22 tampered"]
     assert rows[0].split()[2:4] == ["pass", "7920"]
     assert rows[1].split()[2:6] == ["fail", "at", "423361", "443520"]
-    assert all(float(row.split()[-1]) > 0 for row in rows)
+    assert all(float(x) > 0 for row in rows for x in row.split()[-2:])
 
 
 def test_oracle_cases_rejects_an_unknown_case():

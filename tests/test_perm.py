@@ -5,9 +5,13 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from logsig import (CycleFormatError, LogSignature, Permutation, format_cycles,
-                    parse_cycles, reconstruct)
-from logsig.perm import _digits_of, _identity_raw, _order_raw, _products, _value_of
+from logsig import (CycleFormatError, LogSignature, Permutation, TameIndexer,
+                    build_chain, build_mls, chain, chain_ls, factorize,
+                    factorize_tame, format_cycles, load_group, parse_cycles, perm,
+                    pgm, randomize_ls, reconstruct, refine_ls, verify_exhaustive,
+                    verify_structural)
+from logsig.perm import (_digits_of, _identity_raw, _images, _mul_raw, _order_raw,
+                         _products, _raw, _value_of)
 
 perms = st.integers(min_value=1, max_value=12).flatmap(
     lambda n: st.permutations(list(range(n)))).map(Permutation)
@@ -136,6 +140,22 @@ def test_inverse_law(g):
     assert (g.inverse() * g).is_identity()
 
 
+wide_pairs = st.integers(min_value=1, max_value=300).flatmap(
+    lambda n: st.tuples(*(st.permutations(list(range(n))),) * 2)).map(
+    lambda t: (Permutation(t[0]), Permutation(t[1])))
+
+
+@given(wide_pairs)
+@example((Permutation(list(range(1, 256)) + [0]), Permutation(range(255, -1, -1))))
+@example((Permutation(list(range(1, 257)) + [0]), Permutation(range(256, -1, -1))))
+def test_images_and_mul_raw_agree(pair):
+    # the two product kernels: one translate and one map over the images
+    a, b = pair
+    got = _images(a.img, b.img)
+    assert type(got) is type(a.img)
+    assert got == _mul_raw(a.img, b.img) == _raw([a(x) for x in b.img], a.degree)
+
+
 @given(perms)
 def test_order_is_least_annihilating_exponent(g):
     assert (g ** g.order()).is_identity()
@@ -233,3 +253,42 @@ def test_digits_of_is_mixed_radix_last_fastest():
     assert [_digits_of(r, (2, 3)) for r in range(6)] == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     assert _value_of((1, 2, 3), (2, 3, 5)) == 1 * 15 + 2 * 5 + 3
+
+
+# -- the kernel split ---------------------------------------------------------
+
+def test_set_up_makes_no_map_based_product(m11, m12, m24, monkeypatch):
+    # _mul_raw is kept for the per-element paths: the digit walk of tame and
+    # generic factorization, reconstruct and element_at; chain building,
+    # membership, indexing, the oracles, refinement and key loading all
+    # multiply through _images
+    rng = random.Random(25)
+    members = [(c, c.element_at(rng.randrange(c.order))) for c in (m12, m24) for _ in range(20)]
+    others = [(c, Permutation(rng.sample(range(c.degree), c.degree))) for c in (m12, m24)]
+    refined = build_mls(m12)
+    base = chain_ls(m12)
+    alpha, beta = randomize_ls(base, m12, 1), randomize_ls(base, m12, 2)
+    calls = []
+
+    def counted(module):
+        def product(a, b):
+            calls.append(module.__name__)
+            return _mul_raw(a, b)
+        return product
+
+    for module in (perm, chain, factorize):
+        monkeypatch.setattr(module, "_mul_raw", counted(module))
+    for name in ("M24", "D300"):
+        build_chain(load_group(name))
+    assert all(c.contains(g) for c, g in members)
+    assert not any(c.contains(g) for c, g in others)
+    indexer = TameIndexer(refined, m12)
+    assert verify_structural(refined, m12).ok and verify_structural(base, m12).ok
+    assert verify_exhaustive(refined, m12).ok
+    refine_ls(chain_ls(m11), m11)
+    pgm._make_key(m12, alpha, beta, 0)
+    assert calls == []
+    # the patch reaches each module that keeps a map-based product
+    g = m12.element_at(rng.randrange(m12.order))
+    assert reconstruct(refined, factorize_tame(g, indexer)) == g
+    assert set(calls) == {"logsig.perm", "logsig.chain", "logsig.factorize"}

@@ -9,10 +9,11 @@ Run from the root of a source checkout:
 For each case it prints the verdict, the median time of ``REPEAT`` calls
 of ``verify_exhaustive``, the products per second that gives (the product
 count over the median), the tracemalloc peak of one more call, in bytes
-per product, and the median time of ``REPEAT`` calls of ``build_chain`` on
-the case's generators, so that the chain layer and the oracle layer of a
-checkout are seen side by side.  Signatures and chains are built before any
-timing.  To compare
+per product, the median time of ``REPEAT`` passes of ``chain.contains``
+over every block entry, and the median time of ``REPEAT`` calls of
+``build_chain`` on the case's generators, so that the oracle, membership
+and chain layers of a checkout are seen side by side.  Signatures and
+chains are built before any timing.  To compare
 two checkouts, run the script against each in turn, more than once and
 alternating, on an otherwise idle machine: only figures taken side by side
 compare.  Standard library only; an unknown case name exits 2 and lists the
@@ -86,6 +87,13 @@ def measure(lib, name: str) -> dict:
     finally:
         tracemalloc.stop()
     median = statistics.median(times)
+    entries = [e for block in ls.blocks for e in block]
+    passes = []
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        for e in entries:
+            chain.contains(e)
+        passes.append(time.perf_counter() - t0)
     builds = []
     for _ in range(REPEAT):
         t0 = time.perf_counter()
@@ -95,6 +103,7 @@ def measure(lib, name: str) -> dict:
             "products": chain.order, "median_ms": median * 1e3,
             "products_per_s": chain.order / median,
             "bytes_per_product": peak / chain.order,
+            "member_ms": statistics.median(passes) * 1e3,
             "chain_ms": statistics.median(builds) * 1e3}
 
 
@@ -113,15 +122,16 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     import logsig
 
-    print("%-14s %-16s %12s %10s %14s %10s %10s" % (
+    print("%-14s %-16s %12s %10s %14s %10s %10s %10s" % (
         "case", "verdict", "products", "median_ms", "products/s", "B/product",
-        "chain_ms"))
+        "member_ms", "chain_ms"))
     for name in args.cases or CASES:
         row = measure(logsig, name)
         verdict = "pass" if row["ok"] else "fail at %d" % row["checked"]
-        print("%-14s %-16s %12d %10.3f %14.4g %10.3f %10.3f" % (
+        print("%-14s %-16s %12d %10.3f %14.4g %10.3f %10.3f %10.3f" % (
             name, verdict, row["products"], row["median_ms"],
-            row["products_per_s"], row["bytes_per_product"], row["chain_ms"]))
+            row["products_per_s"], row["bytes_per_product"], row["member_ms"],
+            row["chain_ms"]))
     return 0
 
 
