@@ -34,13 +34,14 @@ def _raw(images: Iterable[int], degree: int):
 # The map-based product, kept for the per-element paths only: ``_sift``'s
 # digit walk (tame and generic factorization), ``factorize.reconstruct`` and
 # ``StabilizerChain.element_at``.  Every other product (chain building,
-# membership, the prefixes of ``_products``, ``Permutation`` arithmetic)
-# goes through ``_images``, which gives the same bytes about nine times
-# faster at degree 24.  The benchmark keeps every op latency, so a faster
-# per-element path reads as a memory regression until it keeps them bounded
-# (ROADMAP item 6).  In ``perfbench`` ``lookup`` runs (seed 1, 30 s, one
-# pair each, 2-CPU x86-64), ``peak_rss_mib`` went 56.8 -> 87.0 MiB (+53%)
-# with this function through ``translate``, and 50.3 -> 58.6 MiB (+16.5%,
+# membership, the prefixes of ``_products``, the oracle's heads, PGM key
+# draws, ``Permutation`` arithmetic) goes through ``_images``, which gives
+# the same bytes about nine times faster at degree 24.  The benchmark keeps
+# every op latency, so a faster per-element path reads as a memory
+# regression until it keeps them bounded (ROADMAP item 6).  In ``perfbench``
+# ``lookup`` runs (seed 1, 30 s, one pair each, 2-CPU x86-64),
+# ``peak_rss_mib`` went 56.8 -> 87.0 MiB (+53%) with this function
+# through ``translate``, and 50.3 -> 58.6 MiB (+16.5%,
 # ``ops_per_s`` +45%) with ``translate`` in ``_sift``'s product step only.
 # ``element_at`` through ``_images`` raised ``construct``'s ``peak_rss_mib``
 # in four pairs (52.5 -> 55.9, 54.5 -> 59.2, 47.9 -> 59.6 and 47.2 -> 52.6
@@ -156,11 +157,11 @@ def _sift(raw, levels, stop=None):
     that fixes the level's point is multiplied by nothing, and the other
     products go through :func:`_images`: membership runs while chains,
     indexes, oracles and keys are set up, never per served element.
-    Membership reads only the residue, so the digits a stopped walk
-    leaves out do not matter there.
+    Membership and chain building read only the residue and the levels
+    passed, so this walk builds no digits and returns ``()`` for them.
     """
-    out = ()
     if stop is None:
+        out = ()
         for passed, (point, table) in enumerate(levels):
             hit = table.get(raw[point])
             if hit is None:
@@ -172,13 +173,12 @@ def _sift(raw, levels, stop=None):
         image = raw[point]
         hit = table.get(image)
         if hit is None:
-            return raw, out, passed
-        out += hit[0]
+            return raw, (), passed
         if raw == hit[2]:
-            return stop, out, len(levels)
+            return stop, (), len(levels)
         if image != point:
             raw = _images(hit[1], raw)
-    return raw, out, len(levels)
+    return raw, (), len(levels)
 
 
 def _inv_raw(a):

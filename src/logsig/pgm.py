@@ -16,7 +16,7 @@ from typing import IO
 from .chain import StabilizerChain
 from .construct import chain_ls
 from .factorize import TameIndexer, factorize_tame, reconstruct
-from .perm import _digits_of, _value_of
+from .perm import Permutation, _digits_of, _images, _value_of
 from .signature import (LogSignature, LsFormatError, _ls_from_obj, _ls_obj,
                         _parse_json, _read_text, _write_text)
 
@@ -34,6 +34,11 @@ def randomize_ls(ls: LogSignature, chain: StabilizerChain, seed: int) -> LogSign
     next level's group.  Right multiplication by a stabilizer element keeps
     each entry's base-point image, so cosets, tameness and the structural
     verdict are all preserved; only the digit assignment changes.
+
+    The element at a drawn index is the one :meth:`StabilizerChain.element_at`
+    gives, the product of the transversal elements its digits select, but
+    composed through :func:`~logsig.perm._images`: keys are set up, not
+    served per element.
     """
     ann = ls.provenance.annotations
     if ls.provenance.tag != "chain" or ann is None:
@@ -45,7 +50,13 @@ def randomize_ls(ls: LogSignature, chain: StabilizerChain, seed: int) -> LogSign
         rng.shuffle(entries)
         sub = chain.subchain(a.level + 1)
         if sub.order > 1:
-            entries = [e * sub.element_at(rng.randrange(sub.order)) for e in entries]
+            sizes = [len(lv.orbit) for lv in sub.levels]
+            reps = [[lv.transversal[p].img for p in lv.orbit] for lv in sub.levels]
+            for i, e in enumerate(entries):
+                raw = e.img
+                for t, d in zip(reps, _digits_of(rng.randrange(sub.order), sizes)):
+                    raw = _images(raw, t[d])
+                entries[i] = Permutation._wrap(raw)
         blocks.append(tuple(entries))
     return LogSignature(degree=ls.degree, blocks=tuple(blocks), group=ls.group,
                         provenance=ls.provenance)

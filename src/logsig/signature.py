@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain as iterchain, repeat
 from math import prod
+from operator import itemgetter
 from typing import IO
 
 from .arith import PrimeFactorization
@@ -192,15 +193,25 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
     heads are coset representatives, distinct on the pinned points, so
     the check is the tail plus one class key per head.  Otherwise the
     classes are mapped from the packed keys, and only a class fed by two
-    or more heads, or by a group that repeats a key, is walked, storing
-    its keys; its heads come from one pass over the leading blocks.
-    Besides the packed tail and class keys, the keys stored at once are
-    one group's or one walked class's; the budget still counts all |G|
-    products.  A class sees its products in rank order (mixed radix,
-    digits varying fastest in the last block); at its first chunk that
-    repeats a key, its chunks are scanned again for the first repeat, and
-    the report names the least second rank over the classes.  A group of
-    order 1, of degree 0 too, has one product and passes.
+    or more heads, or by a group that repeats a key, can repeat one.
+    Such a class is walked, storing its keys; it sees its products in
+    rank order (mixed radix, digits varying fastest in the last block),
+    one chunk per head.  At its first chunk that repeats a key, its chunks
+    are scanned again for the first repeat, and the report names the
+    least second rank over the classes.  Besides the packed tail and class
+    keys, the keys stored at once are one group's or one walked class's;
+    the budget still counts all |G| products.
+
+    A class's first repeat lies in its first head's chunk when that
+    head's group repeats a key, and no earlier than its second head's
+    chunk otherwise, so the classes are walked in the order of that head,
+    their bound.  Once a repeat is found in head c's chunk, every product
+    of a later head comes after it: a class walks only its heads up to c,
+    and the walk stops at the first class whose bound is past c.  A head
+    is made when the walk first reads it, from the kept product of its
+    leading digits, so a failing check makes the few heads it reads and
+    one that walks every class about one composition per head.  A group
+    of order 1, of degree 0 too, has one product and passes.
     """
     if ls.degree != chain.degree:
         raise ValueError("degree mismatch")
@@ -251,56 +262,57 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
         tails = {y: _join(v, mk) for y, v in parts.items()}
     # a head maps keys one to one, so the chunk p·T_y of a head p repeats a
     # key iff its group T_y does: each group is checked once, here
-    distinct = {y: len(t) == width
-                   or len(dict.fromkeys(_keys(t, width))) * width == len(t)
-                for y, t in tails.items()}
+    ys, groups = list(tails), list(tails.values())
+    distinct = [len(t) == width or len(dict.fromkeys(_keys(t, width))) * width == len(t)
+                for t in groups]
     # every tail product fixes the points of pin, so a product maps them as
     # its head p does: p sends group y into class (p(y), p(pin)).  The
     # points y and pin of every group, padded as the base is, are expanded
     # right to left through the head blocks, as the tail is, into the
     # packed class keys of every head in rank order
-    pin, ys = pinned[h], list(tails)
-    g = len(ys)
+    pin, g = pinned[h], len(ys)
     kpad = -(1 + len(pin)) % 8 if mk is bytes else 0
     kwidth = 1 + len(pin) + kpad
     packed = mk(iterchain.from_iterable([y, *pin] + [y] * kpad for y in ys))
     for block in reversed(raws[:h]):
         packed = _join([_images(e, packed) for e in block], mk)
     if (len(set(_keys(packed, kwidth))) * kwidth == len(packed)
-            and all(distinct.values())):
+            and all(distinct)):
         # each class is fed by one head, through a group with no repeat
         return VerificationReport(ok=True, method="exhaustive", products_checked=total)
     # class key -> the places c * g + j of the heads c feeding it through
-    # group ys[j]; walk the classes fed twice or by a repeating group
+    # group ys[j], in rank order
     classes: dict = {}
     for i, key in enumerate(_keys(packed, kwidth)):
         classes.setdefault(key, []).append(i)
-    walked = [fed for fed in classes.values()
-              if len(fed) > 1 or not distinct[ys[fed[0] % g]]]
-    del classes, packed  # freed before the heads are stored
-    need = {i // g for fed in walked for i in fed}
-    heads = {c: p for c, p in zip(range(max(need) + 1), _products(raws[:h], ident))
-             if c in need}
+    del packed
+    # a class first repeats a key in its first head's chunk if that head's
+    # group repeats one (fed[False]), and else no earlier than its second
+    # head's chunk (fed[True]): the classes that can repeat are walked in
+    # the order of that head
+    walked = sorted(((fed[distinct[fed[0] % g]] // g, fed) for fed in classes.values()
+                     if len(fed) > 1 or not distinct[fed[0] % g]), key=itemgetter(0))
+    del classes
+    heads = _Heads(raws[:h], ident)
 
     ranks, best, stop = None, None, total // n
-    for fed in walked:
-        # a later class can only hold an earlier collision up to head stop - 1
+    for bound, fed in walked:
+        if bound >= stop:  # its second rank is at least stop * n
+            break
+        # heads from stop on come after the least second rank found
         fed = [divmod(i, g) for i in fed if i < stop * g]
-        if len(fed) == 1 and distinct[ys[fed[0][1]]]:
-            continue
         seen, count = {}, 0
         for i, (c, j) in enumerate(fed):
-            y = ys[j]
-            seen.update(zip(_keys(_images(heads[c], tails[y]), width), repeat(None)))
-            count += len(tails[y]) // width
+            seen.update(zip(_keys(_images(heads[c], groups[j]), width), repeat(None)))
+            count += len(groups[j]) // width
             if len(seen) < count:
                 seen.clear()  # freed before _first_repeat builds its own
-                j, i0, j0 = _first_repeat(
-                    [_images(heads[q], tails[ys[z]]) for q, z in fed[:i + 1]], width)
+                k, i0, k0 = _first_repeat(
+                    [_images(heads[q], groups[z]) for q, z in fed[:i + 1]], width)
                 if ranks is None:  # each tail group's ranks, once per call
                     ranks = _tail_ranks(raws[h:], base[0])
-                c0, z0 = fed[i0]
-                pair = c * n + ranks[y][j], c0 * n + ranks[ys[z0]][j0]
+                c0, j0 = fed[i0]
+                pair = c * n + ranks[ys[j]][k], c0 * n + ranks[ys[j0]][k0]
                 best, stop = min(best or pair, pair), c + 1
                 break
     if best:
@@ -326,6 +338,8 @@ def _keys(chunk, width: int):
     """The keys of a chunk of packed base images, ``width`` points each."""
     if type(chunk) is bytes:
         chunk, width = memoryview(chunk).cast("Q"), width // 8
+    elif len(chunk) == width > 1:  # one tuple key: the chunk itself
+        return (chunk,)
     if width == 1:
         return chunk
     return zip(*(chunk[i::width] for i in range(width)))
@@ -350,10 +364,42 @@ def _first_repeat(chunks: list, width: int) -> tuple[int, int, int]:
                 return j, i0, j0
 
 
+class _Heads(dict):
+    """Rank -> the product of ``blocks`` at that rank, digits ordered as
+    :func:`_products` orders them, made on its first read.  The product of
+    each run of leading digits is kept, made from the one with its last
+    digit dropped: heads read in any order cost about one composition
+    each, and the heads no one reads are not made."""
+
+    def __init__(self, blocks, ident):
+        super().__init__()
+        self.blocks = blocks
+        # made[k]: the rank of a run of k leading digits -> its product
+        self.made = [{0: ident}] + [{} for _ in blocks]
+
+    def __missing__(self, rank):
+        blocks, made = self.blocks, self.made
+        k, r, digits = len(blocks), rank, []
+        while r not in made[k]:  # drop last digits down to a made product
+            k -= 1
+            r, d = divmod(r, len(blocks[k]))
+            digits.append(d)
+        p = made[k][r]
+        for d in reversed(digits):
+            r = r * len(blocks[k]) + d
+            p = made[k + 1][r] = _images(p, blocks[k][d])
+            k += 1
+        self[rank] = p
+        return p
+
+
 def _tail_ranks(blocks, b0: int) -> dict:
     """The ranks of the products of ``blocks``, grouped by their image y of
     ``b0``, each group in rank order: one image of one point per product,
-    not a product of full image arrays."""
+    not a product of full image arrays.  When every entry fixes b0 there
+    is one group, whose ranks are its positions."""
+    if all(e[b0] == b0 for block in blocks for e in block):
+        return {b0: range(prod(map(len, blocks)))}
     images = [b0]
     for block in reversed(blocks):
         images = [e[z] for e in block for z in images]

@@ -15,14 +15,18 @@ def oracle_cases(*argv):
 
 
 def test_oracle_cases_prints_a_row_per_case():
-    done = oracle_cases("M11 refined", "M22 tampered")
+    # both failing shapes: a head entry that repeats a coset, and a tail
+    # entry that makes the tail repeat a product
+    done = oracle_cases("M11 refined", "M22 tampered", "M12 tail-tampered")
     assert done.returncode == 0 and done.stderr == ""
     header, *rows = done.stdout.splitlines()
     assert header.split()[:2] == ["case", "verdict"]
     assert header.split()[-2:] == ["member_ms", "chain_ms"]
-    assert [row[:14].strip() for row in rows] == ["M11 refined", "M22 tampered"]
+    assert [row[:17].strip() for row in rows] == [
+        "M11 refined", "M22 tampered", "M12 tail-tampered"]
     assert rows[0].split()[2:4] == ["pass", "7920"]
     assert rows[1].split()[2:6] == ["fail", "at", "423361", "443520"]
+    assert rows[2].split()[2:6] == ["fail", "at", "10", "95040"]
     assert all(float(x) > 0 for row in rows for x in row.split()[-2:])
 
 

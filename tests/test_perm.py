@@ -260,14 +260,13 @@ def test_digits_of_is_mixed_radix_last_fastest():
 def test_set_up_makes_no_map_based_product(m11, m12, m24, monkeypatch):
     # _mul_raw is kept for the per-element paths: the digit walk of tame and
     # generic factorization, reconstruct and element_at; chain building,
-    # membership, indexing, the oracles, refinement and key loading all
-    # multiply through _images
+    # membership, indexing, the oracles, refinement and key generation and
+    # loading all multiply through _images
     rng = random.Random(25)
     members = [(c, c.element_at(rng.randrange(c.order))) for c in (m12, m24) for _ in range(20)]
     others = [(c, Permutation(rng.sample(range(c.degree), c.degree))) for c in (m12, m24)]
     refined = build_mls(m12)
     base = chain_ls(m12)
-    alpha, beta = randomize_ls(base, m12, 1), randomize_ls(base, m12, 2)
     calls = []
 
     def counted(module):
@@ -286,7 +285,7 @@ def test_set_up_makes_no_map_based_product(m11, m12, m24, monkeypatch):
     assert verify_structural(refined, m12).ok and verify_structural(base, m12).ok
     assert verify_exhaustive(refined, m12).ok
     refine_ls(chain_ls(m11), m11)
-    pgm._make_key(m12, alpha, beta, 0)
+    pgm._make_key(m12, randomize_ls(base, m12, 1), randomize_ls(base, m12, 2), 0)
     assert calls == []
     # the patch reaches each module that keeps a map-based product
     g = m12.element_at(rng.randrange(m12.order))

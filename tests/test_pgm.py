@@ -31,6 +31,29 @@ def test_randomize_last_block_is_permutation_of_original(m11):
         sorted(base.blocks[-1], key=lambda g: g.img)
 
 
+def element_at_reference(ls, chain, seed):
+    """``randomize_ls`` with each right factor drawn by ``element_at``."""
+    rng = random.Random(seed)
+    blocks = []
+    for block, a in zip(ls.blocks, ls.provenance.annotations):
+        entries = list(block)
+        rng.shuffle(entries)
+        sub = chain.subchain(a.level + 1)
+        if sub.order > 1:
+            entries = [e * sub.element_at(rng.randrange(sub.order)) for e in entries]
+        blocks.append(tuple(entries))
+    return tuple(blocks)
+
+
+@pytest.mark.parametrize("name", ["m11", "m12", "m24"])
+def test_randomize_draws_the_element_at_factors(name, request):
+    chain = request.getfixturevalue(name)
+    base = chain_ls(chain)
+    for seed in (0, 1, 42, 2015, 2 ** 62 + 7):
+        assert randomize_ls(base, chain, seed).blocks == element_at_reference(
+            base, chain, seed)
+
+
 def test_randomize_needs_chain_provenance(s4):
     from logsig import mls_solvable
     with pytest.raises(ValueError):

@@ -231,6 +231,27 @@ def failing_verdict_and_tail(ls, chain, monkeypatch):
     return got, tails[0]
 
 
+def test_exhaustive_tail_of_every_block_matches_full_image_reference(a5, monkeypatch):
+    # A4 times the 5-cycles is exact for A5.  Its last block's 5 products
+    # are short of the balance point, so the tail takes both blocks and
+    # the one head is the product of no digits
+    a4 = tuple(g for g in a5.elements() if g(4) == 4)
+    c5 = tuple(parse_cycles("(1,2,3,4,5)", 5) ** k for k in range(5))
+    ls = LogSignature(degree=5, blocks=(a4, c5))
+    assert verdict(ls, a5) == full_image_reference(ls) == (True, 60, None)
+    rng = random.Random(20151011)
+    outcomes = set()
+    for _ in range(20):
+        bad = seeded_tamper(ls, a5, rng)
+        expect = full_image_reference(bad)
+        if expect[0]:
+            assert verdict(bad, a5) == expect
+        else:
+            assert failing_verdict_and_tail(bad, a5, monkeypatch) == (expect, 2)
+        outcomes.add(expect[0])
+    assert outcomes == {True, False}
+
+
 def test_exhaustive_multi_head_m12_matches_full_image_reference(m12):
     ls = chain_ls(m12)
     # the tail is the last three blocks, so the 132 products of blocks 0
@@ -280,9 +301,11 @@ def test_exhaustive_first_repeat_inside_or_before_its_chunk(m12, monkeypatch):
     # lets several heads feed one class.  Every failing class's first
     # repeat is checked where it is found: inside the failing chunk, the
     # class's first or a later one, and in the chunk just before it or
-    # further back.  A repeat inside a later chunk needs its tail group to
-    # repeat a key and the class's earlier chunks to come from a group
-    # that does not; the first 42 draws of this seed reach it
+    # further back.  A repeat inside a later chunk would need its tail
+    # group to repeat a key, but such a group also feeds a class of head 0,
+    # which is walked first and holds the least witness in head 0's chunk:
+    # that is checked on every draw whose tail repeats a product, three of
+    # the 48 draws of this seed
     first_repeat, places = signature._first_repeat, set()
 
     def checked_first_repeat(chunks, width):
@@ -293,11 +316,22 @@ def test_exhaustive_first_repeat_inside_or_before_its_chunk(m12, monkeypatch):
 
     monkeypatch.setattr(signature, "_first_repeat", checked_first_repeat)
     rng = random.Random(20151010)
+    tail_repeats = 0
     for _ in range(48):
         bad = seeded_tamper(seeded_tamper(chain_ls(m12), m12, rng), m12, rng)
-        assert verdict(bad, m12) == full_image_reference(bad)
+        expect = full_image_reference(bad)
+        if expect[0]:
+            assert verdict(bad, m12) == expect
+            continue
+        got, k = failing_verdict_and_tail(bad, m12, monkeypatch)
+        assert got == expect
+        tail = LogSignature(degree=bad.degree, blocks=bad.blocks[-k:])
+        if not full_image_reference(tail)[0]:
+            assert _value_of(expect[2][1], bad.block_sizes) < tail.product_count()
+            tail_repeats += 1
+    assert tail_repeats == 3
     # (earlier chunks in the class, chunks back from the failing one, at most 2)
-    assert places == {(False, 0), (True, 0), (True, 1), (True, 2)}
+    assert places == {(False, 0), (True, 1), (True, 2)}
 
 
 # M12's chain signature is checked with a tail of its last three blocks,
@@ -346,6 +380,73 @@ def test_exhaustive_reports_the_rank_first_of_several_failing_classes(m12):
         assert verdict(bad, m12) == expect
     # entries 1 and 9 are the same in both, so class orbit[1] fails in both
     assert found == [(orbit[1], 9), (orbit[4], 4)]
+
+
+def class_walk_reference(ls, chain, k):
+    """The classes of a check whose tail is the last ``k`` blocks, from
+    every product's full image array: ``(bound, second)`` for each class
+    that repeats a product, in the order of their bounds, as the oracle
+    walks them.  A product's class is its image of b0 and of the base
+    points every tail entry fixes; ``bound`` is the first head whose chunk
+    of the class repeats a product on its own, or else the second head, and
+    ``second`` is the rank of the class's first repeat."""
+    n, b0 = prod(ls.block_sizes[-k:]), chain.base[0]
+    pin = [b for b in chain.base if all(e(b) == b for block in ls.blocks[-k:] for e in block)]
+    raws = [[e.img for e in block] for block in ls.blocks]
+    classes: dict = {}
+    for rank, q in enumerate(_products(raws, _identity_raw(ls.degree))):
+        classes.setdefault((q[b0], *(q[b] for b in pin)), []).append((rank, q))
+    walk = []
+    for members in classes.values():
+        seen: dict = {}
+        second = next((r for r, q in members if seen.setdefault(q, r) != r), None)
+        if second is None:
+            continue
+        heads = sorted({r // n for r, _ in members})
+        first = [q for r, q in members if r // n == heads[0]]
+        walk.append((heads[0] if len(set(first)) < len(first) else heads[1], second))
+    return sorted(walk)
+
+
+def test_exhaustive_least_witness_after_the_first_walked_class(m12, monkeypatch):
+    # a seeded tamper replaces entry 4 of block 2 by a member that moves b0
+    # and b1, so the tail splits into groups and several heads feed each
+    # class.  The class walked first, from head 1 on, first repeats in
+    # head 15's chunk; the next, from head 2 on, repeats in head 2's chunk
+    # and holds the least witness; the third starts at head 5, past it
+    bad = seeded_tamper(chain_ls(m12), m12, random.Random(16))
+    expect = full_image_reference(bad)
+    got, k = failing_verdict_and_tail(bad, m12, monkeypatch)
+    assert got == expect and k == 3
+    walk = class_walk_reference(bad, m12, k)
+    assert [(bound, second // M12_TAIL) for bound, second in walk[:3]] == [
+        (1, 15), (2, 2), (5, 8)]
+    assert min(second for _, second in walk) == walk[1][1] == expect[1] - 1
+
+
+def test_exhaustive_m22_tamper_walks_one_class(m22, monkeypatch):
+    # 21 classes are each fed by a head of block-0 entry 1 and one of the
+    # last entry, 21, and repeat a key in the second chunk.  Head (21, 0)
+    # equals head (1, 1), so its class is walked first; its witness is in
+    # head (21, 0)'s chunk, and every other class's second head comes
+    # later, so no other class is walked and only those two heads are made
+    first_repeat, calls, made = signature._first_repeat, [], []
+
+    def counted_first_repeat(chunks, width):
+        calls.append(len(chunks))
+        return first_repeat(chunks, width)
+
+    class KeptHeads(signature._Heads):
+        def __init__(self, blocks, ident):
+            super().__init__(blocks, ident)
+            made.append(self)
+
+    monkeypatch.setattr(signature, "_first_repeat", counted_first_repeat)
+    monkeypatch.setattr(signature, "_Heads", KeptHeads)
+    assert verdict(tampered_m22(m22), m22) == (
+        False, 423_361, ((1, 1, 0, 0, 0), (21, 0, 0, 0, 0)))
+    # block 1 holds 21 entries
+    assert calls == [2] and [set(heads) for heads in made] == [{1 * 21 + 1, 21 * 21 + 0}]
 
 
 def test_exhaustive_many_failing_classes_time_budget():

@@ -43,6 +43,17 @@ def _tampered_m22(lib):
     return lib.LogSignature(degree=ls.degree, blocks=(tuple(b0),) + ls.blocks[1:]), chain
 
 
+def _tail_tampered_m12(lib):
+    # the last entry of the last block becomes b3[1] * b4[1], so the tail's
+    # one group repeats the product of digits (0, 0, 0, 1, 1); the first
+    # collision is at 10, in the first head's chunk
+    chain = lib.load_verified_chain("M12")
+    ls = lib.chain_ls(chain)
+    last = list(ls.blocks[4])
+    last[-1] = ls.blocks[3][1] * ls.blocks[4][1]
+    return lib.LogSignature(degree=ls.degree, blocks=ls.blocks[:4] + (tuple(last),)), chain
+
+
 def _c1000_cyclic(lib):
     chain = lib.load_verified_chain("C1000")
     gen = next(g for g in chain.generators.gens if g.order() == 1000)
@@ -60,6 +71,7 @@ def _built(method, name):
 CASES = {
     "M22 chain": (_built("chain_ls", "M22"), None),
     "M22 tampered": (_tampered_m22, None),
+    "M12 tail-tampered": (_tail_tampered_m12, None),
     "M12 refined": (_built("build_mls", "M12"), None),
     "M11 refined": (_built("build_mls", "M11"), None),
     "A10 chain": (_built("chain_ls", "A10"), None),
@@ -122,13 +134,13 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     import logsig
 
-    print("%-14s %-16s %12s %10s %14s %10s %10s %10s" % (
+    print("%-17s %-16s %12s %10s %14s %10s %10s %10s" % (
         "case", "verdict", "products", "median_ms", "products/s", "B/product",
         "member_ms", "chain_ms"))
     for name in args.cases or CASES:
         row = measure(logsig, name)
         verdict = "pass" if row["ok"] else "fail at %d" % row["checked"]
-        print("%-14s %-16s %12d %10.3f %14.4g %10.3f %10.3f %10.3f" % (
+        print("%-17s %-16s %12d %10.3f %14.4g %10.3f %10.3f %10.3f" % (
             name, verdict, row["products"], row["median_ms"],
             row["products_per_s"], row["bytes_per_product"], row["member_ms"],
             row["chain_ms"]))
