@@ -174,7 +174,7 @@ def cmd_factorize(args) -> int:
     ls = _read_signature(args, chain)
     g = parse_cycles(args.element, chain.degree)
     try:
-        if ls.provenance.tag in ("chain", "refined") and ls.provenance.annotations:
+        if ls.provenance.tag in ("chain", "refined"):
             digits = factorize_tame(g, TameIndexer(ls, chain))
         else:
             digits = factorize_generic(g, ls, budget=args.budget)
@@ -272,9 +272,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--element", required=True, help="element in cycle notation")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="max products for generic factorization of a signature "
-                        "without chain annotations, by runs read off its entries "
-                        "or by meet-in-the-middle (whose smaller half is capped "
-                        "at 100,000); checked either way")
+                        "tagged other than chain or refined, by runs read off its "
+                        "entries or by meet-in-the-middle (whose smaller half is "
+                        "capped at 100,000); checked either way")
     p.set_defaults(fn=cmd_factorize)
 
     p = sub.add_parser("table-check",

@@ -1,7 +1,7 @@
 """Recovering the unique factorization of a group element with respect to a
-signature: constant lookups per level for transversal-structured (tame)
-signatures, and for signatures without a chain a sift through runs read off
-the entries, or meet-in-the-middle where there are none.
+signature by a sift through runs read off its entries: certified against a
+chain (tame), or without one (generic), which falls back to
+meet-in-the-middle where there are no runs.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from typing import NamedTuple
 from .chain import StabilizerChain
 from .perm import (Permutation, _digits_of, _identity_raw, _inv_raw, _mul_raw,
                    _products, _sift)
-from .signature import (DEFAULT_BUDGET, LogSignature, _index_levels,
-                        _level_table, _run_structure)
+from .signature import DEFAULT_BUDGET, LogSignature, _index_levels, _run_levels
 
 __all__ = ["TameIndexer", "FactorizationError", "factorize_tame",
            "factorize_generic", "reconstruct"]
@@ -25,17 +24,17 @@ class FactorizationError(ValueError):
 
 
 class TameIndexer:
-    """Per-level lookup tables turning base-point images into block digits.
+    """Per-run lookup tables turning point images into block digits.
 
-    For each chain level covered by the signature, the table maps the image
-    of the level's base point under a product-set element to that element's
-    digit tuple and inverse, so factorization reads one digit group per level
-    and strips it off, at cost O(levels * degree) per element.  Construction
-    expands each level's product set, which is at most orbit-sized.
+    The runs are read off the entries (in a chain or refined signature
+    they are the chain's nontrivial levels, at its base points).  Each
+    run's table maps the image of its point under a product of the run's
+    blocks to the product's digits and inverse, so factorization strips
+    one digit group per run, at cost O(runs * degree) per element.
 
-    Building the tables is the walk of the structural oracle, so
-    construction certifies the signature: it raises ValueError with the
-    fault :func:`~logsig.signature.verify_structural` reports for it.
+    The index is the structural oracle's, so construction certifies the
+    signature whatever its tag or annotations: it raises ValueError with
+    the fault :func:`~logsig.signature.verify_structural` reports for it.
     """
 
     def __init__(self, ls: LogSignature, chain: StabilizerChain):
@@ -103,9 +102,10 @@ def _generic_index(ls: LogSignature, budget: int) -> _GenericIndex:
     """The per-signature index of :func:`factorize_generic`.
 
     The limits are checked before either form is built.  The run form is
-    taken when :func:`~logsig.signature._run_structure` finds runs whose
+    taken when :func:`~logsig.signature._run_levels` finds runs whose
     tables hold at most ``left_n + right_n`` products, as many as the
-    meet-in-the-middle form's two halves.
+    meet-in-the-middle form's two halves: the index tame factorization
+    reads, without the chain's certificate.
 
     In the meet-in-the-middle form, scanning the right half, ``stored``
     maps each left product to its first rank and ``scan`` lists the right
@@ -123,10 +123,8 @@ def _generic_index(ls: LogSignature, budget: int) -> _GenericIndex:
     left_n, right_n = prefix[split], total // prefix[split]
     _check_limits(total, left_n, right_n, budget)
     e = _identity_raw(ls.degree)
-    runs = _run_structure(ls, left_n + right_n)
-    if runs is not None:
-        levels = [(point, _level_table(ls.blocks[start:stop], point, ls.degree))
-                  for start, stop, point in runs]
+    levels, fault = _run_levels(ls, left_n + right_n)
+    if not fault:
         return _GenericIndex(sizes, total, left_n, right_n, (levels, e), None)
     raws = [[x.img for x in block] for block in ls.blocks]
     left = _products(raws[:split], e)

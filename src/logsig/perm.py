@@ -171,13 +171,14 @@ def _sift(raw, levels, stop=None):
         return raw, out, len(levels)
     for passed, (point, table) in enumerate(levels):
         image = raw[point]
+        if image == point:
+            continue
         hit = table.get(image)
         if hit is None:
             return raw, (), passed
         if raw == hit[2]:
             return stop, (), len(levels)
-        if image != point:
-            raw = _images(hit[1], raw)
+        raw = _images(hit[1], raw)
     return raw, (), len(levels)
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain as iterchain, repeat
-from math import prod
+from itertools import chain as iterchain, product, repeat
+from math import inf, prod
 from operator import itemgetter
 from typing import IO
 
@@ -217,20 +217,13 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
         raise ValueError("degree mismatch")
     sizes = ls.block_sizes
     total = ls.product_count()
-    if total != chain.order:
-        return VerificationReport(
-            ok=False, method="exhaustive", products_checked=0,
-            detail="size-product mismatch: blocks enumerate %d products, group order is %d"
-                   % (total, chain.order))
+    fault = _member_fault(ls, chain)
+    if fault:
+        return VerificationReport(ok=False, method="exhaustive", products_checked=0,
+                                  detail=fault)
     if total > budget:
         raise VerificationBudgetError(
             "%d products exceed the budget of %d; use verify_structural" % (total, budget))
-    for bi, block in enumerate(ls.blocks):
-        for ei, e in enumerate(block):
-            if not chain.contains(e):
-                return VerificationReport(
-                    ok=False, method="exhaustive", products_checked=0,
-                    detail="block %d entry %d is not a group member" % (bi, ei))
 
     if total == 1:  # one product repeats nothing, and a degree-0 group has no base
         return VerificationReport(ok=True, method="exhaustive", products_checked=1)
@@ -410,57 +403,30 @@ def _tail_ranks(blocks, b0: int) -> dict:
 
 
 def _index_levels(ls: LogSignature, chain: StabilizerChain):
-    """The one walk over a tame signature's levels: ``(levels, fault, checked)``.
-
-    ``levels`` holds a ``(point, table)`` pair per annotated level for
-    :func:`~logsig.perm._sift`; the table maps the base-point image of each
-    product of the level's blocks to its digit tuple and inverse.  The walk
-    stops at the first fault: annotated levels other than the chain's
-    nontrivial ones, an entry outside its level's group, a product count
-    other than the orbit size, or a repeated image.  ``fault`` is "" for an
-    exact signature; ``checked`` counts the products expanded.  Raises
-    ValueError for a degree mismatch and missing or out-of-order annotations.
-    """
+    """The run index of a signature certified against a chain, as
+    :func:`verify_structural` certifies it: ``(levels, fault, checked)``,
+    the levels of :func:`_run_levels`, "" or the first fault found (with
+    no levels), and the products the tables hold."""
     if ls.degree != chain.degree:
         raise ValueError("degree mismatch")
-    ann = ls.provenance.annotations
-    if ls.provenance.tag not in ("chain", "refined") or ann is None:
-        raise ValueError("structural verification and tame factorization need "
-                         "chain or refined provenance with level annotations")
-    grouped: dict[int, list[int]] = {}
-    prev = -1
-    for bi, a in enumerate(ann):
-        if a.level < prev:
-            raise ValueError("block annotations out of level order")
-        prev = a.level
-        grouped.setdefault(a.level, []).append(bi)
-    needed = [i for i, lv in enumerate(chain.levels) if len(lv.orbit) > 1]
-    if list(grouped) != needed:
-        return [], ("annotated levels %s do not match chain levels %s"
-                    % (list(grouped), needed)), 0
-    levels: list = []
-    checked = 0
-    for level, block_ids in grouped.items():
-        lv, group = chain.levels[level], chain.subchain(level)
-        for bi in block_ids:
-            for e in ls.blocks[bi]:
-                if not group.contains(e):
-                    return levels, ("block %d entry %s is outside the level-%d group"
-                                    % (bi, e, level)), checked
-        sets = [ls.blocks[bi] for bi in block_ids]
-        count = prod(map(len, sets))
-        if count != len(lv.orbit):
-            return levels, ("level %d blocks enumerate %d products, orbit has %d "
-                            "points" % (level, count, len(lv.orbit))), checked
-        table = _level_table(sets, lv.point, ls.degree)
-        checked += len(lv.orbit)
-        # every product lies in the level group, so its image lies in the
-        # orbit: with as many products as points, distinct images cover it
-        if len(table) != len(lv.orbit):
-            return levels, ("level %d products repeat a base-point image"
-                            % level), checked
-        levels.append((lv.point, table))
-    return levels, "", checked
+    fault = _member_fault(ls, chain)
+    if fault:
+        return [], fault, 0
+    levels, fault = _run_levels(ls)
+    return levels, fault, sum(len(table) for _, table in levels)
+
+
+def _member_fault(ls: LogSignature, chain: StabilizerChain) -> str:
+    """"" when the block sizes multiply to |G| and every entry is a member,
+    which both oracles check first; otherwise the first fault."""
+    if ls.product_count() != chain.order:
+        return ("size-product mismatch: blocks enumerate %d products, group "
+                "order is %d" % (ls.product_count(), chain.order))
+    for bi, block in enumerate(ls.blocks):
+        for ei, e in enumerate(block):
+            if not chain.contains(e):
+                return "block %d entry %d is not a group member" % (bi, ei)
+    return ""
 
 
 def _level_table(sets, point: int, degree: int) -> dict:
@@ -476,54 +442,62 @@ def _level_table(sets, point: int, degree: int) -> dict:
     # one set's inverses are its inverted entries, not composed with the identity
     inverses = (inverted[0] if len(inverted) == 1
                 else _products(inverted, _identity_raw(degree)))
-    return {u.index(point): (_digits_of(rank, sizes)[::-1], u)
-            for rank, u in enumerate(inverses)}
+    return {u.index(point): (digits[::-1], u)
+            for digits, u in zip(product(*map(range, sizes)), inverses)}
 
 
-def _run_structure(ls: LogSignature, limit: int):
-    """A split of the blocks into runs, read off the entries alone, that
-    proves the product map one to one; None if none is found within ``limit``.
+def _run_levels(ls: LogSignature, limit: float = inf):
+    """The one run index of a signature, read off its entries alone:
+    ``(levels, fault)``, a ``(point, table)`` pair per run for
+    :func:`~logsig.perm._sift`, each table the run's :func:`_level_table`.
 
-    Returns ``(start, stop, point)`` triples that cover the blocks in order.
-    Every entry of ``blocks[stop:]`` fixes ``point``, and the products of
-    ``blocks[start:stop]`` send ``point`` to distinct points.  So a product
-    sends the first run's point where its first-run factor does, which
-    fixes that factor; stripping it, the same holds for the next run, and
-    by induction distinct digit tuples give distinct products.  Sifting an
-    element through :func:`_level_table` of each run therefore finds its
-    one factorization if it has one.  In a chain signature the runs are
-    the levels and the points the base.
-
-    Each run is the shortest that holds more than one product and has such
-    a point, which keeps every split that exists reachable; one-entry
-    blocks at the end join the last run.  None when a run would hold more
-    products than the degree, or the runs together more than ``limit``.
+    A run is a stretch ``blocks[start:stop]`` with a point that every
+    entry of ``blocks[stop:]`` fixes and that the run's products send to
+    distinct points.  So a product sends the first run's point where its
+    first-run factor does, which fixes that factor; stripping it, the same
+    holds for the next run, and by induction the product map is one to
+    one.  In a chain signature the runs are the levels and the points the
+    base.  Each run is the shortest that holds more than one product and
+    has such a point, which keeps every split that exists reachable;
+    one-entry blocks at the end join the last run.  ``fault`` is "" when
+    runs cover the blocks; otherwise it names the first block at which no
+    run can start and why (its products outnumber the degree before a
+    point separates them, or no point does), or says the runs would hold
+    more than ``limit`` products, and the levels are empty.
     """
     blocks, n = ls.blocks, ls.degree
     fixed = _fixed_points(blocks, range(n))
     runs: list = []
     start, count, held = 0, 1, 0
+    still = set(fixed[0])  # fixed from start on: no run's products separate them
     for stop in range(1, len(blocks) + 1):
         count *= len(blocks[stop - 1])
         if count == 1:
             continue
-        if count > n or held + count > limit:
-            return None
-        point = next((b for b in fixed[stop]
-                      if _maps_apart(blocks[start:stop], b)), None)
+        if count > n:
+            return [], ("no run can start at block %d: blocks %d to %d have %d "
+                        "products, more than the degree %d"
+                        % (start, start, stop - 1, count, n))
+        if held + count > limit:
+            return [], "the runs would hold more than %d products" % limit
+        point = next((b for b in fixed[stop] if b not in still
+                      and _maps_apart(blocks[start:stop], b)), None)
         if point is not None:
             runs.append((start, stop, point))
             start, count, held = stop, 1, held + count
+            still = set(fixed[start])
     if count > 1:
-        return None
+        return [], ("no run can start at block %d: no separating point, one "
+                    "that every later entry fixes and the run's products send "
+                    "apart" % start)
     if start < len(blocks):  # one-entry blocks, which fix every run's point
         if runs:
             runs[-1] = (runs[-1][0], len(blocks), runs[-1][2])
         elif n:
             runs.append((0, len(blocks), 0))
         else:
-            return None
-    return runs
+            return [], "no run can start at block 0: degree 0 has no point"
+    return [(point, _level_table(blocks[a:b], point, n)) for a, b, point in runs], ""
 
 
 def _fixed_points(blocks, points) -> list:
@@ -555,18 +529,25 @@ def _maps_apart(blocks, point: int) -> bool:
 
 
 def verify_structural(ls: LogSignature, chain: StabilizerChain) -> VerificationReport:
-    """Certify exactness level by level instead of by full enumeration.
+    """Certify exactness from runs read off the entries, not by enumeration.
 
-    For each annotated level the covering blocks must consist of elements of
-    that level's group, and the product set of those blocks must hit every
-    point of the level orbit exactly once through the level's base point.
-    Together with the chain's own exactness this is sound and complete for
-    transversal-structured signatures, at cost O(length * degree) plus the
-    expansion of each level's product set (at most the orbit size).  The
-    walk is shared with :class:`~logsig.factorize.TameIndexer`, so a
-    signature passes exactly when it can be indexed.
+    The block sizes must multiply to |G|, every entry must be a member,
+    and the blocks must split into runs (:func:`_run_levels`), which prove
+    the product map one to one: |G| distinct products of members are the
+    whole group.  This is complete for transversal-shaped signatures,
+    since every suffix of a level's blocks still sends its base point
+    apart.  It costs a membership sift per entry and each run's products,
+    at most the degree; the annotations are not read.  A fault fails the
+    report only under a ``chain`` or ``refined`` tag, which claims that
+    shape; under any other tag (an exact solvable signature may have no
+    runs) no verdict is reached and ValueError is raised.  The index is
+    :class:`~logsig.factorize.TameIndexer`'s, so a signature passes
+    exactly when it can be indexed.
     """
     _, fault, checked = _index_levels(ls, chain)
+    if fault and ls.provenance.tag not in ("chain", "refined"):
+        raise ValueError("no structural verdict for a %s signature: %s"
+                         % (ls.provenance.tag, fault))
     return VerificationReport(ok=not fault, method="structural",
                               products_checked=checked, detail=fault)
 

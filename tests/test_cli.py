@@ -248,7 +248,7 @@ def test_structural_verify_names_a_short_level(capsys, tmp_path, m11):
     code, out, _ = run(capsys, "verify", "--group", "M11", "--ls", path,
                        "--mode", "structural")
     assert code == 1
-    assert "level 0 blocks enumerate 10 products, orbit has 11 points" in out
+    assert "size-product mismatch: blocks enumerate 7200 products, group order is 7920" in out
 
 
 def _m12_files(tmp_path):
@@ -467,10 +467,6 @@ def _deep_c1(tmp_path):
 MALFORMED = {
     "factorize-reversed-annotations": lambda t: [
         "factorize", "--group", "S4", "--ls", _reversed_s4(t), "--element", "(1,2)"],
-    "verify-reversed-annotations": lambda t: [
-        "verify", "--group", "S4", "--ls", _reversed_s4(t), "--mode", "structural"],
-    "factorize-level-beyond-chain": lambda t: [
-        "factorize", "--group", "S4", "--ls", _s4_with_level(t, 99), "--element", "()"],
     "factorize-level-not-integer": lambda t: [
         "factorize", "--group", "S4", "--ls", _s4_with_level(t, "2"), "--element", "()"],
     "factorize-inexact-m11": lambda t: [
@@ -592,6 +588,27 @@ def test_malformed_inputs_exit_cleanly(capsys, tmp_path, case):
         assert MALFORMED_MESSAGES.get(case, "") in err
 
 
+def test_reversed_s4_fails_structurally(capsys, tmp_path):
+    # the annotations are not read: the reversed blocks have no runs, and
+    # the file's chain tag makes that a failure, which exhaustive confirms
+    path = _reversed_s4(tmp_path)
+    code, out, _ = run(capsys, "verify", "--group", "S4", "--ls", path,
+                       "--mode", "structural")
+    assert code == 1 and out == ("fail (structural, 0 products checked)\nno run can "
+                                 "start at block 0: blocks 0 to 1 have 6 products, "
+                                 "more than the degree 4\n")
+    code, out, _ = run(capsys, "--json", "verify", "--group", "S4", "--ls", path,
+                       "--mode", "exhaustive")
+    assert code == 1 and json.loads(out)["collision"] == [[0, 0, 2], [0, 1, 1]]
+
+
+def test_factorize_reads_no_level_annotation(capsys, tmp_path):
+    # a level past the chain is a detail of the file, not of the signature
+    code, out, _ = run(capsys, "factorize", "--group", "S4",
+                       "--ls", _s4_with_level(tmp_path, 99), "--element", "(1,2)")
+    assert code == 0 and out.endswith("reconstructs: true\n")
+
+
 def test_c0_message_names_the_bound(capsys):
     code, _, err = run(capsys, "info", "--group", "C0")
     assert code == 2 and "n >= 1" in err
@@ -638,8 +655,11 @@ def test_key_half_with_a_repeated_image_is_named(capsys, tmp_path, half):
     path = _json_file(tmp_path, doc)
     code, _, err = run(capsys, "pgm", "encrypt", "--group", "M12", "--key", path, "5")
     assert code == 2
-    assert err == ("error: cannot read %s: key half %s: level 0 products repeat "
-                   "a base-point image\n" % (path, half))
+    # the swap leaves block 0 with an entry that moves level 1's base point,
+    # so no run can end at block 0, and blocks 0 and 1 outnumber the points
+    assert err == ("error: cannot read %s: key half %s: no run can start at block "
+                   "0: blocks 0 to 1 have 132 products, more than the degree 12\n"
+                   % (path, half))
 
 
 # -- property: any mutation of a valid input file exits 0, 1 or 2 ----------------

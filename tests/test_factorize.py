@@ -18,10 +18,10 @@ from pathlib import Path
 import pytest
 
 from logsig import (FactorizationError, LogSignature, Permutation, Provenance,
-                    TameIndexer, build_chain, build_mls, chain_ls,
+                    TameIndexer, build_chain, build_mls, chain_ls, dumps_ls,
                     factorize_generic, factorize_tame, load_group,
-                    load_verified_chain, mls_solvable, parse_cycles,
-                    reconstruct, refine_ls)
+                    load_verified_chain, loads_ls, mls_solvable, parse_cycles,
+                    reconstruct, refine_ls, verify_structural)
 from logsig import factorize, signature
 from logsig.pgm import keygen
 from logsig.perm import (_digits_of, _identity_raw, _inv_raw, _mul_raw,
@@ -67,9 +67,57 @@ def test_tame_rejects_nonmember(m11):
         factorize_tame(parse_cycles("(1,2)", 11), idx)
 
 
-def test_tame_needs_annotations(s4):
-    with pytest.raises(ValueError):
+def test_tame_needs_runs(s4):
+    # S4's solvable signature has no runs: its first two blocks already hold
+    # more products than there are points to send apart
+    with pytest.raises(ValueError, match="^no run can start at block 0: blocks 0 "
+                       "to 1 have 6 products, more than the degree 4$"):
         TameIndexer(mls_solvable(s4), s4)
+
+
+def reannotated(ls, levels):
+    """``ls`` read back from its file with the annotations' levels rewritten."""
+    doc = json.loads(dumps_ls(ls))
+    for a, level in zip(doc["provenance"]["annotations"], levels):
+        a["level"] = level
+    return loads_ls(json.dumps(doc))
+
+
+def test_annotations_decide_no_verdict_and_no_digits(m11, m12):
+    from test_signature import wrong_level_entry
+    rng = random.Random("annotations")
+    for ls, chain in ((chain_ls(m11), m11), (refined_m12(), m12), (build_mls(m11), m11)):
+        levels = [a.level for a in ls.provenance.annotations]
+        elems = [chain.element_at(rng.randrange(chain.order)) for _ in range(30)]
+        report = verify_structural(ls, chain)
+        tame = [TameIndexer(ls, chain).digits(g) for g in elems]
+        generic = [factorize_generic(g, ls) for g in elems]
+        for other in (reannotated(ls, levels[::-1]), reannotated(ls, [99] * len(levels))):
+            assert other.blocks == ls.blocks
+            assert verify_structural(other, chain) == report
+            assert [TameIndexer(other, chain).digits(g) for g in elems] == tame
+            assert [factorize_generic(g, other) for g in elems] == generic
+    bad = wrong_level_entry(m11)
+    report = verify_structural(bad, m11)
+    assert not report.ok
+    other = reannotated(bad, [99] * len(bad.blocks))
+    assert verify_structural(other, m11) == report
+    with pytest.raises(ValueError) as exc:
+        TameIndexer(other, m11)
+    assert str(exc.value) == report.detail
+
+
+@pytest.mark.parametrize("name", ["M11", "M12", "M22", "M24"])
+def test_served_runs_are_the_chain_levels(name):
+    # lookup's per-element sift walks these runs: in every served signature
+    # they are the chain's nontrivial levels, with the base points, in order
+    chain = load_verified_chain(name)
+    levels = [lv for lv in chain.levels if len(lv.orbit) > 1]
+    key = keygen(chain, 7)
+    for ls in (chain_ls(chain), build_mls(chain), key.alpha, key.beta):
+        runs = TameIndexer(ls, chain)._levels
+        assert [point for point, _ in runs] == [lv.point for lv in levels]
+        assert [set(table) for _, table in runs] == [set(lv.orbit) for lv in levels]
 
 
 @pytest.mark.parametrize("name", ["M11", "D300"])

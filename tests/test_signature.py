@@ -551,6 +551,9 @@ def test_nonmember_entry_rejected(a5):
     assert report == VerificationReport(
         ok=False, method="exhaustive", products_checked=0,
         detail="block 0 entry 1 is not a group member")
+    # membership is checked before the budget, as the structural oracle
+    # checks it, so a nonmember fails rather than exceeding the budget
+    assert verify_exhaustive(nonmember_entry(a5), a5, budget=1) == report
 
 
 def test_block_entry_permutation_preserves_verdict(a5):
@@ -631,18 +634,68 @@ def test_structural_detects_wrong_level_group_entry(m11):
     bad = wrong_level_entry(m11)
     report = verify_structural(bad, m11)
     assert not report.ok
-    assert "outside" in report.detail
+    # the replaced entry moves the level-0 base point, so no point that block
+    # 1 fixes separates block 0's products, and blocks 0 and 1 outnumber it
+    assert report.detail == ("no run can start at block 0: blocks 0 to 1 have "
+                             "110 products, more than the degree 11")
     # building a tame index is the same walk and reports the same fault
     with pytest.raises(ValueError) as exc:
         TameIndexer(bad, m11)
     assert str(exc.value) == report.detail
 
 
-def test_structural_needs_annotations(m11):
+def test_structural_no_separating_point_names_the_block():
+    # C4 as {1, r} twice: no point is fixed by r, so block 0 alone is no
+    # run, and the 4 products of both blocks send every point to 3 images
+    c4 = load_verified_chain("C4")
+    r = parse_cycles("(1,2,3,4)", 4)
+    ls = LogSignature(degree=4, blocks=((Permutation.identity(4), r),) * 2,
+                      provenance=Provenance("chain"))
+    assert not verify_exhaustive(ls, c4).ok
+    report = verify_structural(ls, c4)
+    assert not report.ok and report.products_checked == 0
+    assert report.detail.startswith("no run can start at block 0: no separating point")
+
+
+def test_structural_manual_chain_shape_passes_and_solvable_raises(m11):
+    # the entries, not the tag or the annotations, carry the structure
     bare = LogSignature(degree=11, blocks=chain_ls(m11).blocks,
                         provenance=Provenance("manual"))
-    with pytest.raises(ValueError):
-        verify_structural(bare, m11)
+    report = verify_structural(bare, m11)
+    assert report.ok and report.products_checked == sum(
+        len(lv.orbit) for lv in m11.levels)
+    # an exact solvable signature has no runs: no verdict, not a failure
+    d300 = load_verified_chain("D300")
+    solvable = build_mls(d300)
+    manual = LogSignature(degree=300, blocks=solvable.blocks,
+                          provenance=Provenance("manual"))
+    for ls in (solvable, manual):
+        with pytest.raises(ValueError, match="^no structural verdict for a "
+                           "(solvable|manual) signature: no run can start at block 0"):
+            verify_structural(ls, d300)
+
+
+SOLVABLE_EXACT = ("2^3", "Q8", "SL(2,3)", "D3", "D4", "D8", "D12", "D300", "S3",
+                  "S4", "A4", "C4", "C12", "C30", "C1000")
+
+
+@pytest.mark.parametrize("name", SOLVABLE_EXACT)
+def test_structural_never_fails_an_exact_solvable_signature(name):
+    """Soundness without a tag gate would not do: splitting the levels by
+    block-size products puts entries of 2^3 outside the level-2 group and
+    entries of D4 and D8 outside the level-1 group.  The runs either
+    certify an exact signature or give no verdict."""
+    chain = load_verified_chain(name)
+    ls = build_mls(chain)
+    assert verify_exhaustive(ls, chain).ok
+    try:
+        report = verify_structural(ls, chain)
+    except ValueError as e:
+        assert str(e).startswith("no structural verdict for a solvable signature: ")
+        assert name not in ("2^3", "Q8", "C4", "C12", "C30", "C1000")
+    else:
+        assert report.ok, report.detail
+        assert name in ("2^3", "Q8", "C4", "C12", "C30", "C1000")
 
 
 # -- file format ---------------------------------------------------------------

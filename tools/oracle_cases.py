@@ -10,10 +10,13 @@ For each case it prints the verdict, the median time of ``REPEAT`` calls
 of ``verify_exhaustive``, the products per second that gives (the product
 count over the median), the tracemalloc peak of one more call, in bytes
 per product, the median time of ``REPEAT`` passes of ``chain.contains``
-over every block entry, and the median time of ``REPEAT`` calls of
-``build_chain`` on the case's generators, so that the oracle, membership
-and chain layers of a checkout are seen side by side.  Signatures and
-chains are built before any timing.  To compare
+over every block entry, the median time of ``REPEAT`` calls of
+``build_chain`` on the case's generators, and the structural oracle's
+verdict with the median time of ``REPEAT`` calls of ``verify_structural``
+(``n/a`` when it raises, as it does for a signature that is neither
+chain nor refined and has no runs), so that the oracle, membership, chain
+and structural layers of a checkout are seen side by side.  Signatures
+and chains are built before any timing.  To compare
 two checkouts, run the script against each in turn, more than once and
 alternating, on an otherwise idle machine: only figures taken side by side
 compare.  Standard library only; an unknown case name exits 2 and lists the
@@ -35,23 +38,26 @@ REPEAT = 21     # timed calls per case
 
 def _tampered_m22(lib):
     # the last block-0 entry becomes b0[1] * b1[1], repeating the products
-    # of digits (1, 1, 0, 0, 0); the first collision is at 423,361
+    # of digits (1, 1, 0, 0, 0); the first collision is at 423,361.  The
+    # file keeps its chain tag, so the structural oracle fails it
     chain = lib.load_verified_chain("M22")
     ls = lib.chain_ls(chain)
     b0 = list(ls.blocks[0])
     b0[-1] = ls.blocks[0][1] * ls.blocks[1][1]
-    return lib.LogSignature(degree=ls.degree, blocks=(tuple(b0),) + ls.blocks[1:]), chain
+    return lib.LogSignature(degree=ls.degree, blocks=(tuple(b0),) + ls.blocks[1:],
+                            provenance=ls.provenance), chain
 
 
 def _tail_tampered_m12(lib):
     # the last entry of the last block becomes b3[1] * b4[1], so the tail's
     # one group repeats the product of digits (0, 0, 0, 1, 1); the first
-    # collision is at 10, in the first head's chunk
+    # collision is at 10, in the first head's chunk; the tag is kept too
     chain = lib.load_verified_chain("M12")
     ls = lib.chain_ls(chain)
     last = list(ls.blocks[4])
     last[-1] = ls.blocks[3][1] * ls.blocks[4][1]
-    return lib.LogSignature(degree=ls.degree, blocks=ls.blocks[:4] + (tuple(last),)), chain
+    return lib.LogSignature(degree=ls.degree, blocks=ls.blocks[:4] + (tuple(last),),
+                            provenance=ls.provenance), chain
 
 
 def _c1000_cyclic(lib):
@@ -111,12 +117,22 @@ def measure(lib, name: str) -> dict:
         t0 = time.perf_counter()
         lib.build_chain(chain.generators)
         builds.append(time.perf_counter() - t0)
+    structural, calls = "n/a", []
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        try:
+            structural = "pass" if lib.verify_structural(ls, chain).ok else "fail"
+        except ValueError:
+            pass
+        calls.append(time.perf_counter() - t0)
     return {"ok": report.ok, "checked": report.products_checked,
             "products": chain.order, "median_ms": median * 1e3,
             "products_per_s": chain.order / median,
             "bytes_per_product": peak / chain.order,
             "member_ms": statistics.median(passes) * 1e3,
-            "chain_ms": statistics.median(builds) * 1e3}
+            "chain_ms": statistics.median(builds) * 1e3,
+            "structural": structural,
+            "structural_ms": statistics.median(calls) * 1e3}
 
 
 def main(argv=None) -> int:
@@ -134,16 +150,16 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     import logsig
 
-    print("%-17s %-16s %12s %10s %14s %10s %10s %10s" % (
+    print("%-17s %-16s %12s %10s %14s %10s %10s %10s %10s %13s" % (
         "case", "verdict", "products", "median_ms", "products/s", "B/product",
-        "member_ms", "chain_ms"))
+        "member_ms", "chain_ms", "structural", "structural_ms"))
     for name in args.cases or CASES:
         row = measure(logsig, name)
         verdict = "pass" if row["ok"] else "fail at %d" % row["checked"]
-        print("%-17s %-16s %12d %10.3f %14.4g %10.3f %10.3f %10.3f" % (
+        print("%-17s %-16s %12d %10.3f %14.4g %10.3f %10.3f %10.3f %10s %13.3f" % (
             name, verdict, row["products"], row["median_ms"],
             row["products_per_s"], row["bytes_per_product"], row["member_ms"],
-            row["chain_ms"]))
+            row["chain_ms"], row["structural"], row["structural_ms"]))
     return 0
 
 
