@@ -10,10 +10,11 @@ normal closures, derived subgroups and a solvability test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
-from .perm import (Permutation, _digits_of, _identity_raw, _images, _inv_raw,
-                   _mul_raw, _products, _sift, _value_of)
+from .perm import (_TAIL, Permutation, _digits_of, _identity_raw, _images,
+                   _inv_raw, _mul_raw, _products, _sift, _value_of)
 
 __all__ = [
     "GeneratorSet",
@@ -62,7 +63,8 @@ class ChainLevel:
     the raw image array of ``transversal[p]`` inverted and ``forward`` its
     own raw image array, the very object the transversal wraps.  A residue
     equal to ``forward`` is stripped to the identity, which a membership
-    sift sees without the product.
+    sift sees at any level, and the digit walk at the last, without the
+    product.
     """
 
     point: int
@@ -103,12 +105,12 @@ class StabilizerChain:
         """Strip ``g`` through every level; identity residue iff member."""
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        return Permutation._wrap(_sift(g.img, self._walk)[0])
+        return Permutation._wrap(_sift(g.img, self._walk, self._identity)[0])
 
     def contains(self, g: Permutation) -> bool:
         """True iff ``g`` is a product of this chain's generators.
 
-        The sift passes the identity as ``stop``: it ends as soon as the
+        The sift is the membership walk: it ends as soon as the
         residue equals the transversal element its base-point image
         selects, whose product would be the identity that the later levels
         keep, and it multiplies nothing at a level whose point the residue
@@ -119,7 +121,7 @@ class StabilizerChain:
         tested while chains, indexes, oracles and keys are set up."""
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        return _sift(g.img, self._walk, self._identity)[0] == self._identity
+        return _sift(g.img, self._walk, self._identity, True)[0] == self._identity
 
     def __contains__(self, g: Permutation) -> bool:
         return self.contains(g)
@@ -130,21 +132,21 @@ class StabilizerChain:
         """Element with the given mixed-radix index (last level varies fastest).
 
         ``element_at(0)`` is the identity: digit 0 of every level selects the
-        base point's own representative.
+        base point's own representative.  The product starts from the first
+        level's representative, so ``L`` levels take ``L - 1`` map-based
+        products: this is a per-element path.
         """
         if not 0 <= index < self.order:
             raise IndexError("index %d out of range [0, %d)" % (index, self.order))
         digits = _digits_of(index, [len(lv.orbit) for lv in self.levels])
-        raw = _identity_raw(self.degree)
-        for lv, d in zip(self.levels, digits):
-            raw = _mul_raw(raw, lv.transversal[lv.orbit[d]].img)
-        return Permutation._wrap(raw)
+        images = [lv.transversal[lv.orbit[d]].img for lv, d in zip(self.levels, digits)]
+        return Permutation._wrap(reduce(_mul_raw, images) if images else self._identity)
 
     def index_of(self, g: Permutation) -> int:
         """Inverse of :meth:`element_at`; raises ValueError for non-members."""
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        raw, digits, _ = _sift(g.img, self._walk)
+        raw, digits, _ = _sift(g.img, self._walk, self._identity)
         if raw != self._identity:
             raise ValueError("permutation is not a member of this group")
         return _value_of(digits, [len(lv.orbit) for lv in self.levels])
@@ -200,17 +202,29 @@ def _orbit_transversal(point: int, gens_raw: list, degree: int):
     return table, tree
 
 
+def _kept(raw):
+    """``raw`` as a node keeps it to map many image arrays through: a bytes
+    image array as its 256-entry translate table, a tuple as it is."""
+    return raw + _TAIL[len(raw):] if type(raw) is bytes else raw
+
+
 class _Node:
-    __slots__ = ("point", "gens", "table", "tree", "sifted")
+    """A level under construction.  ``maps`` holds the strong generators
+    and the transversal inverses kept (:func:`_kept`) for the Schreier
+    generators, rebuilt with the table."""
+
+    __slots__ = ("point", "gens", "table", "tree", "sifted", "maps")
 
     def __init__(self, point: int, degree: int):
         self.point = point
         self.gens: list = []
         self.sifted: set = set()
-        self.table, self.tree = _orbit_transversal(point, [], degree)
+        self.rebuild(degree)
 
     def rebuild(self, degree: int):
         self.table, self.tree = _orbit_transversal(self.point, self.gens, degree)
+        self.maps = ([_kept(s) for s in self.gens],
+                     {p: _kept(t[1]) for p, t in self.table.items()})
 
 
 def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> StabilizerChain:
@@ -233,6 +247,9 @@ def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> S
     """
     n = gens.degree
     e = _identity_raw(n)
+    # maps an image array through a kept map, as _images maps it through the raw
+    through = (bytes.translate if type(e) is bytes
+               else lambda points, raw: _images(raw, points))
     nodes: list[_Node] = []
     # the (point, table) pair of every node, as strip walks them: refreshed
     # when a node is added or rebuilt, the only times a table changes
@@ -251,7 +268,7 @@ def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> S
             add_node(p)
 
     def strip(raw, start):
-        raw, _, passed = _sift(raw, walk[start:], e)
+        raw, _, passed = _sift(raw, walk[start:], e, True)
         return raw, start + passed
 
     def add_strong_gen(raw, lo, hi):
@@ -283,13 +300,14 @@ def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> S
     while i >= 0:
         node = nodes[i]
         table, tree, sifted = node.table, node.tree, node.sifted
+        gen_maps, inv_maps = node.maps
         restart = False
         for p in sorted(table):
             up = table[p][2]
             for k, s in enumerate(node.gens):
                 if (p, k) in tree:
                     continue
-                sch = _images(table[s[p]][1], _images(s, up))
+                sch = through(through(up, gen_maps[k]), inv_maps[s[p]])
                 if sch == e or sch in sifted:
                     continue
                 h, j = strip(sch, i + 1)

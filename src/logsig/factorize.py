@@ -6,6 +6,7 @@ meet-in-the-middle where there are no runs.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
@@ -47,7 +48,7 @@ class TameIndexer:
     def digits(self, g: Permutation) -> tuple[int, ...]:
         if g.degree != self.ls.degree:
             raise ValueError("degree mismatch")
-        raw, out, passed = _sift(g.img, self._levels)
+        raw, out, passed = _sift(g.img, self._levels, self._identity)
         if passed < len(self._levels):
             raise FactorizationError(
                 "no block entry matches image of point %d; element is not "
@@ -63,15 +64,20 @@ def factorize_tame(g: Permutation, indexer: TameIndexer) -> tuple[int, ...]:
 
 
 def reconstruct(ls: LogSignature, digits: tuple[int, ...]) -> Permutation:
-    """Product of the selected entries, leftmost block outermost."""
+    """Product of the selected entries, leftmost block outermost.
+
+    It starts from the first entry's image, not the identity, so ``L``
+    blocks take ``L - 1`` products, each a map-based ``_mul_raw``: this is
+    a per-element path."""
     if len(digits) != len(ls.blocks):
         raise ValueError("expected %d digits, got %d" % (len(ls.blocks), len(digits)))
-    raw = _identity_raw(ls.degree)
+    images = []
     for block, d in zip(ls.blocks, digits):
         if not 0 <= d < len(block):
             raise ValueError("digit %d out of range for a block of %d" % (d, len(block)))
-        raw = _mul_raw(raw, block[d].img)
-    return Permutation._wrap(raw)
+        images.append(block[d].img)
+    return Permutation._wrap(reduce(_mul_raw, images) if images
+                             else _identity_raw(ls.degree))
 
 
 class _GenericIndex(NamedTuple):
@@ -178,7 +184,7 @@ def factorize_generic(g: Permutation, ls: LogSignature,
     _check_limits(total, left_n, right_n, budget)
     if runs is not None:
         levels, identity = runs
-        raw, digits, passed = _sift(g.img, levels)
+        raw, digits, passed = _sift(g.img, levels, identity)
         if passed == len(levels) and raw == identity:
             return digits
     else:

@@ -33,20 +33,21 @@ def _raw(images: Iterable[int], degree: int):
 
 # The map-based product, kept for the per-element paths only: ``_sift``'s
 # digit walk (tame and generic factorization), ``factorize.reconstruct`` and
-# ``StabilizerChain.element_at``.  Every other product (chain building,
-# membership, the prefixes of ``_products``, the oracle's heads, PGM key
-# draws, ``Permutation`` arithmetic) goes through ``_images``, which gives
-# the same bytes about nine times faster at degree 24.  The benchmark keeps
-# every op latency, so a faster per-element path reads as a memory
+# ``StabilizerChain.element_at``.  Each makes L - 1 of them for an element
+# of L factors: the products start from the first factor, and the walk
+# settles its last level by comparison.  Every other product (chain
+# building, membership, the prefixes of ``_products``, the oracle's heads,
+# PGM key draws, ``Permutation`` arithmetic) goes through ``_images``, which
+# gives the same bytes about nine times faster at degree 24.  The benchmark
+# keeps every op latency, so a faster per-element path reads as a memory
 # regression until it keeps them bounded (ROADMAP item 6).  In ``perfbench``
-# ``lookup`` runs (seed 1, 30 s, one pair each, 2-CPU x86-64),
-# ``peak_rss_mib`` went 56.8 -> 87.0 MiB (+53%) with this function
-# through ``translate``, and 50.3 -> 58.6 MiB (+16.5%,
-# ``ops_per_s`` +45%) with ``translate`` in ``_sift``'s product step only.
-# ``element_at`` through ``_images`` raised ``construct``'s ``peak_rss_mib``
-# in four pairs (52.5 -> 55.9, 54.5 -> 59.2, 47.9 -> 59.6 and 47.2 -> 52.6
-# MiB) with ``setup_s`` within 4%: perfbench draws its untimed inputs with
-# it, so more passes fit in a run.
+# runs (30 s each, 2-CPU x86-64), ``_sift``'s product step through
+# ``_images`` took ``lookup`` ``ops_per_s`` from 35.2k to 51.1k and its
+# ``peak_rss_mib`` from 60.9 to 69.7, 59.0 to 71.7 and 61.1 to 74.2 MiB
+# (seeds 1-3), past the 0.2 bound on two seeds.  With the per-element
+# products through ``_images`` (seed 1), ``construct`` went 86.1k -> 298.7k
+# ``ops_per_s`` at 61.0 -> 63.7 MiB and ``verify`` 152.1k -> 346.2k at
+# 45.9 -> 46.4 MiB.
 def _mul_raw(a, b):
     if type(a) is bytes:
         return bytes(map(a.__getitem__, b))
@@ -133,40 +134,50 @@ def _value_of(digits, sizes) -> int:
     return value
 
 
-def _sift(raw, levels, stop=None):
+def _sift(raw, levels, identity, membership=False):
     """Strip ``raw`` level by level: the one walk from an element to its digits.
 
     ``levels`` is a sequence of ``(point, table)`` pairs with
-    ``table[image] = (digits, inverse, ...)``.  At each level the image of
-    ``point`` selects an entry, its digits are appended and its inverse is
-    multiplied on the left.  Returns ``(residue, digits, passed)``; the walk
-    stops at the first image missing from its table, so ``passed`` is the
-    number of levels stripped.  Every table holds its own point, so a walk
-    that stops early leaves a nonidentity residue.  Without ``stop`` each
-    product is a map-based :func:`_mul_raw`: this walk serves every tame and
-    generic factorization, a per-element path (see the comment there).
+    ``table[image] = (digits, inverse, forward)``, ``forward`` the entry's
+    own image array and ``inverse`` its inverse, as a chain's tables and
+    :func:`~logsig.signature._level_table` build them.  At each level the
+    image of ``point`` selects an entry, its digits are appended and its
+    inverse is multiplied on the left.  Returns ``(residue, digits,
+    passed)``; the walk stops at the first image missing from its table, so
+    ``passed`` is the number of levels stripped.  Every table holds its own
+    point, so a walk that stops early leaves a nonidentity residue.
 
-    ``stop`` is the identity, as chain building and the membership test
-    pass it, and needs tables that map their own point to the identity and
-    whose entries carry a third field, the forward image whose inverse the
-    entry holds, as a chain's tables do; the two-field tables of tame and
-    generic factorization are never walked with it.  Before each product
-    the residue is compared with that forward image: on a match the
-    product would be the identity, which the later levels keep, so the
-    walk returns ``stop`` with every level counted as passed.  A residue
-    that fixes the level's point is multiplied by nothing, and the other
-    products go through :func:`_images`: membership runs while chains,
-    indexes, oracles and keys are set up, never per served element.
-    Membership and chain building read only the residue and the levels
-    passed, so this walk builds no digits and returns ``()`` for them.
+    The digit walk, without ``membership``, serves every tame and generic
+    factorization, a per-element path: its products are the map-based
+    :func:`_mul_raw` (see the comment there), and a member takes one fewer
+    than the levels.  The last level is settled by comparison: the
+    residue after it is the identity exactly when the residue before it
+    equals the selected entry's forward image, so on a match the walk
+    returns ``identity`` with no product, and it multiplies only when they
+    differ, for a non-member.
+
+    With ``membership``, as chain building and the membership test walk,
+    the tables must map their own point to the identity, as a chain's
+    tables do.  Before each product the residue is compared with the
+    entry's forward image: on a match the product would be the identity,
+    which the later levels keep, so the walk returns ``identity`` with
+    every level counted as passed.  A residue that fixes the level's point
+    is multiplied by nothing, and the other products go through
+    :func:`_images`: membership runs while chains, indexes, oracles and
+    keys are set up, never per served element.  Membership and chain
+    building read only the residue and the levels passed, so this walk
+    builds no digits and returns ``()`` for them.
     """
-    if stop is None:
+    if not membership:
         out = ()
+        last = len(levels) - 1
         for passed, (point, table) in enumerate(levels):
             hit = table.get(raw[point])
             if hit is None:
                 return raw, out, passed
             out += hit[0]
+            if passed == last and raw == hit[2]:
+                return identity, out, len(levels)
             raw = _mul_raw(hit[1], raw)
         return raw, out, len(levels)
     for passed, (point, table) in enumerate(levels):
@@ -177,7 +188,7 @@ def _sift(raw, levels, stop=None):
         if hit is None:
             return raw, (), passed
         if raw == hit[2]:
-            return stop, (), len(levels)
+            return identity, (), len(levels)
         raw = _images(hit[1], raw)
     return raw, (), len(levels)
 

@@ -431,19 +431,26 @@ def _member_fault(ls: LogSignature, chain: StabilizerChain) -> str:
 
 def _level_table(sets, point: int, degree: int) -> dict:
     """The image of ``point`` under each product of the element sets, mapped
-    to the product's digit tuple and inverse.  A product set as large as an
-    orbit maps ``point`` one to one onto it iff the keys are its points.
+    to the product's digit tuple, inverse and forward image, the three
+    fields of a chain table entry.  A product set as large as an orbit maps
+    ``point`` one to one onto it iff the keys are its points.
 
-    Only the inverses are expanded: they are the products of the inverted
-    entries in reverse set order, whose digits are the product's reversed,
-    and an inverse sends the product's image of ``point`` back to it."""
-    sizes = [len(s) for s in reversed(sets)]
-    inverted = [[_inv_raw(e.img) for e in s] for s in reversed(sets)]
-    # one set's inverses are its inverted entries, not composed with the identity
-    inverses = (inverted[0] if len(inverted) == 1
-                else _products(inverted, _identity_raw(degree)))
-    return {u.index(point): (digits[::-1], u)
-            for digits, u in zip(product(*map(range, sizes)), inverses)}
+    No product is inverted: the inverses are the products of the inverted
+    entries in reverse set order, whose digits are the product's reversed.
+    One set's products are its own entries; the forwards of several sets
+    come from one :func:`_products` pass, in rank order."""
+    raws = [[e.img for e in s] for s in sets]
+    inverted = [[_inv_raw(e) for e in s] for s in reversed(raws)]
+    # one set's products are its entries, not composed with the identity
+    if len(raws) == 1:
+        return {f[point]: ((d,), u, f)
+                for d, (u, f) in enumerate(zip(inverted[0], raws[0]))}
+    e = _identity_raw(degree)
+    # each inverse keyed by its own digits, the product's reversed
+    inverses = dict(zip(product(*(range(len(s)) for s in inverted)),
+                        _products(inverted, e)))
+    return {f[point]: (digits, inverses[digits[::-1]], f) for digits, f in
+            zip(product(*(range(len(s)) for s in raws)), _products(raws, e))}
 
 
 def _run_levels(ls: LogSignature, limit: float = inf):
@@ -588,9 +595,16 @@ def _parse_annotation(obj, where: str) -> BlockAnnotation:
     if not isinstance(obj, dict) or type(obj.get("level")) is not int:
         raise LsFormatError("%s: annotation must be an object with an integer 'level'"
                             % where)
+    if obj["level"] < 0:
+        raise LsFormatError("%s: annotation 'level' must be nonnegative" % where)
     for key in ("set_size", "step"):
-        if obj.get(key) is not None and type(obj[key]) is not int:
+        value = obj.get(key)
+        if value is None:
+            continue
+        if type(value) is not int:
             raise LsFormatError("%s: annotation %r must be an integer" % (where, key))
+        if value < 1:
+            raise LsFormatError("%s: annotation %r must be at least 1" % (where, key))
     return BlockAnnotation(level=obj["level"],
                            set_size=obj.get("set_size"),
                            step=obj.get("step"))

@@ -409,7 +409,7 @@ def test_contains_agrees_with_the_full_walk(name, leaves_later):
     others = [Permutation(rng.sample(range(n), n)) for _ in range(30)]
     if leaves_later:
         later = [later_level_nonmember(chain, rng) for _ in range(10)]
-        assert all(0 < perm._sift(g.img, chain._walk)[2] < len(chain.levels)
+        assert all(0 < perm._sift(g.img, chain._walk, chain._identity)[2] < len(chain.levels)
                    for g in later)
         # and transversal elements of every level times such a nonmember
         others += later + [lv.transversal[p] * later[0]

@@ -558,6 +558,17 @@ MALFORMED = {
     "encrypt-unknown-key-format": lambda t: [
         "pgm", "encrypt", "--group", "S4", "--key", _json_file(t, {
             **_s4_key_doc(), "format": "logsig-key/0"}), "5"],
+    # each file below used to load, and a later step read the bad value
+    "verify-annotation-level-negative": lambda t: [
+        "verify", "--group", "S4", "--ls", _s4_with_level(t, -1)],
+    "factorize-annotation-level-negative": lambda t: [
+        "factorize", "--group", "S4", "--ls", _s4_with_level(t, -4), "--element", "()"],
+    "verify-annotation-set-size-0": lambda t: [
+        "verify", "--group", "S4", "--ls",
+        _s4_ls_file(t, lambda d: d["provenance"]["annotations"][0].update(set_size=0))],
+    "factorize-annotation-step-negative": lambda t: [
+        "factorize", "--group", "S4", "--element", "()", "--ls",
+        _s4_ls_file(t, lambda d: d["provenance"]["annotations"][0].update(step=-3))],
 }
 
 # the message of each case that reaches a check no other case reaches
@@ -573,6 +584,10 @@ MALFORMED_MESSAGES = {
     "factorize-wrong-degree": "m11.ls has degree 11, group M12 has degree 12",
     "verify-wrong-degree": "m11.ls has degree 11, group M12 has degree 12",
     "verify-wrong-degree-structural": "m11.ls has degree 11, group M12 has degree 12",
+    "verify-annotation-level-negative": "annotation 'level' must be nonnegative",
+    "factorize-annotation-level-negative": "annotation 'level' must be nonnegative",
+    "verify-annotation-set-size-0": "annotation 'set_size' must be at least 1",
+    "factorize-annotation-step-negative": "annotation 'step' must be at least 1",
 }
 
 

@@ -22,7 +22,7 @@ from logsig import (FactorizationError, LogSignature, Permutation, Provenance,
                     factorize_generic, factorize_tame, load_group,
                     load_verified_chain, loads_ls, mls_solvable, parse_cycles,
                     reconstruct, refine_ls, verify_structural)
-from logsig import factorize, signature
+from logsig import chain as chain_module, factorize, perm, signature
 from logsig.pgm import keygen
 from logsig.perm import (_digits_of, _identity_raw, _inv_raw, _mul_raw,
                          _products, _value_of)
@@ -132,8 +132,8 @@ def test_tame_digits_of_chain_ls_are_chain_index(name):
 
 
 def test_tame_digits_of_key_halves_and_refined_m12_are_pinned(m12):
-    # PGM key halves and refined signatures have two-field tables that are
-    # sifted without a stop; their digits on seeded elements are fixed
+    # PGM key halves and refined signatures are walked by the digit walk,
+    # not the membership walk; their digits on seeded elements are fixed
     key = keygen(m12, 42)
     rng = random.Random("tame digits")
     elems = [m12.element_at(rng.randrange(m12.order)) for _ in range(200)]
@@ -512,10 +512,11 @@ def test_generic_forms_match_reference(name):
 
 
 def level_table_reference(sets, point, degree):
-    """``signature._level_table`` by inverting every product."""
+    """``signature._level_table`` by inverting every product: each entry
+    is the product's digits, inverse and forward image."""
     sizes = [len(s) for s in sets]
     raws = [[e.img for e in s] for s in sets]
-    return {q[point]: (_digits_of(rank, sizes), _inv_raw(q))
+    return {q[point]: (_digits_of(rank, sizes), _inv_raw(q), q)
             for rank, q in enumerate(_products(raws, _identity_raw(degree)))}
 
 
@@ -538,7 +539,7 @@ def test_level_tables_match_inverting_every_product(name, build):
         assert len(table) == len(chain.levels[level].orbit)
     # no sets: the one product is the identity
     e = _identity_raw(ls.degree)
-    assert signature._level_table([], 0, ls.degree) == {0: ((), e)}
+    assert signature._level_table([], 0, ls.degree) == {0: ((), e, e)}
 
 
 def test_generic_run_form_is_fast_when_warm(m12):
@@ -552,3 +553,130 @@ def test_generic_run_form_is_fast_when_warm(m12):
         factorize_generic(g, ls)
     # ~0.013 s on a 2-CPU x86-64 machine; meet-in-the-middle took ~0.1 s
     assert time.perf_counter() - start < 0.03
+
+
+# -- per-element paths: L - 1 products for L factors --------------------------
+
+def sift_reference(raw, levels):
+    """The digit walk as it was before the last level was settled by
+    comparison: every level it strips multiplies by the entry's inverse."""
+    out = ()
+    for passed, (point, table) in enumerate(levels):
+        hit = table.get(raw[point])
+        if hit is None:
+            return raw, out, passed
+        out += hit[0]
+        raw = _mul_raw(hit[1], raw)
+    return raw, out, len(levels)
+
+
+def off_base_nonmember(g, points, rng):
+    """``g`` times a transposition of two points outside ``points``: it
+    sends every point of ``points`` where ``g`` does, and is no member of
+    a group that ``points`` is a base of."""
+    a, b = rng.sample([p for p in range(g.degree) if p not in points], 2)
+    img = list(range(g.degree))
+    img[a], img[b] = b, a
+    return g * Permutation(img), Permutation(img)
+
+
+@pytest.fixture
+def mul_raw_calls(monkeypatch):
+    """The modules' map-based products, each call counted."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return _mul_raw(a, b)
+
+    for module in (perm, chain_module, factorize):
+        monkeypatch.setattr(module, "_mul_raw", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, build", [
+    ("M12", build_mls), ("M24", chain_ls), ("D300", chain_ls), ("C1000", chain_ls)])
+def test_per_element_paths_make_one_product_fewer_than_factors(name, build,
+                                                                mul_raw_calls):
+    chain = load_verified_chain(name)
+    ls = build(chain)
+    generic = unannotated(ls)
+    indexer = TameIndexer(ls, chain)
+    runs = len(indexer._levels)
+    rng = random.Random(name)
+    for _ in range(10):
+        index = rng.randrange(chain.order)
+        del mul_raw_calls[:]
+        g = chain.element_at(index)
+        assert len(mul_raw_calls) == len(chain.levels) - 1
+        del mul_raw_calls[:]
+        digits = factorize_tame(g, indexer)
+        assert len(mul_raw_calls) == runs - 1
+        del mul_raw_calls[:]
+        assert reconstruct(ls, digits) == g
+        assert len(mul_raw_calls) == len(ls.blocks) - 1
+        del mul_raw_calls[:]
+        assert factorize_generic(g, generic, budget=chain.order) == digits
+        assert vars(generic)["_generic_index"].runs is not None
+        assert len(mul_raw_calls) == runs - 1
+        del mul_raw_calls[:]
+        assert chain.index_of(g) == index
+        assert len(mul_raw_calls) == len(chain.levels) - 1
+
+
+@pytest.mark.parametrize("name, build", [
+    ("M12", build_mls), ("M24", chain_ls), ("D300", chain_ls), ("C1000", chain_ls)])
+def test_a_nonmember_that_agrees_on_the_base_leaves_a_residue(name, build):
+    # the last level selects the entry a member would, so only comparing
+    # the whole residue with the entry's forward image rejects it
+    chain = load_verified_chain(name)
+    ls = build(chain)
+    indexer = TameIndexer(ls, chain)
+    generic = unannotated(ls)
+    points = [point for point, _ in indexer._levels]
+    assert set(points) <= set(chain.base)
+    rng = random.Random(name)
+    for _ in range(10):
+        member = chain.element_at(rng.randrange(chain.order))
+        g, swap = off_base_nonmember(member, chain.base, rng)
+        assert [g(p) for p in chain.base] == [member(p) for p in chain.base]
+        with pytest.raises(FactorizationError, match="nonidentity residue"):
+            factorize_tame(g, indexer)
+        with pytest.raises(FactorizationError, match="no factorization"):
+            factorize_generic(g, generic, budget=chain.order)
+        with pytest.raises(ValueError, match="not a member"):
+            chain.index_of(g)
+        assert chain.sift(g) == swap and not chain.contains(g)
+
+
+def _walks():
+    """``(name, levels, identity, members, nonmembers)`` for the digit walk
+    of M12's chain and refined signature, both halves of an M24 key, and
+    the chains of D300 and C1000, whose images are tuples."""
+    out = []
+    for name in ("M12", "M24", "D300", "C1000"):
+        chain = load_verified_chain(name)
+        rng = random.Random("walk " + name)
+        n = chain.degree
+        members = [chain.element_at(rng.randrange(chain.order)) for _ in range(40)]
+        members += [Permutation.identity(n)]
+        others = [Permutation(rng.sample(range(n), n)) for _ in range(20)]
+        others += [off_base_nonmember(g, chain.base, rng)[0] for g in members[:20]]
+        walks = [("chain", chain._walk)]
+        if name == "M12":
+            walks.append(("refined", TameIndexer(build_mls(chain), chain)._levels))
+        if name == "M24":
+            key = keygen(chain, 7)
+            walks += [("alpha", key.alpha_indexer._levels),
+                      ("beta", key.beta_indexer._levels)]
+        out += [(name + " " + what, levels, chain._identity, members, others)
+                for what, levels in walks]
+    return out
+
+
+def test_digit_walk_matches_the_walk_that_multiplies_at_every_level():
+    for name, levels, identity, members, others in _walks():
+        for g in members + others:
+            got = perm._sift(g.img, levels, identity)
+            assert got == sift_reference(g.img, levels), (name, g)
+            assert (got[0] == identity) == (g in members), (name, g)

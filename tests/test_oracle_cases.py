@@ -1,6 +1,6 @@
-"""``tools/oracle_cases.py`` times the exhaustive oracle on a fixed case
-list, so that changes to the oracle can be compared on the same checks; it
-must keep running against the library."""
+"""``tools/oracle_cases.py`` times the exhaustive oracle and the layers
+beside it on a fixed case list, so that changes to them can be compared on
+the same checks; it must keep running against the library."""
 
 import subprocess
 import sys
@@ -21,25 +21,31 @@ def test_oracle_cases_prints_a_row_per_case():
     assert done.returncode == 0 and done.stderr == ""
     header, *rows = done.stdout.splitlines()
     assert header.split()[:2] == ["case", "verdict"]
-    assert header.split()[-4:] == ["member_ms", "chain_ms", "structural",
-                                   "structural_ms"]
+    assert header.split()[-6:] == ["member_ms", "chain_ms", "structural",
+                                   "structural_ms", "tame_us", "reconstruct_us"]
     assert [row[:17].strip() for row in rows] == [
         "M11 refined", "M22 tampered", "M12 tail-tampered"]
     assert rows[0].split()[2:4] == ["pass", "7920"]
     assert rows[1].split()[2:6] == ["fail", "at", "423361", "443520"]
     assert rows[2].split()[2:6] == ["fail", "at", "10", "95040"]
     # the tampered signatures keep their chain tag: the structural oracle
-    # fails them, and the calls are timed like the passing ones
-    assert [row.split()[-2] for row in rows] == ["pass", "fail", "fail"]
-    assert all(float(x) > 0 for row in rows for x in row.split()[-4:-2] + row.split()[-1:])
+    # fails them, and the calls are timed like the passing ones; no tame
+    # index builds for them, but their digits still reconstruct
+    assert [row.split()[-4] for row in rows] == ["pass", "fail", "fail"]
+    assert [row.split()[-2] for row in rows] == [rows[0].split()[-2], "n/a", "n/a"]
+    assert all(float(x) > 0 for row in rows
+               for x in row.split()[-6:-4] + row.split()[-3:-2] + row.split()[-1:])
+    assert float(rows[0].split()[-2]) > 0
 
 
 def test_oracle_cases_structural_column_reads_no_verdict():
     # C1000's cyclic signature has runs; D300's solvable one has none, so
-    # verify_structural raises, and the row says n/a
+    # verify_structural raises and no tame index builds, and the row says n/a
     done = oracle_cases("C1000 cyclic", "D300 solvable")
     assert done.returncode == 0 and done.stderr == ""
-    assert [row.split()[-2] for row in done.stdout.splitlines()[1:]] == ["pass", "n/a"]
+    rows = [row.split() for row in done.stdout.splitlines()[1:]]
+    assert [row[-4] for row in rows] == ["pass", "n/a"]
+    assert [row[-2] == "n/a" for row in rows] == [False, True]
 
 
 def test_oracle_cases_rejects_an_unknown_case():

@@ -770,6 +770,22 @@ def test_reject_malformed_annotations(annotations):
         loads_ls(text)
 
 
+@pytest.mark.parametrize("annotation, message", [
+    ({"level": -1}, "'level' must be nonnegative"),
+    ({"level": 0, "set_size": 0}, "'set_size' must be at least 1"),
+    ({"level": 0, "set_size": 2, "step": -3}, "'step' must be at least 1")])
+def test_reject_out_of_range_annotations(annotation, message):
+    # such a file used to load: refine_ls then read level -1 as out of
+    # range, a level of -4 was written back out, and randomize_ls drew
+    # right factors from the whole group (subchain(0))
+    doc = {"degree": 2, "blocks": [[[1, 2], [2, 1]]],
+           "provenance": {"tag": "chain", "annotations": [annotation]}}
+    with pytest.raises(LsFormatError, match=message):
+        loads_ls(json.dumps(doc))
+    doc["provenance"]["annotations"] = [{"level": 0, "set_size": 2, "step": 1}]
+    assert loads_ls(json.dumps(doc)).provenance.annotations[0].step == 1
+
+
 def test_reject_json_booleans_and_a_non_string_group():
     # JSON true and false load as bool, a subclass of int, so each edit
     # below used to load: as level 0, as step 1, as the identity entry

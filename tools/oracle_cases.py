@@ -11,12 +11,16 @@ of ``verify_exhaustive``, the products per second that gives (the product
 count over the median), the tracemalloc peak of one more call, in bytes
 per product, the median time of ``REPEAT`` passes of ``chain.contains``
 over every block entry, the median time of ``REPEAT`` calls of
-``build_chain`` on the case's generators, and the structural oracle's
+``build_chain`` on the case's generators, the structural oracle's
 verdict with the median time of ``REPEAT`` calls of ``verify_structural``
 (``n/a`` when it raises, as it does for a signature that is neither
-chain nor refined and has no runs), so that the oracle, membership, chain
-and structural layers of a checkout are seen side by side.  Signatures
-and chains are built before any timing.  To compare
+chain nor refined and has no runs), and the per-element layers: the
+median over ``REPEAT`` passes of the microseconds per element of
+``factorize_tame`` on ``ELEMENTS`` seeded members (``n/a`` where no tame
+index builds) and of ``reconstruct`` on ``ELEMENTS`` seeded digit tuples.
+So the oracle, membership, chain, structural and per-element layers of a
+checkout are seen side by side.  Each layer's inputs are built before
+it is timed.  To compare
 two checkouts, run the script against each in turn, more than once and
 alternating, on an otherwise idle machine: only figures taken side by side
 compare.  Standard library only; an unknown case name exits 2 and lists the
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import statistics
 import sys
 import time
@@ -34,6 +39,7 @@ import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEAT = 21     # timed calls per case
+ELEMENTS = 200  # seeded members per pass of the per-element layers
 
 
 def _tampered_m22(lib):
@@ -125,6 +131,7 @@ def measure(lib, name: str) -> dict:
         except ValueError:
             pass
         calls.append(time.perf_counter() - t0)
+    tame_us, reconstruct_us = per_element(lib, name, ls, chain)
     return {"ok": report.ok, "checked": report.products_checked,
             "products": chain.order, "median_ms": median * 1e3,
             "products_per_s": chain.order / median,
@@ -132,7 +139,33 @@ def measure(lib, name: str) -> dict:
             "member_ms": statistics.median(passes) * 1e3,
             "chain_ms": statistics.median(builds) * 1e3,
             "structural": structural,
-            "structural_ms": statistics.median(calls) * 1e3}
+            "structural_ms": statistics.median(calls) * 1e3,
+            "tame_us": tame_us, "reconstruct_us": reconstruct_us}
+
+
+def _us_per_element(fn, args) -> float:
+    passes = []
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        for a in args:
+            fn(*a)
+        passes.append(time.perf_counter() - t0)
+    return statistics.median(passes) / len(args) * 1e6
+
+
+def per_element(lib, name: str, ls, chain):
+    """Microseconds per element of ``factorize_tame`` (None where no tame
+    index builds) and of ``reconstruct``."""
+    rng = random.Random(name)
+    members = [chain.element_at(rng.randrange(chain.order)) for _ in range(ELEMENTS)]
+    digits = [tuple(rng.randrange(len(b)) for b in ls.blocks) for _ in range(ELEMENTS)]
+    try:
+        indexer = lib.TameIndexer(ls, chain)
+    except ValueError:
+        tame = None
+    else:
+        tame = _us_per_element(lib.factorize_tame, [(g, indexer) for g in members])
+    return tame, _us_per_element(lib.reconstruct, [(ls, d) for d in digits])
 
 
 def main(argv=None) -> int:
@@ -150,16 +183,20 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     import logsig
 
-    print("%-17s %-16s %12s %10s %14s %10s %10s %10s %10s %13s" % (
+    print("%-17s %-16s %12s %10s %14s %10s %10s %10s %10s %13s %8s %14s" % (
         "case", "verdict", "products", "median_ms", "products/s", "B/product",
-        "member_ms", "chain_ms", "structural", "structural_ms"))
+        "member_ms", "chain_ms", "structural", "structural_ms", "tame_us",
+        "reconstruct_us"))
     for name in args.cases or CASES:
         row = measure(logsig, name)
         verdict = "pass" if row["ok"] else "fail at %d" % row["checked"]
-        print("%-17s %-16s %12d %10.3f %14.4g %10.3f %10.3f %10.3f %10s %13.3f" % (
+        tame = "n/a" if row["tame_us"] is None else "%.2f" % row["tame_us"]
+        print(("%-17s %-16s %12d %10.3f %14.4g %10.3f %10.3f %10.3f %10s %13.3f"
+               " %8s %14.2f") % (
             name, verdict, row["products"], row["median_ms"],
             row["products_per_s"], row["bytes_per_product"], row["member_ms"],
-            row["chain_ms"], row["structural"], row["structural_ms"]))
+            row["chain_ms"], row["structural"], row["structural_ms"], tame,
+            row["reconstruct_us"]))
     return 0
 
 
