@@ -81,37 +81,29 @@ def reconstruct(ls: LogSignature, digits: tuple[int, ...]) -> Permutation:
 
 
 class _GenericIndex(NamedTuple):
-    """Everything a generic factorization reads that does not depend on g:
-    the block sizes, the product count, the balanced split's two half
-    sizes, and one of two forms.  ``runs`` is the run form: the ``(point,
-    table)`` pairs :func:`~logsig.perm._sift` walks, and the identity a
-    member leaves.  ``mitm`` is the meet-in-the-middle form ``(stored,
-    scan)``."""
+    """Everything a generic factorization reads that does not depend on g,
+    in one of two forms.  ``runs`` is the run form: the ``(point, table)``
+    pairs :func:`~logsig.perm._sift` walks, and the identity a member
+    leaves.  ``mitm`` is the meet-in-the-middle form ``(sizes, total,
+    right_n, scan_right, stored, scan)``: the block sizes, the product
+    count, the right half's size, which half is scanned, and the two
+    halves."""
 
-    sizes: tuple[int, ...]
-    total: int
-    left_n: int
-    right_n: int
     runs: tuple | None
     mitm: tuple | None
-
-
-def _check_limits(total: int, left_n: int, right_n: int, budget: int) -> None:
-    if total > budget:
-        raise ValueError("%d products exceed the budget of %d" % (total, budget))
-    if min(left_n, right_n) > _STORE_CAP:
-        raise ValueError("smaller half-product %d exceeds store cap %d"
-                         % (min(left_n, right_n), _STORE_CAP))
 
 
 def _generic_index(ls: LogSignature, budget: int) -> _GenericIndex:
     """The per-signature index of :func:`factorize_generic`.
 
-    The limits are checked before either form is built.  The run form is
-    taken when :func:`~logsig.signature._run_levels` finds runs whose
-    tables hold at most ``left_n + right_n`` products, as many as the
-    meet-in-the-middle form's two halves: the index tame factorization
-    reads, without the chain's certificate.
+    The run form is taken when :func:`~logsig.signature._run_levels`
+    finds runs whose tables hold at most ``left_n + right_n`` products, as
+    many as the meet-in-the-middle form's two halves: the index tame
+    factorization reads, without the chain's certificate.  It is built
+    whatever the product count.  Otherwise ``budget`` is checked against
+    the product count before the meet-in-the-middle form is built; since
+    ``left_n * right_n`` is the product count, the stored half holds at
+    most its square root.
 
     In the meet-in-the-middle form, scanning the right half, ``stored``
     maps each left product to its first rank and ``scan`` lists the right
@@ -127,22 +119,22 @@ def _generic_index(ls: LogSignature, budget: int) -> _GenericIndex:
     split = min(range(len(sizes) + 1),
                 key=lambda t: (max(prefix[t], total // prefix[t]), t))
     left_n, right_n = prefix[split], total // prefix[split]
-    _check_limits(total, left_n, right_n, budget)
     e = _identity_raw(ls.degree)
     levels, fault = _run_levels(ls, left_n + right_n)
     if not fault:
-        return _GenericIndex(sizes, total, left_n, right_n, (levels, e), None)
+        return _GenericIndex((levels, e), None)
+    if total > budget:
+        raise ValueError("%d products exceed the budget of %d" % (total, budget))
     raws = [[x.img for x in block] for block in ls.blocks]
     left = _products(raws[:split], e)
     right = map(_inv_raw, _products(raws[split:], e))
-    stored_half, scan_half = (left, right) if left_n <= right_n else (right, left)
+    scan_right = left_n <= right_n
+    stored_half, scan_half = (left, right) if scan_right else (right, left)
     stored: dict = {}
     for rank, p in enumerate(stored_half):
         stored.setdefault(p, rank)
-    return _GenericIndex(sizes, total, left_n, right_n, None, (stored, list(scan_half)))
-
-
-_STORE_CAP = 100_000  # most products the stored half of a split may hold
+    return _GenericIndex(None, (sizes, total, right_n, scan_right, stored,
+                                list(scan_half)))
 
 
 def factorize_generic(g: Permutation, ls: LogSignature,
@@ -159,19 +151,19 @@ def factorize_generic(g: Permutation, ls: LogSignature,
     lookup or a nonidentity residue means there is none.
 
     Otherwise the blocks are split so the two half-products are as
-    balanced as possible; the smaller half is expanded into a lookup table
-    (at most 100,000 products), the larger is scanned in enumeration
-    order, and the first hit is returned.  The run form is taken only when
-    its tables hold no more products than the two halves.  Both forms give
-    the same digits wherever both apply, and agree with
-    :func:`factorize_tame`.
+    balanced as possible; the smaller half is expanded into a lookup table,
+    the larger is scanned in enumeration order, and the first hit is
+    returned.  The run form is taken only when its tables hold no more
+    products than the two halves.  Both forms give the same digits
+    wherever both apply, and agree with :func:`factorize_tame`.
 
-    The index is independent of ``g``: it holds the block sizes, the
-    product count, the split's half sizes and one form.  It is built on
-    the first call and kept on the signature object, outside its fields,
-    so the signature's value, equality and hash never change.  Every call
-    checks ``budget`` and the store cap against the product count and the
-    smaller half, as meet-in-the-middle needs, whichever form it reads.
+    ``budget`` bounds the products meet-in-the-middle composes: it is
+    checked against the product count before that form is built and on
+    every call that scans it.  The run form, at most one product per run
+    per element from tables of at most ``left_n + right_n`` products, is
+    not limited.  The index is independent of ``g``: it is built on the
+    first call and kept on the signature object, outside its fields, so
+    the signature's value, equality and hash never change.
     """
     if g.degree != ls.degree:
         raise ValueError("degree mismatch")
@@ -180,16 +172,16 @@ def factorize_generic(g: Permutation, ls: LogSignature,
         # two threads that race here store equal indexes
         index = _generic_index(ls, budget)
         object.__setattr__(ls, "_generic_index", index)
-    sizes, total, left_n, right_n, runs, mitm = index
-    _check_limits(total, left_n, right_n, budget)
+    runs, mitm = index
     if runs is not None:
         levels, identity = runs
         raw, digits, passed = _sift(g.img, levels, identity)
         if passed == len(levels) and raw == identity:
             return digits
     else:
-        stored, scan = mitm
-        scan_right = left_n <= right_n
+        sizes, total, right_n, scan_right, stored, scan = mitm
+        if total > budget:
+            raise ValueError("%d products exceed the budget of %d" % (total, budget))
         pre = g.img if scan_right else _inv_raw(g.img)
         for rank, p in enumerate(_products([scan], pre)):
             hit = stored.get(p)

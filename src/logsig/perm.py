@@ -21,9 +21,9 @@ class CycleFormatError(ValueError):
 
 # Image arrays are stored as ``bytes`` for degree <= 256 and as a tuple of
 # ints otherwise.  Both are hashable, compact and O(1)-indexable; the helpers
-# below, ``construct._cover_search``, ``signature.verify_exhaustive``,
-# ``signature._join`` and ``signature._keys`` are the only places that care
-# which one they got.
+# below, ``chain._kept``, ``chain.build_chain``, ``construct._cover_search``,
+# ``signature.verify_exhaustive``, ``signature._join`` and ``signature._keys``
+# are the only places that care which one they got.
 
 def _raw(images: Iterable[int], degree: int):
     if degree <= 256:

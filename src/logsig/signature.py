@@ -47,7 +47,7 @@ class LsFormatError(ValueError):
     """Malformed signature file."""
 
 
-class VerificationBudgetError(RuntimeError):
+class VerificationBudgetError(ValueError):
     """Product count exceeds the exhaustive budget; use verify_structural."""
 
 

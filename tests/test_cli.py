@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from logsig import (LogSignature, Provenance, chain_ls, dumps_ls, format_cycles,
-                    keygen, load_verified_chain, write_key, write_ls)
+                    keygen, load_verified_chain, mls_solvable, write_key, write_ls)
 from logsig.cli import main
 
 
@@ -276,6 +276,29 @@ def test_factorize_generic_matches_tame(capsys, tmp_path, m12):
         assert records[0] == records[1] and records[1]["reconstructs"]
 
 
+@pytest.mark.parametrize("method", ["chain", "auto"])
+def test_factorize_generic_m24_past_the_budget(capsys, tmp_path, m24, method):
+    # a manual M24 file has 244,823,040 products, past the default budget,
+    # which bounds only meet-in-the-middle: its runs are sifted instead
+    path = str(tmp_path / "m24.ls")
+    code, _, _ = run(capsys, "construct", "--group", "M24", "--method", method,
+                     "--out", path)
+    assert code == 0
+    doc = json.loads(Path(path).read_text())
+    doc["provenance"] = {"tag": "manual"}
+    manual = _json_file(tmp_path, doc)
+    rng = random.Random(24)
+    for _ in range(3):
+        element = format_cycles(m24.element_at(rng.randrange(m24.order)))
+        records = []
+        for ls in (path, manual):
+            code, out, _ = run(capsys, "--json", "factorize", "--group", "M24",
+                               "--ls", ls, "--element", element)
+            assert code == 0
+            records.append(json.loads(out))
+        assert records[0] == records[1] and records[1]["reconstructs"] is True
+
+
 def test_factorize_generic_nonmember(capsys, tmp_path):
     _, manual = _m12_files(tmp_path)
     code, out, _ = run(capsys, "factorize", "--group", "M12", "--ls", manual,
@@ -422,6 +445,12 @@ def _m11_file(tmp_path):
     return path
 
 
+def _s4_solvable_file(tmp_path):
+    path = str(tmp_path / "s4-solvable.ls")
+    write_ls(mls_solvable(load_verified_chain("S4")), path)
+    return path
+
+
 def _inexact_m11_file(tmp_path):
     from test_signature import wrong_level_entry
     path = str(tmp_path / "m11-inexact.ls")
@@ -493,9 +522,11 @@ MALFORMED = {
         "pgm", "decrypt", "--group", "M11", "--key", _m12_key(t), "3"],
     "verify-c0": lambda t: [
         "verify", "--group", "C0", "--ls", _m11_file(t)],
+    # S4's solvable signature has no runs, so meet-in-the-middle needs its
+    # 24 products within the budget
     "factorize-generic-over-budget": lambda t: [
-        "factorize", "--group", "M12", "--ls", _m12_files(t)[1], "--element", "()",
-        "--budget", "1000"],
+        "factorize", "--group", "S4", "--ls", _s4_solvable_file(t), "--element", "()",
+        "--budget", "10"],
     "factorize-c0": lambda t: [
         "factorize", "--group", "C0", "--ls", _m11_file(t), "--element", "()"],
     "verify-deep-c1": lambda t: [
@@ -581,6 +612,7 @@ MALFORMED_MESSAGES = {
     "verify-annotation-count": "annotation count 2 != block count 3",
     "verify-repeated-entry": "block 0 has repeated entries",
     "encrypt-unknown-key-format": "unsupported key format 'logsig-key/0'",
+    "factorize-generic-over-budget": "24 products exceed the budget of 10",
     "factorize-wrong-degree": "m11.ls has degree 11, group M12 has degree 12",
     "verify-wrong-degree": "m11.ls has degree 11, group M12 has degree 12",
     "verify-wrong-degree-structural": "m11.ls has degree 11, group M12 has degree 12",

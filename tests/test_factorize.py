@@ -12,7 +12,7 @@ import sys
 import time
 import weakref
 from itertools import product
-from math import prod
+from math import isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -217,9 +217,10 @@ def test_exhaustive_digit_bijection_m11(m11):
     assert len(seen) == 7920
 
 
-def generic_reference(g, ls, budget=10_000_000, store_cap=100_000):
+def generic_reference(g, ls, budget=10_000_000):
     """Meet-in-the-middle factorization that inverts every product of the
-    scanned half, with the split, checks and messages of factorize_generic."""
+    scanned half, with the split, budget check and messages of
+    factorize_generic's meet-in-the-middle form."""
     if g.degree != ls.degree:
         raise ValueError("degree mismatch")
     sizes = ls.block_sizes
@@ -229,9 +230,6 @@ def generic_reference(g, ls, budget=10_000_000, store_cap=100_000):
     split = min(range(len(sizes) + 1),
                 key=lambda t: (max(prod(sizes[:t]), prod(sizes[t:])), t))
     left_n, right_n = prod(sizes[:split]), prod(sizes[split:])
-    if min(left_n, right_n) > store_cap:
-        raise ValueError("smaller half-product %d exceeds store cap %d"
-                         % (min(left_n, right_n), store_cap))
     raws = [[e.img for e in block] for block in ls.blocks]
     scan_right = left_n <= right_n
     stored_raws, scan_raws = ((raws[:split], raws[split:]) if scan_right
@@ -335,15 +333,43 @@ def test_generic_equal_signatures_share_digits(a5):
         assert factorize_generic(g, ls) == factorize_generic(g, twin) == expect
 
 
-def test_generic_checks_run_after_the_index_is_built(a5, monkeypatch):
-    ls = chain_ls(a5)  # 60 products, halves of 5 and 12
-    g = a5.element_at(17)
+def test_generic_checks_run_after_the_index_is_built(s4):
+    ls = mls_solvable(s4)  # 24 products and no runs: meet-in-the-middle
+    g = s4.element_at(17)
     assert factorize_generic(g, ls) == generic_reference(g, ls)
-    for budget, store_cap in ((59, factorize._STORE_CAP), (10_000_000, 4)):
-        monkeypatch.setattr(factorize, "_STORE_CAP", store_cap)
-        expect = outcome(generic_reference, g, ls, budget=budget, store_cap=store_cap)
-        assert expect[0] is ValueError
-        assert outcome(factorize_generic, g, ls, budget=budget) == expect
+    assert vars(ls)["_generic_index"].mitm is not None
+    expect = outcome(generic_reference, g, ls, budget=23)
+    assert expect == (ValueError, "24 products exceed the budget of 23")
+    assert outcome(factorize_generic, g, ls, budget=23) == expect
+
+
+@pytest.mark.parametrize("build", [chain_ls, build_mls])
+def test_generic_run_form_past_the_budget_matches_tame(m24, build):
+    # 244,823,040 products, past the default budget, which bounds only the
+    # products meet-in-the-middle composes: the runs are sifted whatever
+    # the product count, one table lookup per run
+    ls = build(m24)
+    stripped = unannotated(ls)
+    assert stripped.product_count() > signature.DEFAULT_BUDGET
+    indexer = TameIndexer(ls, m24)
+    rng = random.Random(24)
+    for g in [m24.element_at(rng.randrange(m24.order)) for _ in range(50)]:
+        assert factorize_generic(g, stripped) == factorize_tame(g, indexer)
+    assert vars(stripped)["_generic_index"].runs is not None
+    e = Permutation.identity(24)
+    assert factorize_generic(e, stripped, budget=1) == (0,) * len(ls.blocks)
+    with pytest.raises(FactorizationError):
+        factorize_generic(parse_cycles("(1,2)", 24), stripped, budget=1)
+
+
+@pytest.mark.parametrize("name", ["S4", "A4", "SL(2,3)", "D300"])
+def test_generic_stored_half_is_at_most_the_square_root(name):
+    # left_n * right_n is the product count, so the budget bounds the
+    # stored half by its square root: no separate cap is needed
+    ls = unannotated(build_mls(load_verified_chain(name)))
+    factorize_generic(Permutation.identity(ls.degree), ls)
+    _sizes, _total, _right_n, _scan_right, stored, _scan = vars(ls)["_generic_index"].mitm
+    assert 1 < len(stored) <= isqrt(ls.product_count())
 
 
 def test_generic_index_holds_no_strong_reference(a5):

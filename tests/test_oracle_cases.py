@@ -21,8 +21,9 @@ def test_oracle_cases_prints_a_row_per_case():
     assert done.returncode == 0 and done.stderr == ""
     header, *rows = done.stdout.splitlines()
     assert header.split()[:2] == ["case", "verdict"]
-    assert header.split()[-6:] == ["member_ms", "chain_ms", "structural",
-                                   "structural_ms", "tame_us", "reconstruct_us"]
+    assert header.split()[-7:] == ["member_ms", "chain_ms", "structural",
+                                   "structural_ms", "tame_us", "generic_us",
+                                   "reconstruct_us"]
     assert [row[:17].strip() for row in rows] == [
         "M11 refined", "M22 tampered", "M12 tail-tampered"]
     assert rows[0].split()[2:4] == ["pass", "7920"]
@@ -30,22 +31,27 @@ def test_oracle_cases_prints_a_row_per_case():
     assert rows[2].split()[2:6] == ["fail", "at", "10", "95040"]
     # the tampered signatures keep their chain tag: the structural oracle
     # fails them, and the calls are timed like the passing ones; no tame
-    # index builds for them, but their digits still reconstruct
-    assert [row.split()[-4] for row in rows] == ["pass", "fail", "fail"]
-    assert [row.split()[-2] for row in rows] == [rows[0].split()[-2], "n/a", "n/a"]
+    # index builds for them, but their digits still reconstruct, and
+    # generic factorization times their members, factorized or not
+    assert [row.split()[-5] for row in rows] == ["pass", "fail", "fail"]
+    assert [row.split()[-3] for row in rows] == [rows[0].split()[-3], "n/a", "n/a"]
     assert all(float(x) > 0 for row in rows
-               for x in row.split()[-6:-4] + row.split()[-3:-2] + row.split()[-1:])
-    assert float(rows[0].split()[-2]) > 0
+               for x in row.split()[-7:-5] + row.split()[-4:-3] + row.split()[-2:])
+    assert float(rows[0].split()[-3]) > 0
 
 
 def test_oracle_cases_structural_column_reads_no_verdict():
     # C1000's cyclic signature has runs; D300's solvable one has none, so
     # verify_structural raises and no tame index builds, and the row says n/a
-    done = oracle_cases("C1000 cyclic", "D300 solvable")
+    done = oracle_cases("C1000 cyclic", "D300 solvable", "M24 chain")
     assert done.returncode == 0 and done.stderr == ""
     rows = [row.split() for row in done.stdout.splitlines()[1:]]
-    assert [row[-4] for row in rows] == ["pass", "n/a"]
-    assert [row[-2] == "n/a" for row in rows] == [False, True]
+    assert [row[-5] for row in rows] == ["pass", "n/a", "pass"]
+    assert [row[-3] == "n/a" for row in rows] == [False, True, False]
+    # the first two factorize generically by meet-in-the-middle, within the
+    # budget; M24's 244,823,040 products are past it, but the budget bounds
+    # only meet-in-the-middle, and its runs are sifted
+    assert all(float(row[-2]) > 0 for row in rows)
 
 
 def test_oracle_cases_rejects_an_unknown_case():

@@ -536,6 +536,12 @@ def test_budget_exceeded_raises(m22):
         verify_exhaustive(chain_ls(m22), m22, budget=1000)
 
 
+def test_budget_error_is_a_value_error():
+    # one exception family: every input or budget error is a ValueError,
+    # which the CLI turns into exit 2
+    assert issubclass(VerificationBudgetError, ValueError)
+
+
 def nonmember_entry(chain):
     """The chain signature with entry 1 of block 0 set to (1,2), an odd
     permutation, so for a group of even permutations a nonmember."""

@@ -17,7 +17,10 @@ verdict with the median time of ``REPEAT`` calls of ``verify_structural``
 chain nor refined and has no runs), and the per-element layers: the
 median over ``REPEAT`` passes of the microseconds per element of
 ``factorize_tame`` on ``ELEMENTS`` seeded members (``n/a`` where no tame
-index builds) and of ``reconstruct`` on ``ELEMENTS`` seeded digit tuples.
+index builds), of ``factorize_generic`` on the same members with the
+signature's provenance stripped to ``manual`` (a member with no
+factorization is timed like the others; ``n/a`` where the budget refuses
+the signature) and of ``reconstruct`` on ``ELEMENTS`` seeded digit tuples.
 So the oracle, membership, chain, structural and per-element layers of a
 checkout are seen side by side.  Each layer's inputs are built before
 it is timed.  To compare
@@ -30,6 +33,7 @@ cases.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import random
 import statistics
@@ -131,7 +135,7 @@ def measure(lib, name: str) -> dict:
         except ValueError:
             pass
         calls.append(time.perf_counter() - t0)
-    tame_us, reconstruct_us = per_element(lib, name, ls, chain)
+    tame_us, generic_us, reconstruct_us = per_element(lib, name, ls, chain)
     return {"ok": report.ok, "checked": report.products_checked,
             "products": chain.order, "median_ms": median * 1e3,
             "products_per_s": chain.order / median,
@@ -140,7 +144,8 @@ def measure(lib, name: str) -> dict:
             "chain_ms": statistics.median(builds) * 1e3,
             "structural": structural,
             "structural_ms": statistics.median(calls) * 1e3,
-            "tame_us": tame_us, "reconstruct_us": reconstruct_us}
+            "tame_us": tame_us, "generic_us": generic_us,
+            "reconstruct_us": reconstruct_us}
 
 
 def _us_per_element(fn, args) -> float:
@@ -155,7 +160,8 @@ def _us_per_element(fn, args) -> float:
 
 def per_element(lib, name: str, ls, chain):
     """Microseconds per element of ``factorize_tame`` (None where no tame
-    index builds) and of ``reconstruct``."""
+    index builds), of ``factorize_generic`` on the manual copy of ``ls``
+    (None where the budget refuses it) and of ``reconstruct``."""
     rng = random.Random(name)
     members = [chain.element_at(rng.randrange(chain.order)) for _ in range(ELEMENTS)]
     digits = [tuple(rng.randrange(len(b)) for b in ls.blocks) for _ in range(ELEMENTS)]
@@ -165,7 +171,20 @@ def per_element(lib, name: str, ls, chain):
         tame = None
     else:
         tame = _us_per_element(lib.factorize_tame, [(g, indexer) for g in members])
-    return tame, _us_per_element(lib.reconstruct, [(ls, d) for d in digits])
+    manual = dataclasses.replace(ls, provenance=lib.Provenance("manual"))
+
+    def generic(g):
+        try:
+            lib.factorize_generic(g, manual)
+        except lib.FactorizationError:
+            pass
+    try:
+        generic(members[0])  # builds the index, or meets the budget
+    except ValueError:
+        generic_us = None
+    else:
+        generic_us = _us_per_element(generic, [(g,) for g in members])
+    return tame, generic_us, _us_per_element(lib.reconstruct, [(ls, d) for d in digits])
 
 
 def main(argv=None) -> int:
@@ -183,20 +202,21 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     import logsig
 
-    print("%-17s %-16s %12s %10s %14s %10s %10s %10s %10s %13s %8s %14s" % (
+    print("%-17s %-16s %12s %10s %14s %10s %10s %10s %10s %13s %8s %10s %14s" % (
         "case", "verdict", "products", "median_ms", "products/s", "B/product",
         "member_ms", "chain_ms", "structural", "structural_ms", "tame_us",
-        "reconstruct_us"))
+        "generic_us", "reconstruct_us"))
     for name in args.cases or CASES:
         row = measure(logsig, name)
         verdict = "pass" if row["ok"] else "fail at %d" % row["checked"]
-        tame = "n/a" if row["tame_us"] is None else "%.2f" % row["tame_us"]
+        tame, generic = ("n/a" if row[k] is None else "%.2f" % row[k]
+                         for k in ("tame_us", "generic_us"))
         print(("%-17s %-16s %12d %10.3f %14.4g %10.3f %10.3f %10.3f %10s %13.3f"
-               " %8s %14.2f") % (
+               " %8s %10s %14.2f") % (
             name, verdict, row["products"], row["median_ms"],
             row["products_per_s"], row["bytes_per_product"], row["member_ms"],
             row["chain_ms"], row["structural"], row["structural_ms"], tame,
-            row["reconstruct_us"]))
+            generic, row["reconstruct_us"]))
     return 0
 
 
