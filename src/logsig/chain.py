@@ -10,7 +10,7 @@ normal closures, derived subgroups and a solvability test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Iterator, Sequence
 
 from .perm import (_TAIL, Permutation, _digits_of, _identity_raw, _images,
@@ -125,6 +125,13 @@ class StabilizerChain:
 
     def __contains__(self, g: Permutation) -> bool:
         return self.contains(g)
+
+    @cached_property
+    def _forwards(self) -> frozenset:
+        """The bytes forward images of every level's table: its transversal
+        elements, members without a sift.  Built on first use."""
+        return frozenset(f for _, table in self._walk for _, _, f in table.values()
+                         if type(f) is bytes)
 
     # -- the canonical bijection [0, order) <-> G --------------------------
 

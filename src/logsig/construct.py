@@ -6,13 +6,14 @@ search that replaces a transversal block by a product of cyclic power sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice, permutations
+from itertools import islice, permutations
 from math import prod
 
 from .arith import factor_integer
 from .chain import GeneratorSet, StabilizerChain, build_chain, derived_series
-from .perm import _TAIL, Permutation, _order_raw, _products, _raw
-from .signature import BlockAnnotation, LogSignature, Provenance, _level_table
+from .perm import _TAIL, Permutation, _images, _order_raw, _products, _raw
+from .signature import (BlockAnnotation, LogSignature, Provenance, _join,
+                        _level_table)
 
 __all__ = [
     "CyclicSetSpec",
@@ -175,42 +176,78 @@ def _size_trials(primes: list[int]) -> list[tuple[int, ...]]:
 
 
 class _Candidates:
-    """One lazy pool of ``(element, order)`` pairs from a level group, read
-    by walks of every set size.
+    """One lazy pool of level-group elements and their orders, read by
+    walks of every set size; its walks do all of the search's node
+    accounting.
 
     The pool is the first ``10 * cap`` products of the inverse transversals,
     the level's own varying fastest, so consecutive elements stride over the
     cosets of its point stabilizer: the r-th is ``element_at(i).inverse()``,
     where i has r's digits with the level's digit least significant.  An
     element is read, and its order computed, only when some walk has run
-    past every element read so far.
+    past every element read so far.  A size's candidates are the elements
+    whose order it divides.  Their positions are kept per size, with the
+    first position not yet scanned for it, so no position is scanned twice
+    for one size.
     """
 
     def __init__(self, group: StabilizerChain, cap: int):
         inverses = [[lv.table[p][1] for p in lv.orbit] for lv in reversed(group.levels)]
         self._elements = islice(_products(inverses, group._identity), 10 * cap)
-        self._pool = []
+        self._pool: list = []
+        self._orders: list[int] = []
+        self._hits: dict[int, list[int]] = {}  # size -> its candidates' positions
+        self._scanned: dict[int, int] = {}  # size -> first position not scanned
         self._cap = cap
 
-    def walk(self, size: int):
-        """For each pool position in turn, the element if ``size`` divides
-        its order and None if not, until ``cap`` elements have been yielded
-        or the pool is used up."""
-        pool, taken = self._pool, 0
-        for i in count():
-            if i == len(pool):
-                raw = next(self._elements, None)
-                if raw is None:
+    def walk(self, size: int, left: list):
+        """The first ``cap`` candidates of ``size`` in pool order, or as many
+        as the pool holds, charged to the budget ``left[0]``.
+
+        This is where the search's nodes are counted.  Every pool position
+        a walk passes is one node, whether it holds a candidate or not, and
+        a candidate is charged together with the positions before it in
+        one subtraction.  A walk that reaches a position with no node left
+        raises :class:`_OutOfBudget` there, after reading it.  So it reads
+        the pool exactly as far as a walk that reads and charges one
+        position per step, and computes no other order.  The budget is
+        read again for each candidate, since the nested walks of a trial
+        share it."""
+        pool, orders, scanned = self._pool, self._orders, self._scanned
+        hits = self._hits.setdefault(size, [])
+        pos = 0  # the first position this walk has not passed
+        for k in range(self._cap):
+            horizon = pos + left[0]  # the position reached with no node left
+            if k == len(hits):
+                # every candidate among the orders computed so far, then
+                # the next one up to the horizon, reading on one at a time
+                i = scanned.get(size, 0)
+                if i < len(orders):
+                    hits += [j for j in range(i, len(orders)) if not orders[j] % size]
+                    i = len(orders)
+                if k == len(hits) and i <= horizon:
+                    for raw in islice(self._elements, horizon + 1 - i):
+                        o = _order_raw(raw)
+                        pool.append(raw)
+                        orders.append(o)
+                        i += 1
+                        if not o % size:
+                            hits.append(i - 1)
+                            break
+                scanned[size] = i
+                if k == len(hits):  # no candidate up to the horizon
+                    if i > horizon:
+                        left[0] = 0
+                        raise _OutOfBudget
+                    left[0] = horizon - i  # the pool ends at i
                     return
-                pool.append((raw, _order_raw(raw)))
-            raw, o = pool[i]
-            if o % size:
-                yield None
-                continue
-            yield raw
-            taken += 1
-            if taken == self._cap:
-                return
+            p = hits[k]
+            if p >= horizon:
+                left[0] = 0
+                raise _OutOfBudget
+            left[0] = horizon - p - 1
+            pos = p + 1
+            yield pool[p]
 
 
 _FIRST_PASS_NODES = 1_000  # nodes a size trial may visit in the first pass
@@ -225,41 +262,36 @@ def _cover_search(walk, sizes, pos: int, images, osize: int, left: list):
     """Raw generators of cyclic sets of ``sizes[:pos + 1]`` whose product
     extends ``images`` to a cover of the orbit, or None.
 
-    Each pool position a walk reads is one node, whether it yields a
-    candidate or None; ``left[0]`` holds the nodes the trial may still
-    visit, and one more raises :class:`_OutOfBudget`.  Choices are appended
-    as the calls return, so they come in block order.
+    ``walk(size, left)`` yields the candidates of a size and charges the
+    nodes (:meth:`_Candidates.walk`, where node accounting lives):
+    ``left[0]`` holds the nodes the trial may still visit, and the walk
+    raises :class:`_OutOfBudget` at the node past them.  A candidate x
+    extends ``images`` by their images under x, x^2, ..., x^(size - 1),
+    and is dropped at the first power whose images meet earlier ones.
+    Choices are appended as the calls return, so they come in block order.
     """
     if pos < 0:
         return [] if len(images) == osize else None
     size = sizes[pos]
     steps = range(size - 1)
-    for x in walk(size):
-        if not left[0]:
-            raise _OutOfBudget
-        left[0] -= 1
-        if x is None:
-            continue
-        # new: images, then their images under x, x^2, ..., x^(size - 1)
-        cur = images
-        if type(x) is bytes:
-            table = x + _TAIL[len(x):]
-            parts = [cur]
-            for _ in steps:
-                cur = cur.translate(table)
-                parts.append(cur)
-            new = b"".join(parts)
-        else:  # tuple images: degree above 256
-            new = list(cur)
-            for _ in steps:
-                cur = [x[p] for p in cur]
-                new.extend(cur)
-        if len(set(new)) != len(new):
-            continue
-        found = _cover_search(walk, sizes, pos - 1, new, osize, left)
-        if found is not None:
-            found.append(x)
-            return found
+    points = set(images)
+    for x in walk(size, left):
+        table = x + _TAIL[len(x):] if type(x) is bytes else None
+        cur, parts, seen = images, [images], points
+        for _ in steps:
+            # a power maps the distinct images to distinct points, so they
+            # repeat nothing iff they miss every earlier power's
+            cur = _images(x, cur) if table is None else cur.translate(table)
+            if not seen.isdisjoint(cur):
+                break
+            parts.append(cur)
+            seen = seen.union(cur)
+        else:
+            found = _cover_search(walk, sizes, pos - 1, _join(parts, type(images)),
+                                  osize, left)
+            if found is not None:
+                found.append(x)
+                return found
     return None
 
 
@@ -272,8 +304,9 @@ def refine_block(chain: StabilizerChain, level: int,
     ``cap`` elements whose order the size divides among the first ``10 *
     cap`` elements of the level group in :class:`_Candidates`' coset-
     striding order; a cap below 1 raises ValueError.  A node is one pool
-    element a walk reads, whether the size divides its order or not, so a
-    trial's budget bounds its pool reads.  The trials run in passes: in the
+    element a walk passes, whether the size divides its order or not, so a
+    trial's budget bounds its pool reads; :meth:`_Candidates.walk` counts
+    them.  The trials run in passes: in the
     first, each may visit 1,000 nodes, and each pass doubles that.
     A trial that finishes without a cover is dropped, and the first cover
     found wins.  None, a legitimate outcome, means every trial finished

@@ -17,8 +17,8 @@ from .chain import StabilizerChain
 from .construct import chain_ls
 from .factorize import TameIndexer, factorize_tame, reconstruct
 from .perm import Permutation, _digits_of, _images, _value_of
-from .signature import (LogSignature, LsFormatError, _ls_from_obj, _ls_obj,
-                        _parse_json, _read_text, _write_text)
+from .signature import (LogSignature, LsFormatError, _ls_from_obj, _ls_text,
+                        _parse_json, _read_text, _with_members, _write_text)
 
 __all__ = ["PgmKey", "randomize_ls", "keygen", "encrypt", "decrypt",
            "write_key", "read_key", "KEY_FORMAT"]
@@ -117,15 +117,13 @@ def decrypt(key: PgmKey, ciphertext: int) -> int:
 
 
 def write_key(key: PgmKey, sink: str | IO[str]) -> None:
-    """Header (format, group, seed) plus the two signature documents."""
-    obj = {
-        "format": KEY_FORMAT,
-        "group": key.chain.name,
-        "seed": key.seed,
-        "alpha": _ls_obj(key.alpha),
-        "beta": _ls_obj(key.beta),
-    }
-    _write_text(json.dumps(obj, indent=2) + "\n", sink)
+    """Header (format, group, seed) plus the two signature documents:
+    exactly ``json.dumps(obj, indent=2) + "\n"`` of the key's object, with
+    the documents written by :func:`~logsig.signature._ls_text`."""
+    head = json.dumps({"format": KEY_FORMAT, "group": key.chain.name, "seed": key.seed},
+                      indent=2)
+    members = [("alpha", _ls_text(key.alpha, 1)), ("beta", _ls_text(key.beta, 1))]
+    _write_text(_with_members(head, members, 0) + "\n", sink)
 
 
 def read_key(source: str | IO[str], chain: StabilizerChain) -> PgmKey:

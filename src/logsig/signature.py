@@ -19,7 +19,7 @@ from typing import IO
 from .arith import PrimeFactorization
 from .chain import StabilizerChain
 from .perm import (Permutation, _digits_of, _identity_raw, _images, _inv_raw,
-                   _products)
+                   _products, _raw)
 
 __all__ = [
     "BlockAnnotation",
@@ -92,16 +92,17 @@ class LogSignature:
     provenance: Provenance = Provenance("manual")
 
     def __post_init__(self):
+        # on the image arrays, which hash and compare without a Python call
         for bi, block in enumerate(self.blocks):
             if not block:
                 raise ValueError("block %d is empty" % bi)
-            if len(set(block)) != len(block):
+            images = [e.img for e in block]
+            if len(set(images)) != len(images):
                 raise ValueError("block %d has repeated entries" % bi)
-            for e in block:
-                if e.degree != self.degree:
-                    raise ValueError(
-                        "block %d entry of degree %d in a degree-%d signature"
-                        % (bi, e.degree, self.degree))
+            for n in map(len, images):
+                if n != self.degree:
+                    raise ValueError("block %d entry of degree %d in a degree-%d signature"
+                                     % (bi, n, self.degree))
         ann = self.provenance.annotations
         if ann is not None and len(ann) != len(self.blocks):
             raise ValueError("annotation count %d != block count %d"
@@ -418,12 +419,19 @@ def _index_levels(ls: LogSignature, chain: StabilizerChain):
 
 def _member_fault(ls: LogSignature, chain: StabilizerChain) -> str:
     """"" when the block sizes multiply to |G| and every entry is a member,
-    which both oracles check first; otherwise the first fault."""
+    which both oracles and the tame index check first; otherwise the first
+    fault.  An entry whose bytes image array is one of the chain's forward
+    images, as every entry of a chain signature is, is a member by one set
+    lookup; a tuple image array is not hashed for it, since its hash costs
+    O(degree) and is not cached.  Other entries are sifted."""
     if ls.product_count() != chain.order:
         return ("size-product mismatch: blocks enumerate %d products, group "
                 "order is %d" % (ls.product_count(), chain.order))
+    forwards = chain._forwards
     for bi, block in enumerate(ls.blocks):
         for ei, e in enumerate(block):
+            if type(e.img) is bytes and e.img in forwards:
+                continue
             if not chain.contains(e):
                 return "block %d entry %d is not a group member" % (bi, ei)
     return ""
@@ -575,7 +583,8 @@ def _annotation_obj(a: BlockAnnotation) -> dict:
     return obj
 
 
-def _ls_obj(ls: LogSignature) -> dict:
+def _ls_head(ls: LogSignature) -> dict:
+    """The document's fields before ``blocks``."""
     obj: dict = {"degree": ls.degree}
     if ls.group is not None:
         obj["group"] = ls.group
@@ -583,12 +592,45 @@ def _ls_obj(ls: LogSignature) -> dict:
     if ls.provenance.annotations is not None:
         prov["annotations"] = [_annotation_obj(a) for a in ls.provenance.annotations]
     obj["provenance"] = prov
-    obj["blocks"] = [[list(e.images) for e in block] for block in ls.blocks]
     return obj
 
 
+def _with_members(head: str, members, depth: int) -> str:
+    """``head``, an object's text as ``json.dumps(obj, indent=2)`` writes
+    it ``depth`` levels deep, with ``(key, text)`` members appended whose
+    texts are written ``depth + 1`` levels deep: the text ``json.dumps``
+    writes for the object with those members added."""
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    return (head[:-len(pad) - 1]
+            + "".join("," + inner + json.dumps(k) + ": " + text for k, text in members)
+            + pad + "}")
+
+
+def _ls_text(ls: LogSignature, depth: int = 0) -> str:
+    """The signature's document, exactly as ``json.dumps(obj, indent=2)``
+    writes it nested ``depth`` levels deep, every line after the first
+    indented ``2 * depth`` more spaces.
+
+    json's indenting encoder is pure Python and writes an image array one
+    point at a time; here each array is one ``join`` over precomputed
+    point strings, which carry their line breaks and indents.  The fields
+    before ``blocks`` are few and go through ``json.dumps``."""
+    pad = ["\n" + "  " * (depth + k) for k in range(5)]
+    lines = [pad[4] + str(p + 1) for p in range(ls.degree)]  # one per point
+    close = pad[3] + "]"
+    blocks = ["[" + pad[3] + ("," + pad[3]).join(
+        ["[" + ",".join(map(lines.__getitem__, e.img)) + close if lines else "[]"
+         for e in block]) + pad[2] + "]" for block in ls.blocks]
+    head = json.dumps(_ls_head(ls), indent=2).replace("\n", pad[0])
+    body = "[" + pad[2] + ("," + pad[2]).join(blocks) + pad[1] + "]" if blocks else "[]"
+    return _with_members(head, [("blocks", body)], depth)
+
+
 def dumps_ls(ls: LogSignature) -> str:
-    return json.dumps(_ls_obj(ls), indent=2) + "\n"
+    """The canonical file text: exactly ``json.dumps(obj, indent=2) + "\n"``
+    of the signature's document, written by :func:`_ls_text`."""
+    return _ls_text(ls) + "\n"
 
 
 def _parse_annotation(obj, where: str) -> BlockAnnotation:
@@ -621,6 +663,19 @@ def _parse_json(text: str):
         raise LsFormatError("JSON integer has too many digits") from e
 
 
+def _parse_entry(images, degree: int, where: str) -> Permutation:
+    """One image array checked entry by entry, to word the error of an
+    array that fails the reader's C-level checks."""
+    if not isinstance(images, list) or len(images) != degree:
+        raise LsFormatError("%s: expected an image array of length %d" % (where, degree))
+    if any(type(x) is not int for x in images):
+        raise LsFormatError("%s: images must be integers" % where)
+    try:
+        return Permutation.from_images(images)
+    except ValueError as e:
+        raise LsFormatError("%s: %s" % (where, e)) from e
+
+
 def _ls_from_obj(obj) -> LogSignature:
     # integers are tested by exact type: JSON true and false load as bool
     if not isinstance(obj, dict):
@@ -646,22 +701,24 @@ def _ls_from_obj(obj) -> LogSignature:
         provenance = Provenance(tag=prov_obj.get("tag", "manual"), annotations=ann)
     except ValueError as e:
         raise LsFormatError(str(e)) from e
-    blocks = []
+    # an image array is checked in C-level steps: its length and types,
+    # then its sorted values against 1..degree, which are built when the
+    # first array of that length is read, so a degree allocates nothing
+    # before then; one pass makes its 0-based image array
+    blocks, points = [], None
     for bi, block_obj in enumerate(blocks_obj):
         if not isinstance(block_obj, list):
             raise LsFormatError("block %d must be an array" % bi)
         entries = []
         for ei, images in enumerate(block_obj):
-            where = "block %d entry %d" % (bi, ei)
-            if not isinstance(images, list) or len(images) != degree:
-                raise LsFormatError("%s: expected an image array of length %d"
-                                    % (where, degree))
-            if any(type(x) is not int for x in images):
-                raise LsFormatError("%s: images must be integers" % where)
-            try:
-                entries.append(Permutation.from_images(images))
-            except ValueError as e:
-                raise LsFormatError("%s: %s" % (where, e)) from e
+            if (type(images) is list and len(images) == degree
+                    and set(map(type, images)) <= {int}):
+                if points is None:
+                    points = list(range(1, degree + 1))
+                if sorted(images) == points:
+                    entries.append(Permutation._wrap(_raw([x - 1 for x in images], degree)))
+                    continue
+            entries.append(_parse_entry(images, degree, "block %d entry %d" % (bi, ei)))
         blocks.append(tuple(entries))
     try:
         return LogSignature(degree=degree, blocks=tuple(blocks),

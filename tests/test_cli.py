@@ -623,6 +623,60 @@ MALFORMED_MESSAGES = {
 }
 
 
+# the whole message of each case whose file the readers reject, the
+# directory written as <tmp>: the signature and key readers check an image
+# array in C-level steps and word its error entry by entry, as they did
+READ_ERRORS = {
+    "decrypt-key-without-alpha": "<tmp>/doc.json: key file needs both 'alpha' and 'beta'",
+    "decrypt-seed-string": "<tmp>/doc.json: key seed must be an integer",
+    "decrypt-wrong-group-key": "<tmp>/m12.key: key is for group 'M12', not 'M11'",
+    "encrypt-list-key": "<tmp>/doc.json: key file must hold a JSON object",
+    "encrypt-non-utf8-key":
+        "<tmp>/input.bin: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    "encrypt-seed-true": "<tmp>/doc.json: key seed must be an integer",
+    "encrypt-unknown-key-format": "<tmp>/doc.json: unsupported key format 'logsig-key/0'",
+    "encrypt-wrong-group-key": "<tmp>/m12.key: key is for group 'M12', not 'M11'",
+    "factorize-annotation-level-negative":
+        "<tmp>/doc.json: provenance: annotation 'level' must be nonnegative",
+    "factorize-annotation-step-negative":
+        "<tmp>/doc.json: provenance: annotation 'step' must be at least 1",
+    "factorize-annotations-not-array":
+        "<tmp>/doc.json: provenance annotations must be an array",
+    "factorize-c3-image-true": "<tmp>/doc.json: block 0 entry 0: images must be integers",
+    "factorize-level-not-integer":
+        "<tmp>/doc.json: provenance: annotation must be an object with an integer 'level'",
+    "factorize-non-utf8":
+        "<tmp>/input.bin: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    "info-non-utf8-group-file":
+        "<tmp>/input.bin: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte",
+    "info-oversized-degree": "<tmp>/input.bin: line 1: degree 3000000 exceeds 1000000",
+    "verify-annotation-count": "<tmp>/doc.json: annotation count 2 != block count 3",
+    "verify-annotation-level-negative":
+        "<tmp>/doc.json: provenance: annotation 'level' must be nonnegative",
+    "verify-annotation-set-size-0":
+        "<tmp>/doc.json: provenance: annotation 'set_size' must be at least 1",
+    "verify-annotations-not-array":
+        "<tmp>/doc.json: provenance annotations must be an array",
+    "verify-blocks-missing": "<tmp>/doc.json: missing required field 'blocks'",
+    "verify-c1-degree-true": "<tmp>/doc.json: degree must be a nonnegative integer",
+    "verify-group-not-string": "<tmp>/doc.json: group must be a string",
+    "verify-level-true":
+        "<tmp>/doc.json: provenance: annotation must be an object with an integer 'level'",
+    "verify-non-utf8":
+        "<tmp>/input.bin: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    "verify-repeated-entry": "<tmp>/doc.json: block 0 has repeated entries",
+    "verify-top-level-array": "<tmp>/doc.json: top level must be an object",
+}
+
+
+@pytest.mark.parametrize("case", sorted(READ_ERRORS))
+def test_malformed_files_keep_their_messages(capsys, tmp_path, case):
+    code, _, err = run(capsys, *MALFORMED[case](tmp_path))
+    assert code == 2
+    assert (err.replace(str(tmp_path), "<tmp>")
+            == "error: cannot read %s\n" % READ_ERRORS[case])
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_inputs_exit_cleanly(capsys, tmp_path, case):
     code, _, err = run(capsys, *MALFORMED[case](tmp_path))

@@ -1,6 +1,7 @@
 import gc
 import random
 import time
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from logsig import (CyclicSetSpec, GeneratorSet, Permutation,
                     verify_structural)
 from logsig.construct import (DEFAULT_SEARCH_CAP, _Candidates, _cover_search,
                               _prime_multiset, _size_trials)
-from logsig.perm import _order_raw
+from logsig.perm import _order_raw, _products
 from logsig.signature import DEFAULT_BUDGET
 
 
@@ -307,7 +308,8 @@ def full_scan(pool, size, cap):
 @pytest.mark.parametrize("cap", [1, 7, 2000])
 def test_candidate_walks_match_a_full_scan(m12, cap):
     # walks of one size and of others run interleaved, as the search's nested
-    # positions run them; each still yields the full scan's candidates
+    # positions run them; each still yields the full scan's candidates and
+    # is charged one node per position the scan reads
     sizes = (2, 3, 4, 6, 12)
     pool = [(bytes(x), Permutation(x).order()) for x in coset_striding_pool(m12, cap)]
     expect = {s: full_scan(pool, s, cap) for s in sizes}
@@ -315,17 +317,125 @@ def test_candidate_walks_match_a_full_scan(m12, cap):
     assert first == [x for x, o in pool if o % 2 == 0][:cap] and len(first) == cap
     assert expect[12] == [None] * len(pool)  # M12 has no order 12
     cands = _Candidates(m12, cap)
-    walks = [(s, cands.walk(s), []) for s in sizes for _ in range(3)]
+    walks = [(s, [10 ** 9], []) for s in sizes for _ in range(3)]
+    walks = [(s, cands.walk(s, left), left, got) for s, left, got in walks]
     rng = random.Random(cap)
     while walks:
         i = rng.randrange(len(walks))
-        s, walk, got = walks[i]
+        s, walk, left, got = walks[i]
         x = next(walk, StopIteration)
         if x is StopIteration:
-            assert got == expect[s], (s, len(got), len(expect[s]))
+            assert got == [x for x in expect[s] if x is not None], (s, len(got))
+            assert 10 ** 9 - left[0] == len(expect[s])
             walks.pop(i)
         else:
             got.append(x)
+
+
+class OneNodeCandidates:
+    """The candidate pool as it was read one position per step, kept as the
+    reference for :meth:`_Candidates.walk`: the same lazy pool of
+    ``(element, order)`` pairs, and a walk that reads one position, grows
+    the pool by it if need be, charges it one node and yields it if it is
+    a candidate.  It raises at a position read with no node left, and
+    stops after ``cap`` candidates or at the end of the pool."""
+
+    def __init__(self, group, cap):
+        inverses = [[lv.table[p][1] for p in lv.orbit] for lv in reversed(group.levels)]
+        self._elements = islice(_products(inverses, group._identity), 10 * cap)
+        self._pool = []
+        self._cap = cap
+
+    def walk(self, size, left):
+        pool, taken = self._pool, 0
+        for i in count():
+            if i == len(pool):
+                raw = next(self._elements, None)
+                if raw is None:
+                    return
+                pool.append((raw, _order_raw(raw)))
+            if not left[0]:
+                raise logsig.construct._OutOfBudget
+            left[0] -= 1
+            raw, o = pool[i]
+            if o % size:
+                continue
+            yield raw
+            taken += 1
+            if taken == self._cap:
+                return
+
+
+def drive_walks(cands, sizes, budgets, seed):
+    """Walk ``cands`` as the search does, in random steps: one trial per
+    budget, whose nested walks of random sizes share the budget; a step
+    may start a new walk, up to three at a time, and reads the next
+    candidate of a random walk of the trial.  The trial ends out of budget
+    or when its walks are exhausted.  Returns each step's outcome with the
+    nodes left and the pool length after it."""
+    rng = random.Random(seed)
+    out = []
+    for budget in budgets:
+        left, walks = [budget], []
+        while True:
+            if not walks or len(walks) < 3 and rng.random() < 0.2:
+                walks.append(cands.walk(rng.choice(sizes), left))
+            i = rng.randrange(len(walks))
+            try:
+                step = next(walks[i], "exhausted")
+            except logsig.construct._OutOfBudget:
+                out.append(("out of budget", left[0], len(cands._pool)))
+                break
+            out.append((step, left[0], len(cands._pool)))
+            if step == "exhausted":
+                walks.pop(i)
+                if not walks:
+                    break
+    return out
+
+
+@pytest.mark.parametrize("name, level, cap, sizes", [
+    ("M12", 0, 1, (2, 3, 4, 12)),        # a pool of 10, shorter than the budgets
+    ("M12", 0, 7, (2, 3, 4, 6, 12)),     # 12 divides no element order of M12
+    ("M12", 0, 2000, (2, 3, 4, 6, 11, 12)),
+    ("M22", 0, 1000, (2, 11, 22)),        # nor does 22 any of M22
+    ("M24", 3, 1, (3, 7, 21)),
+    ("D300", 0, 50, (2, 3, 5, 150)),      # tuple images
+])
+def test_candidate_walks_match_the_one_node_walk(name, level, cap, sizes):
+    # the walk that skips to candidates yields the same elements, charges the
+    # same nodes, ends the same way and leaves the pool just as long, so it
+    # computes no order the one-node walk would not
+    group = load_verified_chain(name).subchain(level)
+    budgets = [0, 1, 3, 10, 57, 1000, 30_000]
+    got = drive_walks(_Candidates(group, cap), sizes, budgets, seed=cap)
+    expect = drive_walks(OneNodeCandidates(group, cap), sizes, budgets, seed=cap)
+    assert got == expect
+    outcomes = {step[0] for step in got}
+    assert "out of budget" in outcomes and "exhausted" in outcomes
+
+
+@pytest.mark.parametrize("name, level, cap", [
+    ("M11", 1, DEFAULT_SEARCH_CAP), ("M12", 2, DEFAULT_SEARCH_CAP),
+    ("M22", 0, 1000), ("M24", 0, 1000), ("M24", 3, 1), ("D300", 0, 10),
+])
+def test_refine_block_with_the_one_node_walk(monkeypatch, name, level, cap):
+    # the whole search, trial by trial, and the pool it reads are the same
+    # with the reference walk in place of the new one
+    chain = load_verified_chain(name)
+    runs = []
+    for cls in (_Candidates, OneNodeCandidates):
+        made = []
+
+        def kept(group, cap, cls=cls, made=made):
+            made.append(cls(group, cap))
+            return made[-1]
+
+        monkeypatch.setattr(logsig.construct, "_Candidates", kept)
+        decomp, trace = trace_trials(monkeypatch, chain, level, cap)
+        monkeypatch.undo()
+        runs.append((decomp, trace, [len(c._pool) for c in made]))
+    assert runs[0] == runs[1]
 
 
 class OutOfBudget(Exception):

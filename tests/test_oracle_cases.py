@@ -1,6 +1,8 @@
 """``tools/oracle_cases.py`` times the exhaustive oracle and the layers
-beside it on a fixed case list, so that changes to them can be compared on
-the same checks; it must keep running against the library."""
+beside it (membership, chain building, the file format, refinement, the
+structural oracle and the per-element paths) on a fixed case list, so that
+changes to them can be compared on the same checks; it must keep running
+against the library."""
 
 import subprocess
 import sys
@@ -21,9 +23,9 @@ def test_oracle_cases_prints_a_row_per_case():
     assert done.returncode == 0 and done.stderr == ""
     header, *rows = done.stdout.splitlines()
     assert header.split()[:2] == ["case", "verdict"]
-    assert header.split()[-7:] == ["member_ms", "chain_ms", "structural",
-                                   "structural_ms", "tame_us", "generic_us",
-                                   "reconstruct_us"]
+    assert header.split()[-9:] == ["member_ms", "chain_ms", "codec_ms", "refine_ms",
+                                   "structural", "structural_ms", "tame_us",
+                                   "generic_us", "reconstruct_us"]
     assert [row[:17].strip() for row in rows] == [
         "M11 refined", "M22 tampered", "M12 tail-tampered"]
     assert rows[0].split()[2:4] == ["pass", "7920"]
@@ -32,12 +34,14 @@ def test_oracle_cases_prints_a_row_per_case():
     # the tampered signatures keep their chain tag: the structural oracle
     # fails them, and the calls are timed like the passing ones; no tame
     # index builds for them, but their digits still reconstruct, and
-    # generic factorization times their members, factorized or not
+    # generic factorization times their members, factorized or not; only
+    # the refined case times refinement
     assert [row.split()[-5] for row in rows] == ["pass", "fail", "fail"]
     assert [row.split()[-3] for row in rows] == [rows[0].split()[-3], "n/a", "n/a"]
+    assert [row.split()[-6] for row in rows] == [rows[0].split()[-6], "n/a", "n/a"]
     assert all(float(x) > 0 for row in rows
-               for x in row.split()[-7:-5] + row.split()[-4:-3] + row.split()[-2:])
-    assert float(rows[0].split()[-3]) > 0
+               for x in row.split()[-9:-6] + row.split()[-4:-3] + row.split()[-2:])
+    assert float(rows[0].split()[-3]) > 0 and float(rows[0].split()[-6]) > 0
 
 
 def test_oracle_cases_structural_column_reads_no_verdict():
@@ -48,6 +52,8 @@ def test_oracle_cases_structural_column_reads_no_verdict():
     rows = [row.split() for row in done.stdout.splitlines()[1:]]
     assert [row[-5] for row in rows] == ["pass", "n/a", "pass"]
     assert [row[-3] == "n/a" for row in rows] == [False, True, False]
+    assert [row[-6] for row in rows] == ["n/a"] * 3  # none of them is refined
+    assert all(float(row[-7]) > 0 for row in rows)
     # the first two factorize generically by meet-in-the-middle, within the
     # budget; M24's 244,823,040 products are past it, but the budget bounds
     # only meet-in-the-middle, and its runs are sifted

@@ -1,11 +1,12 @@
 import io
+import json
 import random
 from pathlib import Path
 
 import pytest
 
 from logsig import (LsFormatError, PgmKey, TameIndexer, build_chain, chain_ls,
-                    decrypt, encrypt, keygen, load_group, randomize_ls, read_key,
+                    decrypt, dumps_ls, encrypt, keygen, load_group, randomize_ls, read_key,
                     verify_structural, write_key)
 
 
@@ -83,6 +84,18 @@ def test_key_file_roundtrip(m11, tmp_path):
     again = read_key(path, m11)
     assert again.alpha == key.alpha and again.beta == key.beta
     assert decrypt(again, encrypt(again, 4321)) == 4321
+
+
+@pytest.mark.parametrize("name", ["M24", "M12"])
+def test_key_file_is_json_dumps_text(request, name):
+    # the key's object, both signature documents included, as json.dumps
+    # writes it with a two-space indent
+    key = keygen(request.getfixturevalue(name.lower()), 11)
+    buf = io.StringIO()
+    write_key(key, buf)
+    obj = {"format": "pgm-key-1", "group": name, "seed": 11,
+           "alpha": json.loads(dumps_ls(key.alpha)), "beta": json.loads(dumps_ls(key.beta))}
+    assert buf.getvalue() == json.dumps(obj, indent=2) + "\n"
 
 
 def test_key_with_an_overlong_integer_is_malformed(m11):

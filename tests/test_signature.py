@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import random
@@ -12,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 from logsig import (CyclicSetSpec, LogSignature, LsFormatError, Permutation,
                     Provenance, TameIndexer, VerificationBudgetError,
                     VerificationReport,
-                    build_chain, build_mls, chain_ls, dumps_ls, factor_integer,
+                    build_chain, build_mls, bundled_group_names, chain_ls, dumps_ls,
+                    factor_integer,
                     is_minimal, load_verified_chain, loads_ls, ls_length,
                     minimal_length, mls_cyclic, mls_solvable, parse_cycles,
                     read_ls, verify_exhaustive, verify_structural, write_ls)
+import logsig.chain
 from logsig import signature
 from logsig.chain import GeneratorSet
 from logsig.factorize import reconstruct
@@ -562,6 +565,27 @@ def test_nonmember_entry_rejected(a5):
     assert verify_exhaustive(nonmember_entry(a5), a5, budget=1) == report
 
 
+def test_chain_signature_entries_are_members_without_a_sift(monkeypatch, m12, a5):
+    # a chain's forward images are its transversal elements, so a chain
+    # signature's entries are members by a set lookup; entries of another
+    # kind, and tuple image arrays, are sifted
+    sifted = []
+    real = logsig.chain._sift
+    monkeypatch.setattr(logsig.chain, "_sift", lambda *a: sifted.append(a) or real(*a))
+    for chain in (m12, a5):
+        assert signature._member_fault(chain_ls(chain), chain) == ""
+        TameIndexer(chain_ls(chain), chain)
+        assert verify_exhaustive(chain_ls(chain), chain).ok
+    assert sifted == []
+    assert signature._member_fault(build_mls(m12), m12) == "" and sifted
+    d300 = load_verified_chain("D300")
+    sifted.clear()
+    assert signature._member_fault(chain_ls(d300), d300) == ""
+    assert len(sifted) == sum(map(len, chain_ls(d300).blocks))
+    assert (signature._member_fault(nonmember_entry(a5), a5)
+            == "block 0 entry 1 is not a group member")
+
+
 def test_block_entry_permutation_preserves_verdict(a5):
     ls = chain_ls(a5)
     blocks = list(ls.blocks)
@@ -723,6 +747,97 @@ def test_file_io(tmp_path, m11):
     buf = io.StringIO()
     write_ls(ls, buf)
     assert read_ls(io.StringIO(buf.getvalue())) == ls
+
+
+def document(ls):
+    """The signature's file document as plain JSON values: ``dumps_ls``
+    writes ``json.dumps`` of it."""
+    prov = {"tag": ls.provenance.tag}
+    if ls.provenance.annotations is not None:
+        prov["annotations"] = [
+            {k: v for k, v in (("level", a.level), ("set_size", a.set_size),
+                               ("step", a.step)) if v is not None}
+            for a in ls.provenance.annotations]
+    obj = {"degree": ls.degree}
+    if ls.group is not None:
+        obj["group"] = ls.group
+    return {**obj, "provenance": prov,
+            "blocks": [[list(e.images) for e in block] for block in ls.blocks]}
+
+
+@pytest.mark.parametrize("name", bundled_group_names() + ("D300", "S0"))
+def test_dumps_writes_json_dumps_text(name):
+    # D300's degree is above 256, so its images are tuples; S0's is 0
+    chain = load_verified_chain(name)
+    for ls in (chain_ls(chain), build_mls(chain)):
+        assert dumps_ls(ls) == json.dumps(document(ls), indent=2) + "\n"
+
+
+def test_dumps_writes_json_dumps_text_of_empty_arrays_and_escapes():
+    # degree-0 entries are empty image arrays; a group name outside ASCII is
+    # escaped as json.dumps escapes it
+    s4 = load_verified_chain("S4")
+    for ls in (LogSignature(degree=0, blocks=((Permutation.identity(0),),)),
+               LogSignature(degree=0, blocks=()),
+               dataclasses.replace(chain_ls(s4), group='Mathieu–Σ "M₁₂"\n')):
+        text = dumps_ls(ls)
+        assert text == json.dumps(document(ls), indent=2) + "\n"
+        assert loads_ls(text) == ls
+
+
+def old_entry(images, degree, where):
+    """The reader's per-entry checks as they were, each image array checked
+    a value at a time: the reference for its messages."""
+    if not isinstance(images, list) or len(images) != degree:
+        raise LsFormatError("%s: expected an image array of length %d" % (where, degree))
+    if any(type(x) is not int for x in images):
+        raise LsFormatError("%s: images must be integers" % where)
+    try:
+        return Permutation.from_images(images)
+    except ValueError as e:
+        raise LsFormatError("%s: %s" % (where, e)) from e
+
+
+@pytest.mark.parametrize("images", [
+    [1, 2, 3, 4], [4, 1, 3, 2], [1, 2, 3], [1, 2, 3, 4, 5], [], "1234", {"1": 2}, 4, None,
+    [1, 2, 2, 4], [0, 1, 2, 3], [1, 2, 3, 5], [-1, 2, 3, 4], [1, 2, 3, True],
+    [1.0, 2, 3, 4], [1, 2, 3, "4"], [1, 2, 3, [4]], [1, 2, 3, None], [2 ** 70, 1, 2, 3],
+])
+def test_reader_words_each_entry_as_before(images):
+    # the C-level checks accept exactly the arrays the entry-by-entry checks
+    # accept, and a rejected array gets their message
+    text = json.dumps({"degree": 4, "provenance": {"tag": "manual"},
+                       "blocks": [[[1, 2, 3, 4]], [[2, 1, 3, 4], images]]})
+    try:
+        expect = old_entry(images, 4, "block 1 entry 1")
+    except LsFormatError as e:
+        with pytest.raises(LsFormatError) as got:
+            loads_ls(text)
+        assert str(got.value) == str(e)
+    else:
+        entry = loads_ls(text).blocks[1][1]
+        assert entry == expect and entry.img == bytes(x - 1 for x in images)
+
+
+def test_reader_allocates_nothing_for_a_degree_alone():
+    # the sorted points an image array is compared with are built only when
+    # an array of the degree's length is read
+    for text, error in [
+            ('{"degree": 1000000, "provenance": {"tag": "manual"}, "blocks": []}', None),
+            ('{"degree": 1000000000, "provenance": {"tag": "manual"}, "blocks": [[[1]]]}',
+             "block 0 entry 0: expected an image array of length 1000000000")]:
+        tracemalloc.start()
+        try:
+            try:
+                ls = loads_ls(text)
+            except LsFormatError as e:
+                assert str(e) == error
+            else:
+                assert error is None and ls.degree == 1_000_000 and ls.blocks == ()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
 
 
 def test_reject_non_bijective_image_array():

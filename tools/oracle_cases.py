@@ -9,9 +9,13 @@ Run from the root of a source checkout:
 For each case it prints the verdict, the median time of ``REPEAT`` calls
 of ``verify_exhaustive``, the products per second that gives (the product
 count over the median), the tracemalloc peak of one more call, in bytes
-per product, the median time of ``REPEAT`` passes of ``chain.contains``
-over every block entry, the median time of ``REPEAT`` calls of
-``build_chain`` on the case's generators, the structural oracle's
+per product, the median time of ``REPEAT`` calls of the membership check
+that both oracles and the tame index run first (``_member_fault``), the
+median time of ``REPEAT`` calls of ``build_chain`` on the case's
+generators, the file format's median time of ``REPEAT`` calls of
+``loads_ls(dumps_ls(ls))``, refinement's median time of ``REPEAT`` calls
+of ``refine_ls`` on the chain signature at the default cap (for the
+refined cases; ``n/a`` in the other rows), the structural oracle's
 verdict with the median time of ``REPEAT`` calls of ``verify_structural``
 (``n/a`` when it raises, as it does for a signature that is neither
 chain nor refined and has no runs), and the per-element layers: the
@@ -21,13 +25,12 @@ index builds), of ``factorize_generic`` on the same members with the
 signature's provenance stripped to ``manual`` (a member with no
 factorization is timed like the others; ``n/a`` where the budget refuses
 the signature) and of ``reconstruct`` on ``ELEMENTS`` seeded digit tuples.
-So the oracle, membership, chain, structural and per-element layers of a
-checkout are seen side by side.  Each layer's inputs are built before
-it is timed.  To compare
-two checkouts, run the script against each in turn, more than once and
-alternating, on an otherwise idle machine: only figures taken side by side
-compare.  Standard library only; an unknown case name exits 2 and lists the
-cases.
+So the oracle, membership, chain, file format, refinement, structural and
+per-element layers of a checkout are seen side by side.  Each layer's
+inputs are built before it is timed.  To compare two checkouts, run the
+script against each in turn, more than once and alternating, on an
+otherwise idle machine: only figures taken side by side compare.
+Standard library only; an unknown case name exits 2 and lists the cases.
 """
 
 from __future__ import annotations
@@ -115,18 +118,12 @@ def measure(lib, name: str) -> dict:
     finally:
         tracemalloc.stop()
     median = statistics.median(times)
-    entries = [e for block in ls.blocks for e in block]
-    passes = []
-    for _ in range(REPEAT):
-        t0 = time.perf_counter()
-        for e in entries:
-            chain.contains(e)
-        passes.append(time.perf_counter() - t0)
-    builds = []
-    for _ in range(REPEAT):
-        t0 = time.perf_counter()
-        lib.build_chain(chain.generators)
-        builds.append(time.perf_counter() - t0)
+    members = _median_ms(lib.signature._member_fault, ls, chain)
+    builds = _median_ms(lib.build_chain, chain.generators)
+    codec = _median_ms(lambda: lib.loads_ls(lib.dumps_ls(ls)))
+    refine = None
+    if ls.provenance.tag == "refined":
+        refine = _median_ms(lib.refine_ls, lib.chain_ls(chain), chain)
     structural, calls = "n/a", []
     for _ in range(REPEAT):
         t0 = time.perf_counter()
@@ -140,12 +137,22 @@ def measure(lib, name: str) -> dict:
             "products": chain.order, "median_ms": median * 1e3,
             "products_per_s": chain.order / median,
             "bytes_per_product": peak / chain.order,
-            "member_ms": statistics.median(passes) * 1e3,
-            "chain_ms": statistics.median(builds) * 1e3,
+            "member_ms": members, "chain_ms": builds, "codec_ms": codec,
+            "refine_ms": refine,
             "structural": structural,
             "structural_ms": statistics.median(calls) * 1e3,
             "tame_us": tame_us, "generic_us": generic_us,
             "reconstruct_us": reconstruct_us}
+
+
+def _median_ms(fn, *args) -> float:
+    """The median milliseconds of ``REPEAT`` calls of ``fn(*args)``."""
+    times = []
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1e3
 
 
 def _us_per_element(fn, args) -> float:
@@ -202,21 +209,22 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     import logsig
 
-    print("%-17s %-16s %12s %10s %14s %10s %10s %10s %10s %13s %8s %10s %14s" % (
+    print(("%-17s %-16s %12s %10s %14s %10s %10s %10s %9s %9s %10s %13s %8s %10s"
+           " %14s") % (
         "case", "verdict", "products", "median_ms", "products/s", "B/product",
-        "member_ms", "chain_ms", "structural", "structural_ms", "tame_us",
-        "generic_us", "reconstruct_us"))
+        "member_ms", "chain_ms", "codec_ms", "refine_ms", "structural",
+        "structural_ms", "tame_us", "generic_us", "reconstruct_us"))
     for name in args.cases or CASES:
         row = measure(logsig, name)
         verdict = "pass" if row["ok"] else "fail at %d" % row["checked"]
-        tame, generic = ("n/a" if row[k] is None else "%.2f" % row[k]
-                         for k in ("tame_us", "generic_us"))
-        print(("%-17s %-16s %12d %10.3f %14.4g %10.3f %10.3f %10.3f %10s %13.3f"
-               " %8s %10s %14.2f") % (
+        refine, tame, generic = ("n/a" if row[k] is None else f % row[k] for k, f in (
+            ("refine_ms", "%.3f"), ("tame_us", "%.2f"), ("generic_us", "%.2f")))
+        print(("%-17s %-16s %12d %10.3f %14.4g %10.3f %10.3f %10.3f %9.3f %9s %10s"
+               " %13.3f %8s %10s %14.2f") % (
             name, verdict, row["products"], row["median_ms"],
             row["products_per_s"], row["bytes_per_product"], row["member_ms"],
-            row["chain_ms"], row["structural"], row["structural_ms"], tame,
-            generic, row["reconstruct_us"]))
+            row["chain_ms"], row["codec_ms"], refine, row["structural"],
+            row["structural_ms"], tame, generic, row["reconstruct_us"]))
     return 0
 
 
