@@ -617,7 +617,8 @@ def _ls_text(ls: LogSignature, depth: int = 0) -> str:
     point strings, which carry their line breaks and indents.  The fields
     before ``blocks`` are few and go through ``json.dumps``."""
     pad = ["\n" + "  " * (depth + k) for k in range(5)]
-    lines = [pad[4] + str(p + 1) for p in range(ls.degree)]  # one per point
+    # one per point, built only when there is an entry to write
+    lines = [pad[4] + str(p + 1) for p in range(ls.degree)] if ls.blocks else []
     close = pad[3] + "]"
     blocks = ["[" + pad[3] + ("," + pad[3]).join(
         ["[" + ",".join(map(lines.__getitem__, e.img)) + close if lines else "[]"
@@ -663,19 +664,6 @@ def _parse_json(text: str):
         raise LsFormatError("JSON integer has too many digits") from e
 
 
-def _parse_entry(images, degree: int, where: str) -> Permutation:
-    """One image array checked entry by entry, to word the error of an
-    array that fails the reader's C-level checks."""
-    if not isinstance(images, list) or len(images) != degree:
-        raise LsFormatError("%s: expected an image array of length %d" % (where, degree))
-    if any(type(x) is not int for x in images):
-        raise LsFormatError("%s: images must be integers" % where)
-    try:
-        return Permutation.from_images(images)
-    except ValueError as e:
-        raise LsFormatError("%s: %s" % (where, e)) from e
-
-
 def _ls_from_obj(obj) -> LogSignature:
     # integers are tested by exact type: JSON true and false load as bool
     if not isinstance(obj, dict):
@@ -711,14 +699,17 @@ def _ls_from_obj(obj) -> LogSignature:
             raise LsFormatError("block %d must be an array" % bi)
         entries = []
         for ei, images in enumerate(block_obj):
-            if (type(images) is list and len(images) == degree
-                    and set(map(type, images)) <= {int}):
-                if points is None:
-                    points = list(range(1, degree + 1))
-                if sorted(images) == points:
-                    entries.append(Permutation._wrap(_raw([x - 1 for x in images], degree)))
-                    continue
-            entries.append(_parse_entry(images, degree, "block %d entry %d" % (bi, ei)))
+            if type(images) is not list or len(images) != degree:
+                raise LsFormatError("block %d entry %d: expected an image array of "
+                                    "length %d" % (bi, ei, degree))
+            if not set(map(type, images)) <= {int}:
+                raise LsFormatError("block %d entry %d: images must be integers" % (bi, ei))
+            if points is None:
+                points = list(range(1, degree + 1))
+            if sorted(images) != points:
+                raise LsFormatError("block %d entry %d: images do not form a bijection "
+                                    "of 0..%d" % (bi, ei, degree - 1))
+            entries.append(Permutation._wrap(_raw([x - 1 for x in images], degree)))
         blocks.append(tuple(entries))
     try:
         return LogSignature(degree=degree, blocks=tuple(blocks),

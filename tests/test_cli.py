@@ -625,7 +625,7 @@ MALFORMED_MESSAGES = {
 
 # the whole message of each case whose file the readers reject, the
 # directory written as <tmp>: the signature and key readers check an image
-# array in C-level steps and word its error entry by entry, as they did
+# array in C-level steps and word each failure as they did entry by entry
 READ_ERRORS = {
     "decrypt-key-without-alpha": "<tmp>/doc.json: key file needs both 'alpha' and 'beta'",
     "decrypt-seed-string": "<tmp>/doc.json: key seed must be an integer",

@@ -840,6 +840,19 @@ def test_reader_allocates_nothing_for_a_degree_alone():
         assert peak < 2 ** 20, peak
 
 
+def test_writer_allocates_nothing_for_a_degree_alone():
+    # the per-point strings are built only when there is an entry to write
+    ls = LogSignature(degree=1_000_000, blocks=())
+    tracemalloc.start()
+    try:
+        text = dumps_ls(ls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps(document(ls), indent=2) + "\n"
+    assert peak < 2 ** 20, peak
+
+
 def test_reject_non_bijective_image_array():
     text = '{"degree": 3, "provenance": {"tag": "manual"}, "blocks": [[[1, 1, 2]]]}'
     with pytest.raises(LsFormatError):
