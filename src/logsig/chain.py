@@ -187,32 +187,46 @@ def _orbit_transversal(point: int, gens_raw: list, degree: int):
 
     Returns the sift table ``{p: ((), u^-1, u)}`` of the transversal, where
     ``u(point) = p`` and the digits are filled in once the orbit order is
-    final, and the set of BFS tree edges ``(p, k)``: generator ``k`` first
+    final; the set of BFS tree edges ``(p, k)``: generator ``k`` first
     reached its image of ``p`` from ``p``, so the representative there is
-    ``s_k * u_p`` and the Schreier generator of the edge is the identity.
-    A new representative ``t = s * u`` is inverted by composition,
-    ``t^-1 = u^-1 * s^-1``, with each ``s^-1`` computed once.
+    ``s_k * u_p`` and the Schreier generator of the edge is the identity;
+    and the maps (:func:`_kept`) of the generators and of each point's
+    ``u^-1``.  A new representative ``t = s * u`` is ``u`` mapped through
+    ``s``'s map, and inverted by composition, ``t^-1 = u^-1 * s^-1``: each
+    ``s^-1`` is computed and each map made once.
     """
     e = _identity_raw(degree)
+    through = _through(e)
     table = {point: ((), e, e)}
     tree = set()
-    gens_inv = [(s, _inv_raw(s)) for s in gens_raw]
+    gen_maps = [_kept(s) for s in gens_raw]
+    gens_inv = [_inv_raw(s) for s in gens_raw]
+    inv_maps = {}
     queue = [point]
     for p in queue:  # grows while it is read: breadth-first order
         _, up_inv, up = table[p]
-        for k, (s, s_inv) in enumerate(gens_inv):
+        inv_maps[p] = up_inv_map = _kept(up_inv)
+        for k, s in enumerate(gens_raw):
             q = s[p]
             if q not in table:
-                table[q] = ((), _images(up_inv, s_inv), _images(s, up))
+                table[q] = ((), through(gens_inv[k], up_inv_map),
+                            through(up, gen_maps[k]))
                 tree.add((p, k))
                 queue.append(q)
-    return table, tree
+    return table, tree, (gen_maps, inv_maps)
 
 
 def _kept(raw):
     """``raw`` as a node keeps it to map many image arrays through: a bytes
     image array as its 256-entry translate table, a tuple as it is."""
     return raw + _TAIL[len(raw):] if type(raw) is bytes else raw
+
+
+def _through(e):
+    """How image arrays like ``e`` are mapped through a map :func:`_kept`
+    made, as :func:`~logsig.perm._images` maps them through the raw."""
+    return (bytes.translate if type(e) is bytes
+            else lambda points, raw: _images(raw, points))
 
 
 class _Node:
@@ -229,9 +243,8 @@ class _Node:
         self.rebuild(degree)
 
     def rebuild(self, degree: int):
-        self.table, self.tree = _orbit_transversal(self.point, self.gens, degree)
-        self.maps = ([_kept(s) for s in self.gens],
-                     {p: _kept(t[1]) for p, t in self.table.items()})
+        self.table, self.tree, self.maps = _orbit_transversal(self.point, self.gens,
+                                                              degree)
 
 
 def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> StabilizerChain:
@@ -254,9 +267,7 @@ def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> S
     """
     n = gens.degree
     e = _identity_raw(n)
-    # maps an image array through a kept map, as _images maps it through the raw
-    through = (bytes.translate if type(e) is bytes
-               else lambda points, raw: _images(raw, points))
+    through = _through(e)
     nodes: list[_Node] = []
     # the (point, table) pair of every node, as strip walks them: refreshed
     # when a node is added or rebuilt, the only times a table changes

@@ -301,7 +301,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; every input error exits 2 with one ``error:`` line."""
+    """Run one command; every input error, and running out of memory,
+    exits 2 with one ``error:`` line."""
     try:
         args = _parser().parse_args(argv)
         return args.fn(args)
@@ -309,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE if e.code not in (0, None) else 0
     except (OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
+        return USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return USAGE
 
 

@@ -14,7 +14,8 @@ from typing import NamedTuple
 from .chain import StabilizerChain
 from .perm import (Permutation, _digits_of, _identity_raw, _inv_raw, _mul_raw,
                    _products, _sift)
-from .signature import DEFAULT_BUDGET, LogSignature, _index_levels, _run_levels
+from .signature import (DEFAULT_BUDGET, LogSignature, _index_levels, _run_levels,
+                        _sift_levels)
 
 __all__ = ["TameIndexer", "FactorizationError", "factorize_tame",
            "factorize_generic", "reconstruct"]
@@ -42,14 +43,15 @@ class TameIndexer:
         self._levels, fault, _ = _index_levels(ls, chain)
         if fault:
             raise ValueError(fault)
+        self._walk = _sift_levels(self._levels, ls.degree)
         self.ls = ls
         self._identity = _identity_raw(ls.degree)
 
     def digits(self, g: Permutation) -> tuple[int, ...]:
         if g.degree != self.ls.degree:
             raise ValueError("degree mismatch")
-        raw, out, passed = _sift(g.img, self._levels, self._identity)
-        if passed < len(self._levels):
+        raw, out, passed = _sift(g.img, self._walk, self._identity)
+        if passed < len(self._walk):
             raise FactorizationError(
                 "no block entry matches image of point %d; element is not "
                 "a member (or the signature is corrupt)" % (self._levels[passed][0] + 1))
@@ -122,7 +124,8 @@ def _generic_index(ls: LogSignature, budget: int) -> _GenericIndex:
     e = _identity_raw(ls.degree)
     levels, fault = _run_levels(ls, left_n + right_n)
     if not fault:
-        return _GenericIndex((levels, e), None)
+        return _GenericIndex((_sift_levels(levels, ls.degree, left_n + right_n), e),
+                             None)
     if total > budget:
         raise ValueError("%d products exceed the budget of %d" % (total, budget))
     raws = [[x.img for x in block] for block in ls.blocks]

@@ -33,12 +33,15 @@ def _raw(images: Iterable[int], degree: int):
 
 # The map-based product, kept for the per-element paths only: ``_sift``'s
 # digit walk (tame and generic factorization), ``factorize.reconstruct`` and
-# ``StabilizerChain.element_at``.  Each makes L - 1 of them for an element
-# of L factors: the products start from the first factor, and the walk
-# settles its last level by comparison.  Every other product (chain
-# building, membership, the prefixes of ``_products``, the oracle's heads,
-# PGM key draws, ``Permutation`` arithmetic) goes through ``_images``, which
-# gives the same bytes about nine times faster at degree 24.  The benchmark
+# ``StabilizerChain.element_at``.  Each makes at most L - 1 of them for an
+# element of L factors: the products start from the first factor, and the
+# walk settles its last level by comparison.  That level may merge the last
+# runs of a signature's index (``signature._sift_levels``): M24's and
+# M22's last two, so factorizing an M24 element through its 7 runs takes
+# 5 products.  Every other product (chain building, membership, the
+# prefixes of ``_products``, the oracle's heads, PGM key draws,
+# ``Permutation`` arithmetic) goes through ``_images``, which gives the
+# same bytes about nine times faster at degree 24.  The benchmark
 # keeps every op latency, so a faster per-element path reads as a memory
 # regression until it keeps them bounded (ROADMAP item 6).  In ``perfbench``
 # runs (30 s each, 2-CPU x86-64), ``_sift``'s product step through
@@ -149,12 +152,17 @@ def _sift(raw, levels, identity, membership=False):
 
     The digit walk, without ``membership``, serves every tame and generic
     factorization, a per-element path: its products are the map-based
-    :func:`_mul_raw` (see the comment there), and a member takes one fewer
-    than the levels.  The last level is settled by comparison: the
+    :func:`_mul_raw` (see the comment there), one per level but the last.
+    The last level is settled by one lookup and one comparison: the
     residue after it is the identity exactly when the residue before it
     equals the selected entry's forward image, so on a match the walk
-    returns ``identity`` with no product, and it multiplies only when they
-    differ, for a non-member.
+    returns ``identity`` with no product.  Only a non-member that differs
+    from it is multiplied there, by the inverse of the forward image, made
+    then.  The last level may merge several runs
+    (:func:`~logsig.signature._sift_levels`): its ``point`` is then an
+    itemgetter of their points, its table is keyed by the images that
+    reads, and its entries are ``(digits, forward)``; a miss there leaves
+    ``passed`` at its index, whichever of its points has no match.
 
     With ``membership``, as chain building and the membership test walk,
     the tables must map their own point to the identity, as a chain's
@@ -172,14 +180,22 @@ def _sift(raw, levels, identity, membership=False):
         out = ()
         last = len(levels) - 1
         for passed, (point, table) in enumerate(levels):
+            if passed == last:
+                break
             hit = table.get(raw[point])
             if hit is None:
                 return raw, out, passed
             out += hit[0]
-            if passed == last and raw == hit[2]:
-                return identity, out, len(levels)
             raw = _mul_raw(hit[1], raw)
-        return raw, out, len(levels)
+        else:  # no levels
+            return raw, out, 0
+        hit = table.get(raw[point] if type(point) is int else point(raw))
+        if hit is None:
+            return raw, out, last
+        out += hit[0]
+        if raw == hit[-1]:
+            return identity, out, len(levels)
+        return _mul_raw(_inv_raw(hit[-1]), raw), out, len(levels)
     for passed, (point, table) in enumerate(levels):
         image = raw[point]
         if image == point:

@@ -515,6 +515,42 @@ def _run_levels(ls: LogSignature, limit: float = inf):
     return [(point, _level_table(blocks[a:b], point, n)) for a, b, point in runs], ""
 
 
+def _sift_levels(levels, degree: int, limit: float = inf) -> list:
+    """The levels :func:`~logsig.perm._sift`'s digit walk reads for the run
+    index ``levels`` of :func:`_run_levels`: its last m >= 2 runs merged
+    into one level, for the largest m whose runs hold at most as many
+    products as the whole index holds entries (the sum of its table
+    sizes), and with which the levels hold at most ``limit`` entries.  So
+    the levels hold at most twice the index's entries.  When no m
+    qualifies they are ``levels``.
+
+    The merged level is ``(key, table)``: ``key`` is an itemgetter of the
+    runs' points and ``table`` maps the images ``key`` reads off each of
+    the runs' products to its digits and forward image, from one
+    :func:`_products` pass over the runs' forwards, in rank order.  Every
+    later run's entries fix an earlier run's point, so a residue's images
+    select a product exactly when the runs, stripped one by one, would
+    select its factors, and the walk settles the merged runs with one
+    lookup and one comparison.  No inverse is kept: a residue that differs
+    from the forward image there is multiplied by its inverse, made then,
+    which only a non-member pays for."""
+    sizes = [len(table) for _, table in levels]
+    entries, m, count = sum(sizes), 1, sizes[-1] if sizes else 1
+    while m < len(sizes):
+        merged = count * sizes[-m - 1]
+        if merged > entries or entries - sum(sizes[-m - 1:]) + merged > limit:
+            break
+        m, count = m + 1, merged
+    if m < 2:
+        return levels
+    tail = [table.values() for _, table in levels[-m:]]
+    key = itemgetter(*(point for point, _ in levels[-m:]))
+    digits = product(*([d for d, _, _ in hits] for hits in tail))
+    forwards = _products([[f for _, _, f in hits] for hits in tail], _identity_raw(degree))
+    table = {key(f): (sum(ds, ()), f) for ds, f in zip(digits, forwards)}
+    return levels[:-m] + [(key, table)]
+
+
 def _fixed_points(blocks, points) -> list:
     """``fixed[u]``: the points of ``points`` that every entry of
     ``blocks[u:]`` fixes, in order, for u from 0 to ``len(blocks)``."""

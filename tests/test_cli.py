@@ -55,6 +55,19 @@ def test_info_bad_file(capsys, tmp_path):
     assert "error" in err
 
 
+def test_out_of_memory_exits_2_with_one_line(capsys, tmp_path, monkeypatch):
+    group = tmp_path / "c3.grp"
+    group.write_text("degree 3\n(1,2,3)\n")
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("logsig.cli.build_chain", exhausted)
+    code, out, err = run(capsys, "info", "--group-file", str(group))
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+    assert "Traceback" not in err
+
+
 def test_info_unknown_group(capsys):
     code, _, err = run(capsys, "info", "--group", "X99")
     assert code == 2

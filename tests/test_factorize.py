@@ -109,8 +109,9 @@ def test_annotations_decide_no_verdict_and_no_digits(m11, m12):
 
 @pytest.mark.parametrize("name", ["M11", "M12", "M22", "M24"])
 def test_served_runs_are_the_chain_levels(name):
-    # lookup's per-element sift walks these runs: in every served signature
-    # they are the chain's nontrivial levels, with the base points, in order
+    # lookup's per-element sift reads these runs, M22's and M24's last two
+    # merged: in every served signature they are the chain's nontrivial
+    # levels, with the base points, in order
     chain = load_verified_chain(name)
     levels = [lv for lv in chain.levels if len(lv.orbit) > 1]
     key = keygen(chain, 7)
@@ -621,14 +622,17 @@ def mul_raw_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("name, build", [
-    ("M12", build_mls), ("M24", chain_ls), ("D300", chain_ls), ("C1000", chain_ls)])
+    ("M12", build_mls), ("M24", chain_ls), ("M22", build_mls), ("D300", chain_ls),
+    ("C1000", chain_ls)])
 def test_per_element_paths_make_one_product_fewer_than_factors(name, build,
                                                                 mul_raw_calls):
+    # a sift makes one product fewer than the levels it walks, which are
+    # fewer than the runs where the last runs merge (M24, M22)
     chain = load_verified_chain(name)
     ls = build(chain)
     generic = unannotated(ls)
     indexer = TameIndexer(ls, chain)
-    runs = len(indexer._levels)
+    walk = len(indexer._walk)
     rng = random.Random(name)
     for _ in range(10):
         index = rng.randrange(chain.order)
@@ -637,14 +641,14 @@ def test_per_element_paths_make_one_product_fewer_than_factors(name, build,
         assert len(mul_raw_calls) == len(chain.levels) - 1
         del mul_raw_calls[:]
         digits = factorize_tame(g, indexer)
-        assert len(mul_raw_calls) == runs - 1
+        assert len(mul_raw_calls) == walk - 1
         del mul_raw_calls[:]
         assert reconstruct(ls, digits) == g
         assert len(mul_raw_calls) == len(ls.blocks) - 1
         del mul_raw_calls[:]
         assert factorize_generic(g, generic, budget=chain.order) == digits
-        assert vars(generic)["_generic_index"].runs is not None
-        assert len(mul_raw_calls) == runs - 1
+        assert len(vars(generic)["_generic_index"].runs[0]) == walk
+        assert len(mul_raw_calls) == walk - 1
         del mul_raw_calls[:]
         assert chain.index_of(g) == index
         assert len(mul_raw_calls) == len(chain.levels) - 1
@@ -675,12 +679,25 @@ def test_a_nonmember_that_agrees_on_the_base_leaves_a_residue(name, build):
         assert chain.sift(g) == swap and not chain.contains(g)
 
 
+def tail_nonmember(g, points, rng):
+    """``g`` with the image of the last point of ``points`` swapped with
+    that of a point outside them: it sends every other point of ``points``
+    where ``g`` does, so a sift strips what it strips of ``g`` until the
+    last point, and is no member of a group that ``points`` is a base of."""
+    q = rng.choice([p for p in range(g.degree) if p not in points])
+    img = list(g.img)
+    img[points[-1]], img[q] = img[q], img[points[-1]]
+    return Permutation(img)
+
+
 def _walks():
-    """``(name, levels, identity, members, nonmembers)`` for the digit walk
-    of M12's chain and refined signature, both halves of an M24 key, and
-    the chains of D300 and C1000, whose images are tuples."""
+    """``(name, runs, walk, identity, members, nonmembers)``: the run
+    index and the levels the digit walk reads, the same ones where no runs
+    merge, of the chains of M12, M22, M24, D300 and C1000 (the last two
+    with tuple images), the refined signatures of M12, M22 and M24, the
+    chain signatures of M22 and M24 and both halves of an M24 key."""
     out = []
-    for name in ("M12", "M24", "D300", "C1000"):
+    for name in ("M12", "M22", "M24", "D300", "C1000"):
         chain = load_verified_chain(name)
         rng = random.Random("walk " + name)
         n = chain.degree
@@ -688,21 +705,104 @@ def _walks():
         members += [Permutation.identity(n)]
         others = [Permutation(rng.sample(range(n), n)) for _ in range(20)]
         others += [off_base_nonmember(g, chain.base, rng)[0] for g in members[:20]]
-        walks = [("chain", chain._walk)]
-        if name == "M12":
-            walks.append(("refined", TameIndexer(build_mls(chain), chain)._levels))
+        others += [tail_nonmember(g, chain.base, rng) for g in members[:40]]
+        walks = [("chain", chain._walk, chain._walk)]
+        signatures = []
+        if name in ("M12", "M22", "M24"):
+            signatures.append(("refined", build_mls(chain)))
+        if name in ("M22", "M24"):
+            signatures.append(("chain_ls", chain_ls(chain)))
         if name == "M24":
             key = keygen(chain, 7)
-            walks += [("alpha", key.alpha_indexer._levels),
-                      ("beta", key.beta_indexer._levels)]
-        out += [(name + " " + what, levels, chain._identity, members, others)
-                for what, levels in walks]
+            signatures += [("alpha", key.alpha), ("beta", key.beta)]
+        for what, ls in signatures:
+            indexer = TameIndexer(ls, chain)
+            walks.append((what, indexer._levels, indexer._walk))
+        out += [(name + " " + what, runs, walk, chain._identity, members, others)
+                for what, runs, walk in walks]
     return out
 
 
 def test_digit_walk_matches_the_walk_that_multiplies_at_every_level():
-    for name, levels, identity, members, others in _walks():
+    # a merged level reads all its runs' points at once: where the walk
+    # that strips the runs one by one misses inside them, the merged walk
+    # misses at their first, and otherwise both end alike
+    seen = set()
+    walks = _walks()
+    for name, runs, walk, identity, members, others in walks:
+        merged = len(runs) - len(walk) + 1
+        last = len(walk) - 1
         for g in members + others:
-            got = perm._sift(g.img, levels, identity)
-            assert got == sift_reference(g.img, levels), (name, g)
-            assert (got[0] == identity) == (g in members), (name, g)
+            got = perm._sift(g.img, walk, identity)
+            expect = sift_reference(g.img, runs)
+            assert (got[0] == identity) == (expect[0] == identity) == (g in members)
+            if merged == 1 or expect[2] < last:
+                assert got == expect, (name, g)
+                continue
+            if expect[2] < len(runs):
+                assert got == sift_reference(g.img, runs[:last]), (name, g)
+                seen.add((name, "miss", expect[2] > last))
+            else:
+                assert got == (expect[0], expect[1], len(walk)), (name, g)
+                seen.add((name, "hit", g in members))
+    merged_walks = {name for name, runs, walk, *_ in walks if len(walk) < len(runs)}
+    assert merged_walks == {"M22 refined", "M22 chain_ls", "M24 refined",
+                            "M24 chain_ls", "M24 alpha", "M24 beta"}
+    # members, nonidentity residues, and misses at the first merged point
+    # and at a later one, on every merged walk
+    assert seen == {(name, kind, flag) for name in merged_walks
+                    for kind in ("miss", "hit") for flag in (False, True)}
+
+
+@pytest.mark.parametrize("name, build", [
+    ("M22", chain_ls), ("M22", build_mls), ("M24", chain_ls), ("M24", build_mls)])
+def test_a_miss_at_the_merged_level_names_its_first_point(name, build):
+    chain = load_verified_chain(name)
+    ls = build(chain)
+    indexer = TameIndexer(ls, chain)
+    generic = unannotated(ls)
+    runs, last = indexer._levels, len(indexer._walk) - 1
+    rng = random.Random("miss " + name)
+    found = 0
+    while found < 5:
+        g = tail_nonmember(chain.element_at(rng.randrange(chain.order)), chain.base, rng)
+        if sift_reference(g.img, runs)[2] == len(runs):
+            continue
+        found += 1
+        with pytest.raises(FactorizationError, match="^no block entry matches image "
+                           "of point %d; " % (runs[last][0] + 1)):
+            factorize_tame(g, indexer)
+        with pytest.raises(FactorizationError, match="no factorization"):
+            factorize_generic(g, generic, budget=chain.order)
+
+
+@pytest.mark.parametrize("name", ["M24", "M22", "M11", "M12", "D300", "C1000"])
+def test_the_last_runs_merge_in_m24_and_m22_only(name):
+    # the last runs merge when their products are at most the index's
+    # entries: 16 * 3 = 48 within M24's 129 and M22's 82, while M11's and
+    # M12's 9 * 8 = 72 exceed 38 and 50; D300 and C1000 have too few runs
+    chain = load_verified_chain(name)
+    signatures = [chain_ls(chain)]
+    if name not in ("D300", "C1000"):
+        key = keygen(chain, 7)
+        signatures += [build_mls(chain), key.alpha, key.beta]
+    for ls in signatures:
+        indexer = TameIndexer(ls, chain)
+        runs, walk = indexer._levels, indexer._walk
+        generic = unannotated(ls)
+        factorize_generic(Permutation.identity(ls.degree), generic)
+        assert [len(t) for _, t in vars(generic)["_generic_index"].runs[0]] == [
+            len(t) for _, t in walk]
+        if name in ("M24", "M22"):
+            assert [len(t) for _, t in runs[-2:]] == [16, 3]
+            assert walk[:-1] == runs[:-2] and len(walk[-1][1]) == 48
+        else:
+            assert walk is runs
+
+
+def test_the_last_runs_merge_only_within_the_limit(m24):
+    # generic factorization's run form holds at most left_n + right_n
+    # entries, merged or not: 129 - 19 + 48 = 158 with M24's tail merged
+    runs = TameIndexer(chain_ls(m24), m24)._levels
+    assert len(signature._sift_levels(runs, 24, 158)) == len(runs) - 1
+    assert signature._sift_levels(runs, 24, 157) is runs
