@@ -186,13 +186,13 @@ def load_group(name_or_path: str) -> GeneratorSet:
     return spec.generators
 
 
-def load_verified_chain(name: str, base_hint=None) -> StabilizerChain:
+def load_verified_chain(name: str) -> StabilizerChain:
     """Build the chain and assert the catalog's expected order.
 
     A mismatch signals corrupted bundled data and raises CatalogError.
     """
     spec = get_spec(name)
-    chain = build_chain(spec.generators, base_hint)
+    chain = build_chain(spec.generators)
     if chain.order != spec.expected_order:
         raise CatalogError("group %s built with order %d, expected %d "
                            "(corrupted data?)" % (name, chain.order, spec.expected_order))

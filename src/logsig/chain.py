@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Iterable, Iterator, Sequence
 
-from .perm import (_TAIL, Permutation, _digits_of, _identity_raw, _images,
-                   _inv_raw, _mul_raw, _products, _sift, _value_of)
+from .perm import (Permutation, _digits_of, _identity_raw, _images, _inv_raw,
+                   _kept, _mul_raw, _products, _sift, _through, _value_of)
 
 __all__ = [
     "GeneratorSet",
@@ -57,14 +57,14 @@ class ChainLevel:
     group with the base point first and the rest increasing, which fixes the
     digit order of the element <-> index bijection.  ``transversal[p]`` is the
     coset representative ``u`` with ``u(point) = p``; the representative of
-    the base point itself is the identity.  ``table`` is the sift table read
-    by :func:`~logsig.perm._sift`: ``table[p]`` is ``((i,), inverse,
-    forward)`` with ``i`` the position of ``p`` in the orbit, ``inverse``
-    the raw image array of ``transversal[p]`` inverted and ``forward`` its
-    own raw image array, the very object the transversal wraps.  A residue
-    equal to ``forward`` is stripped to the identity, which a membership
-    sift sees at any level, and the digit walk at the last, without the
-    product.
+    the base point itself is the identity.  ``table`` is the table that
+    :func:`~logsig.perm._sift` and :func:`_strip` read: ``table[p]`` is
+    ``((i,), inverse, forward)`` with ``i`` the position of ``p`` in the
+    orbit, ``inverse`` the raw image array of ``transversal[p]`` inverted
+    and ``forward`` its own raw image array, the very object the
+    transversal wraps.  A residue equal to ``forward`` is stripped to the
+    identity, which the membership walk sees at any level, and the digit
+    walk at the last, without the product.
     """
 
     point: int
@@ -108,20 +108,13 @@ class StabilizerChain:
         return Permutation._wrap(_sift(g.img, self._walk, self._identity)[0])
 
     def contains(self, g: Permutation) -> bool:
-        """True iff ``g`` is a product of this chain's generators.
-
-        The sift is the membership walk: it ends as soon as the
-        residue equals the transversal element its base-point image
-        selects, whose product would be the identity that the later levels
-        keep, and it multiplies nothing at a level whose point the residue
-        fixes.  So a transversal element of any level, such as an entry of
-        a chain signature, is decided without a product.  Its other
-        products are one ``bytes.translate`` each (``perm._images``), not
-        the map-based product of the per-element paths: membership is
-        tested while chains, indexes, oracles and keys are set up."""
+        """True iff ``g`` is a product of this chain's generators: the
+        membership walk :func:`_strip` ends in the identity.  A
+        transversal element of any level, such as an entry of a chain
+        signature, is decided without a product."""
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        return _sift(g.img, self._walk, self._identity, True)[0] == self._identity
+        return _strip(g.img, self._walk, self._identity)[0] == self._identity
 
     def __contains__(self, g: Permutation) -> bool:
         return self.contains(g)
@@ -190,8 +183,8 @@ def _orbit_transversal(point: int, gens_raw: list, degree: int):
     final; the set of BFS tree edges ``(p, k)``: generator ``k`` first
     reached its image of ``p`` from ``p``, so the representative there is
     ``s_k * u_p`` and the Schreier generator of the edge is the identity;
-    and the maps (:func:`_kept`) of the generators and of each point's
-    ``u^-1``.  A new representative ``t = s * u`` is ``u`` mapped through
+    and the maps (:func:`~logsig.perm._kept`) of the generators and of each
+    point's ``u^-1``.  A new representative ``t = s * u`` is ``u`` mapped through
     ``s``'s map, and inverted by composition, ``t^-1 = u^-1 * s^-1``: each
     ``s^-1`` is computed and each map made once.
     """
@@ -216,23 +209,35 @@ def _orbit_transversal(point: int, gens_raw: list, degree: int):
     return table, tree, (gen_maps, inv_maps)
 
 
-def _kept(raw):
-    """``raw`` as a node keeps it to map many image arrays through: a bytes
-    image array as its 256-entry translate table, a tuple as it is."""
-    return raw + _TAIL[len(raw):] if type(raw) is bytes else raw
-
-
-def _through(e):
-    """How image arrays like ``e`` are mapped through a map :func:`_kept`
-    made, as :func:`~logsig.perm._images` maps them through the raw."""
-    return (bytes.translate if type(e) is bytes
-            else lambda points, raw: _images(raw, points))
+def _strip(raw, walk, identity):
+    """The membership walk of chain building and :meth:`StabilizerChain.contains`:
+    ``raw`` stripped through a chain's ``(point, table)`` levels, returned
+    as ``(residue, passed)``.  It stops at the first image missing from its
+    table, and relies on a chain's tables mapping their own point to the
+    identity: a residue that fixes a level's point is multiplied by
+    nothing, and one equal to the selected entry's forward image would
+    become the identity, so the walk returns ``identity`` with every level
+    passed.  The other products are one ``bytes.translate`` each
+    (:func:`~logsig.perm._images`): membership is tested while chains,
+    indexes, oracles and keys are set up, never per served element.
+    """
+    for passed, (point, table) in enumerate(walk):
+        image = raw[point]
+        if image == point:
+            continue
+        hit = table.get(image)
+        if hit is None:
+            return raw, passed
+        if raw == hit[2]:
+            return identity, len(walk)
+        raw = _images(hit[1], raw)
+    return raw, len(walk)
 
 
 class _Node:
     """A level under construction.  ``maps`` holds the strong generators
-    and the transversal inverses kept (:func:`_kept`) for the Schreier
-    generators, rebuilt with the table."""
+    and the transversal inverses kept (:func:`~logsig.perm._kept`) for the
+    Schreier generators, rebuilt with the table."""
 
     __slots__ = ("point", "gens", "table", "tree", "sifted", "maps")
 
@@ -286,7 +291,7 @@ def build_chain(gens: GeneratorSet, base_hint: Iterable[int] | None = None) -> S
             add_node(p)
 
     def strip(raw, start):
-        raw, _, passed = _sift(raw, walk[start:], e, True)
+        raw, passed = _strip(raw, walk[start:], e)
         return raw, start + passed
 
     def add_strong_gen(raw, lo, hi):

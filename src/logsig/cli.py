@@ -18,8 +18,8 @@ from .arith import factor_integer
 from .catalog import (check_claim_arithmetic, load_verified_chain,
                       read_group_file, sporadic_claims)
 from .chain import StabilizerChain, build_chain
-from .construct import (DEFAULT_SEARCH_CAP, build_mls, chain_ls, mls_cyclic,
-                        mls_solvable, CyclicSetSpec)
+from .construct import (build_mls, chain_ls, mls_cyclic, mls_solvable,
+                        CyclicSetSpec)
 from .factorize import (FactorizationError, TameIndexer, factorize_generic,
                         factorize_tame, reconstruct)
 from .perm import parse_cycles
@@ -102,11 +102,10 @@ def cmd_info(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    _at_least_one("--search-cap", args.search_cap)
     chain = _load_chain(args)
     method = args.method
     if method == "auto":
-        ls = build_mls(chain, cap=args.search_cap)
+        ls = build_mls(chain)
     elif method == "chain":
         ls = chain_ls(chain)
     elif method == "solvable":  # raises ValueError for a non-solvable group
@@ -251,8 +250,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("auto", "chain", "solvable", "cyclic"),
                    default="auto")
     p.add_argument("--out", help="signature output path")
-    p.add_argument("--search-cap", type=int, default=DEFAULT_SEARCH_CAP,
-                   help="candidate cap per cyclic-set size in the refinement search")
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("verify", help="check a signature against a group")

@@ -11,9 +11,9 @@ from math import prod
 
 from .arith import factor_integer
 from .chain import GeneratorSet, StabilizerChain, build_chain, derived_series
-from .perm import _TAIL, Permutation, _images, _order_raw, _products, _raw
-from .signature import (BlockAnnotation, LogSignature, Provenance, _join,
-                        _level_table)
+from .perm import (Permutation, _join, _kept, _order_raw, _products, _raw,
+                   _through)
+from .signature import BlockAnnotation, LogSignature, Provenance, _level_table
 
 __all__ = [
     "CyclicSetSpec",
@@ -275,13 +275,14 @@ def _cover_search(walk, sizes, pos: int, images, osize: int, left: list):
     size = sizes[pos]
     steps = range(size - 1)
     points = set(images)
+    through = _through(images)
     for x in walk(size, left):
-        table = x + _TAIL[len(x):] if type(x) is bytes else None
+        table = _kept(x)
         cur, parts, seen = images, [images], points
         for _ in steps:
             # a power maps the distinct images to distinct points, so they
             # repeat nothing iff they miss every earlier power's
-            cur = _images(x, cur) if table is None else cur.translate(table)
+            cur = through(cur, table)
             if not seen.isdisjoint(cur):
                 break
             parts.append(cur)
@@ -436,13 +437,14 @@ def _series_ls(chain: StabilizerChain, series: CompositionSeries) -> LogSignatur
                         group=chain.name, provenance=Provenance("solvable"))
 
 
-def build_mls(chain: StabilizerChain, cap: int = DEFAULT_SEARCH_CAP) -> LogSignature:
+def build_mls(chain: StabilizerChain) -> LogSignature:
     """Best-effort minimal signature: solvable groups via their composition
-    series, everything else via transversal blocks plus refinement."""
+    series, everything else via transversal blocks plus refinement at the
+    default cap."""
     if chain.order == 1:
         return LogSignature(degree=chain.degree, blocks=(), group=chain.name,
                             provenance=Provenance("chain", ()))
     series = derived_series(chain)
     if series[-1].order == 1:
         return _series_ls(chain, _composition_series(chain, series))
-    return refine_ls(chain_ls(chain), chain, cap=cap)
+    return refine_ls(chain_ls(chain), chain)

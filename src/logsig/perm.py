@@ -9,6 +9,7 @@ convert at that boundary.
 from __future__ import annotations
 
 import math
+from itertools import chain as iterchain
 from operator import itemgetter
 from typing import Iterable
 
@@ -20,10 +21,11 @@ class CycleFormatError(ValueError):
 
 
 # Image arrays are stored as ``bytes`` for degree <= 256 and as a tuple of
-# ints otherwise.  Both are hashable, compact and O(1)-indexable; the helpers
-# below, ``chain._kept``, ``chain.build_chain``, ``construct._cover_search``,
-# ``signature.verify_exhaustive``, ``signature._join`` and ``signature._keys``
-# are the only places that care which one they got.
+# ints otherwise.  Both are hashable, compact and O(1)-indexable.  The
+# helpers below are the only places that care which one they got, apart
+# from the exhaustive oracle's key packing (``signature.verify_exhaustive``
+# and ``signature._keys``) and the membership shortcut that hashes only
+# bytes (``StabilizerChain._forwards``).
 
 def _raw(images: Iterable[int], degree: int):
     if degree <= 256:
@@ -81,20 +83,15 @@ def _products(raw_blocks, pre):
         yield pre
         return
     last = raw_blocks[k]
-    mk = type(pre)
+    through = _through(pre)
     digits = [0] * k
     prefix = [pre]
     for i in range(k):
         prefix.append(_images(prefix[i], raw_blocks[i][0]))
     while True:
-        p = prefix[k]
-        if mk is bytes:
-            table = p + _TAIL[len(p):]
-            for e in last:
-                yield e.translate(table)
-        else:
-            for e in last:
-                yield _images(p, e)
+        table = _kept(prefix[k])
+        for e in last:
+            yield through(e, table)
         i = k - 1
         while i >= 0 and digits[i] + 1 == len(raw_blocks[i]):
             digits[i] = 0
@@ -115,8 +112,30 @@ def _images(p, points):
     and maps a tail group into a class through one head."""
     if type(p) is bytes:
         return points.translate(p + _TAIL[len(p):])
+    return _gathered(points, p)
+
+
+def _gathered(points, p):
+    """:func:`_images` of a tuple image array, arguments swapped."""
     # itemgetter of one point returns the point, not a tuple
     return itemgetter(*points)(p) if len(points) > 1 else (p[points[0]],)
+
+
+def _kept(raw):
+    """``raw`` as a map for :func:`_through`: a bytes image array as its
+    256-entry translate table, a tuple as it is."""
+    return raw + _TAIL[len(raw):] if type(raw) is bytes else raw
+
+
+def _through(e):
+    """``f(points, kept)``, the images like ``e`` of ``points`` through a map
+    :func:`_kept` made: for bytes, ``bytes.translate`` with no Python frame."""
+    return bytes.translate if type(e) is bytes else _gathered
+
+
+def _join(parts, mk):
+    """One packed string of image strings of type ``mk``: bytes or tuple."""
+    return b"".join(parts) if mk is bytes else tuple(iterchain.from_iterable(parts))
 
 
 def _digits_of(rank: int, sizes) -> tuple[int, ...]:
@@ -137,7 +156,7 @@ def _value_of(digits, sizes) -> int:
     return value
 
 
-def _sift(raw, levels, identity, membership=False):
+def _sift(raw, levels, identity):
     """Strip ``raw`` level by level: the one walk from an element to its digits.
 
     ``levels`` is a sequence of ``(point, table)`` pairs with
@@ -150,63 +169,37 @@ def _sift(raw, levels, identity, membership=False):
     ``passed`` is the number of levels stripped.  Every table holds its own
     point, so a walk that stops early leaves a nonidentity residue.
 
-    The digit walk, without ``membership``, serves every tame and generic
-    factorization, a per-element path: its products are the map-based
-    :func:`_mul_raw` (see the comment there), one per level but the last.
-    The last level is settled by one lookup and one comparison: the
-    residue after it is the identity exactly when the residue before it
-    equals the selected entry's forward image, so on a match the walk
-    returns ``identity`` with no product.  Only a non-member that differs
-    from it is multiplied there, by the inverse of the forward image, made
-    then.  The last level may merge several runs
-    (:func:`~logsig.signature._sift_levels`): its ``point`` is then an
-    itemgetter of their points, its table is keyed by the images that
-    reads, and its entries are ``(digits, forward)``; a miss there leaves
-    ``passed`` at its index, whichever of its points has no match.
-
-    With ``membership``, as chain building and the membership test walk,
-    the tables must map their own point to the identity, as a chain's
-    tables do.  Before each product the residue is compared with the
-    entry's forward image: on a match the product would be the identity,
-    which the later levels keep, so the walk returns ``identity`` with
-    every level counted as passed.  A residue that fixes the level's point
-    is multiplied by nothing, and the other products go through
-    :func:`_images`: membership runs while chains, indexes, oracles and
-    keys are set up, never per served element.  Membership and chain
-    building read only the residue and the levels passed, so this walk
-    builds no digits and returns ``()`` for them.
+    The walk serves every tame and generic factorization, a per-element
+    path: its products are the map-based :func:`_mul_raw` (see the comment
+    there), one per level but the last.  The last level is settled by one
+    lookup and one comparison: the residue after it is the identity
+    exactly when the residue before it equals the selected entry's forward
+    image.  Only a non-member that differs from it is multiplied there.
+    That level's ``point`` may be a function that reads a tuple of images:
+    the points of several merged runs
+    (:func:`~logsig.signature._sift_levels`), whose entries are ``(digits,
+    forward)`` and whose miss leaves ``passed`` at its index, or no point
+    at all at degree 0.
     """
-    if not membership:
-        out = ()
-        last = len(levels) - 1
-        for passed, (point, table) in enumerate(levels):
-            if passed == last:
-                break
-            hit = table.get(raw[point])
-            if hit is None:
-                return raw, out, passed
-            out += hit[0]
-            raw = _mul_raw(hit[1], raw)
-        else:  # no levels
-            return raw, out, 0
-        hit = table.get(raw[point] if type(point) is int else point(raw))
-        if hit is None:
-            return raw, out, last
-        out += hit[0]
-        if raw == hit[-1]:
-            return identity, out, len(levels)
-        return _mul_raw(_inv_raw(hit[-1]), raw), out, len(levels)
+    out = ()
+    last = len(levels) - 1
     for passed, (point, table) in enumerate(levels):
-        image = raw[point]
-        if image == point:
-            continue
-        hit = table.get(image)
+        if passed == last:
+            break
+        hit = table.get(raw[point])
         if hit is None:
-            return raw, (), passed
-        if raw == hit[2]:
-            return identity, (), len(levels)
-        raw = _images(hit[1], raw)
-    return raw, (), len(levels)
+            return raw, out, passed
+        out += hit[0]
+        raw = _mul_raw(hit[1], raw)
+    else:  # no levels
+        return raw, out, 0
+    hit = table.get(raw[point] if type(point) is int else point(raw))
+    if hit is None:
+        return raw, out, last
+    out += hit[0]
+    if raw == hit[-1]:
+        return identity, out, len(levels)
+    return _mul_raw(_inv_raw(hit[-1]), raw), out, len(levels)
 
 
 def _inv_raw(a):

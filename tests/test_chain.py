@@ -7,6 +7,7 @@ from logsig import (GeneratorSet, Permutation, build_chain, bundled_group_names,
                     chain_ls, derived_series, derived_subgroup, is_solvable,
                     load_group, load_verified_chain, normal_closure, parse_cycles,
                     perm)
+from logsig import chain as chain_module
 from logsig.perm import _identity_raw as identity_raw
 from logsig.perm import _inv_raw as inv_raw
 from logsig.perm import _mul_raw as mul_raw
@@ -362,9 +363,9 @@ def test_build_chain_matches_the_reference_on_random_generator_sets():
 def test_contains_stops_once_the_residue_is_the_identity(name, monkeypatch):
     # a level-k entry of the chain signature fixes b0..b(k-1), so its sift
     # multiplies by nothing there, and at level k it is the transversal
-    # element its image selects: the sift stops before any product.  A
-    # membership sift multiplies through _images; a _mul_raw is counted too,
-    # so a product made by either kernel fails the test
+    # element its image selects: the walk stops before any product.  The
+    # membership walk multiplies through chain._images; perm's _images and
+    # _mul_raw are counted too, so a product made by any kernel fails the test
     chain = load_verified_chain(name)
     ls = chain_ls(chain)
     calls = []
@@ -375,6 +376,7 @@ def test_contains_stops_once_the_residue_is_the_identity(name, monkeypatch):
             return kernel(a, b)
         return product
 
+    monkeypatch.setattr(chain_module, "_images", counted(perm._images))
     monkeypatch.setattr(perm, "_images", counted(perm._images))
     monkeypatch.setattr(perm, "_mul_raw", counted(mul_raw))
     for block, ann in zip(ls.blocks, ls.provenance.annotations):

@@ -212,6 +212,27 @@ def test_verify_trivial_group_file_in_every_mode(capsys, tmp_path, degree):
                                    "detail": ""}
 
 
+@pytest.mark.parametrize("tag", ["chain", "manual"])
+def test_degree_0_signature_of_one_entry_passes_every_command(capsys, tmp_path, tag):
+    # its one product is the whole group of order 1, which has no point
+    group = tmp_path / "trivial.grp"
+    group.write_text("degree 0\n")
+    path = tmp_path / "trivial.ls"
+    path.write_text(json.dumps({"degree": 0, "provenance": {"tag": tag},
+                                "blocks": [[[]]]}))
+    for mode in ("exhaustive", "structural"):
+        code, out, err = run(capsys, "--json", "verify", "--group-file", str(group),
+                             "--ls", str(path), "--mode", mode)
+        assert (code, err) == (0, ""), mode
+        assert json.loads(out) == {"verdict": "pass", "method": mode,
+                                   "products_checked": 1, "collision": None,
+                                   "detail": ""}
+    code, out, err = run(capsys, "--json", "factorize", "--group-file", str(group),
+                         "--ls", str(path), "--element", "()")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"verdict": "pass", "digits": [0], "reconstructs": True}
+
+
 def test_verify_malformed_file(capsys, tmp_path):
     path = tmp_path / "junk.ls"
     path.write_text("{not json")
@@ -513,12 +534,6 @@ MALFORMED = {
         "factorize", "--group", "S4", "--ls", _s4_with_level(t, "2"), "--element", "()"],
     "factorize-inexact-m11": lambda t: [
         "factorize", "--group", "M11", "--ls", _inexact_m11_file(t), "--element", "()"],
-    "construct-search-cap-0": lambda t: [
-        "construct", "--group", "M11", "--search-cap", "0"],
-    "construct-solvable-search-cap-0": lambda t: [
-        "construct", "--group", "S4", "--search-cap", "0"],
-    "construct-chain-search-cap-negative": lambda t: [
-        "construct", "--group", "M11", "--method", "chain", "--search-cap", "-5"],
     "factorize-wrong-degree": lambda t: [
         "factorize", "--group", "M12", "--ls", _m11_file(t), "--element", "()"],
     "verify-wrong-degree": lambda t: [

@@ -21,7 +21,8 @@ from logsig import (FactorizationError, LogSignature, Permutation, Provenance,
                     TameIndexer, build_chain, build_mls, chain_ls, dumps_ls,
                     factorize_generic, factorize_tame, load_group,
                     load_verified_chain, loads_ls, mls_solvable, parse_cycles,
-                    reconstruct, refine_ls, verify_structural)
+                    reconstruct, refine_ls, verify_exhaustive,
+                    verify_structural)
 from logsig import chain as chain_module, factorize, perm, signature
 from logsig.pgm import keygen
 from logsig.perm import (_digits_of, _identity_raw, _inv_raw, _mul_raw,
@@ -800,9 +801,30 @@ def test_the_last_runs_merge_in_m24_and_m22_only(name):
             assert walk is runs
 
 
-def test_the_last_runs_merge_only_within_the_limit(m24):
-    # generic factorization's run form holds at most left_n + right_n
-    # entries, merged or not: 129 - 19 + 48 = 158 with M24's tail merged
-    runs = TameIndexer(chain_ls(m24), m24)._levels
-    assert len(signature._sift_levels(runs, 24, 158)) == len(runs) - 1
-    assert signature._sift_levels(runs, 24, 157) is runs
+
+@pytest.mark.parametrize("name, build", [
+    ("M12", chain_ls), ("M12", build_mls), ("M24", chain_ls), ("M24", build_mls),
+    ("A5", chain_ls), ("A5", build_mls), ("D300", chain_ls)])
+def test_trailing_one_entry_blocks_join_the_last_run(name, build):
+    # two identity blocks after the last run fix every run's point, so they
+    # join that run: the index keeps its runs, and every member's last two
+    # digits are 0 in tame and generic factorization alike
+    chain = load_verified_chain(name)
+    ls = build(chain)
+    e = Permutation.identity(chain.degree)
+    trailed = LogSignature(degree=ls.degree, blocks=ls.blocks + ((e,), (e,)),
+                           provenance=Provenance(ls.provenance.tag))
+    plain, indexer = TameIndexer(ls, chain), TameIndexer(trailed, chain)
+    assert [len(t) for _, t in indexer._levels] == [len(t) for _, t in plain._levels]
+    assert all(d[-2:] == (0, 0) for d, *_ in indexer._levels[-1][1].values())
+    assert verify_structural(trailed, chain) == verify_structural(ls, chain)
+    assert verify_structural(trailed, chain).ok
+    assert verify_exhaustive(trailed, chain, budget=chain.order).ok
+    generic = unannotated(trailed)
+    rng = random.Random(name)
+    for _ in range(20):
+        g = chain.element_at(rng.randrange(chain.order))
+        digits = factorize_tame(g, indexer)
+        assert digits[-2:] == (0, 0) and digits[:-2] == factorize_tame(g, plain)
+        assert factorize_generic(g, generic) == digits
+        assert reconstruct(trailed, digits) == g

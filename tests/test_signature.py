@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from itertools import product
 from math import prod
 
 import pytest
@@ -14,7 +15,7 @@ from logsig import (CyclicSetSpec, LogSignature, LsFormatError, Permutation,
                     Provenance, TameIndexer, VerificationBudgetError,
                     VerificationReport,
                     build_chain, build_mls, bundled_group_names, chain_ls, dumps_ls,
-                    factor_integer,
+                    factor_integer, factorize_generic,
                     is_minimal, load_verified_chain, loads_ls, ls_length,
                     minimal_length, mls_cyclic, mls_solvable, parse_cycles,
                     read_ls, verify_exhaustive, verify_structural, write_ls)
@@ -80,7 +81,8 @@ def test_exhaustive_m12_chain(m12):
 
 
 def test_empty_signature_of_trivial_group():
-    # degree 0 has no point for the oracle to key a product by
+    # degree 0 has no point for the oracle to key a product by, nor for a
+    # run: one-entry blocks there are one run keyed by the empty image tuple
     for degree in (0, 1, 3):
         e = Permutation.identity(degree)
         trivial = build_chain(GeneratorSet(degree, (e,)))
@@ -90,6 +92,22 @@ def test_empty_signature_of_trivial_group():
         assert verify_structural(ls, trivial).ok
         for ls in (ls, LogSignature(degree=degree, blocks=((e,),))):
             assert verdict(ls, trivial) == full_image_reference(ls) == (True, 1, None)
+        for tag, count in product(("chain", "manual"), (1, 2)):
+            ls = LogSignature(degree=degree, blocks=((e,),) * count,
+                              provenance=Provenance(tag))
+            assert verdict(ls, trivial) == (True, 1, None)
+            assert verify_structural(ls, trivial) == VerificationReport(
+                ok=True, method="structural", products_checked=1)
+            digits = (0,) * count
+            assert TameIndexer(ls, trivial).digits(e) == factorize_generic(e, ls) == digits
+            assert reconstruct(ls, digits) == e
+
+
+def test_oracles_and_indexer_reject_another_degree(m11, m12):
+    for ls in (chain_ls(m11), LogSignature(degree=0, blocks=())):
+        for check in (verify_exhaustive, verify_structural, TameIndexer):
+            with pytest.raises(ValueError, match="degree mismatch"):
+                check(ls, m12)
 
 
 def tamper(ls, chain, block=0, src=0, dst=1):
@@ -568,10 +586,10 @@ def test_nonmember_entry_rejected(a5):
 def test_chain_signature_entries_are_members_without_a_sift(monkeypatch, m12, a5):
     # a chain's forward images are its transversal elements, so a chain
     # signature's entries are members by a set lookup; entries of another
-    # kind, and tuple image arrays, are sifted
+    # kind, and tuple image arrays, take the membership walk
     sifted = []
-    real = logsig.chain._sift
-    monkeypatch.setattr(logsig.chain, "_sift", lambda *a: sifted.append(a) or real(*a))
+    real = logsig.chain._strip
+    monkeypatch.setattr(logsig.chain, "_strip", lambda *a: sifted.append(a) or real(*a))
     for chain in (m12, a5):
         assert signature._member_fault(chain_ls(chain), chain) == ""
         TameIndexer(chain_ls(chain), chain)
