@@ -101,12 +101,6 @@ class StabilizerChain:
 
     # -- membership ------------------------------------------------------
 
-    def sift(self, g: Permutation) -> Permutation:
-        """Strip ``g`` through every level; identity residue iff member."""
-        if g.degree != self.degree:
-            raise ValueError("degree mismatch")
-        return Permutation._wrap(_sift(g.img, self._walk, self._identity)[0])
-
     def contains(self, g: Permutation) -> bool:
         """True iff ``g`` is a product of this chain's generators: the
         membership walk :func:`_strip` ends in the identity.  A

@@ -13,7 +13,8 @@ from .arith import factor_integer
 from .chain import GeneratorSet, StabilizerChain, build_chain, derived_series
 from .perm import (Permutation, _join, _kept, _order_raw, _products, _raw,
                    _through)
-from .signature import BlockAnnotation, LogSignature, Provenance, _level_table
+from .signature import (BlockAnnotation, LogSignature, Provenance, _chain_runs,
+                        _level_table)
 
 __all__ = [
     "CyclicSetSpec",
@@ -130,6 +131,14 @@ def chain_ls(chain: StabilizerChain) -> LogSignature:
                         provenance=Provenance("chain", tuple(ann)))
 
 
+def _level(chain: StabilizerChain, level: int):
+    """``chain.levels[level]``; IndexError for a level outside
+    ``range(len(chain.levels))``, a negative one too."""
+    if not 0 <= level < len(chain.levels):
+        raise IndexError("level %d out of range" % level)
+    return chain.levels[level]
+
+
 def sharply_transitive_check(decomp, chain: StabilizerChain,
                              level: int | None = None) -> bool:
     """Whether a product of element sets hits each orbit point exactly once.
@@ -140,6 +149,7 @@ def sharply_transitive_check(decomp, chain: StabilizerChain,
     (a_1 * ... * a_m)(b) of the base point over the product set (rightmost
     factor first), are exactly the level orbit; as many products as points
     leave no room for repeats.  The sets need not lie in the level group.
+    A level outside ``range(len(chain.levels))`` raises IndexError.
     """
     if isinstance(decomp, ProductDecomposition):
         if level is None:
@@ -149,7 +159,7 @@ def sharply_transitive_check(decomp, chain: StabilizerChain,
         if level is None:
             raise ValueError("plain element sets need an explicit level")
         sets = [tuple(s) for s in decomp]
-    lv = chain.levels[level]
+    lv = _level(chain, level)
     count = prod(map(len, sets))
     if count != len(lv.orbit):
         raise ValueError("product of set sizes %d != orbit size %d"
@@ -304,7 +314,8 @@ def refine_block(chain: StabilizerChain, level: int,
     :func:`_size_trials` order.  The candidates of a size are the first
     ``cap`` elements whose order the size divides among the first ``10 *
     cap`` elements of the level group in :class:`_Candidates`' coset-
-    striding order; a cap below 1 raises ValueError.  A node is one pool
+    striding order; a cap below 1 raises ValueError, and a level outside
+    ``range(len(chain.levels))`` IndexError.  A node is one pool
     element a walk passes, whether the size divides its order or not, so a
     trial's budget bounds its pool reads; :meth:`_Candidates.walk` counts
     them.  The trials run in passes: in the
@@ -316,7 +327,7 @@ def refine_block(chain: StabilizerChain, level: int,
     """
     if cap < 1:
         raise ValueError("search cap must be at least 1, got %d" % cap)
-    lv = chain.levels[level]
+    lv = _level(chain, level)
     osize = len(lv.orbit)
     trials = _size_trials(_prime_multiset(osize))
     cands = _Candidates(chain.subchain(level), cap)
@@ -348,30 +359,31 @@ def refine_ls(ls: LogSignature, chain: StabilizerChain,
               cap: int = DEFAULT_SEARCH_CAP) -> LogSignature:
     """Replace each composite transversal block by cyclic power blocks.
 
-    Blocks whose size is prime (or 1) are kept.  A block whose level search
-    (:func:`refine_block`) finds no cover within ``cap`` and its node budget
-    is kept as well and remains recognizable in the result's annotations as
-    a full-size level block; the result then verifies but is not minimal.
-    When every composite block refines, the result meets the minimal-length
-    bound.
+    Each block's level is read off the entries: it is the chain level of
+    its run (:func:`~logsig.signature._chain_runs`), whose point must be
+    that level's base point; the tag and annotations are not read, and a
+    signature without such runs raises ValueError.  A run of one block of
+    composite size is searched (:func:`refine_block`); every other block
+    is kept, annotated with its run's level alone.  So is a searched block whose search finds no cover within
+    ``cap`` and its node budget; it remains recognizable in the result's
+    annotations as a full-size level block, and the result then verifies
+    but is not minimal.  When every composite block of a chain signature
+    refines, the result meets the minimal-length bound.
     """
-    if ls.provenance.tag != "chain" or ls.provenance.annotations is None:
-        raise ValueError("refinement needs a chain-provenance signature "
-                         "with level annotations")
     blocks: list[tuple[Permutation, ...]] = []
     ann: list[BlockAnnotation] = []
-    for block, a in zip(ls.blocks, ls.provenance.annotations):
+    for start, stop, level in _chain_runs(ls, chain):
         decomp = None
-        if len(_prime_multiset(len(block))) > 1:
-            decomp = refine_block(chain, a.level, cap=cap)
+        if stop - start == 1 and len(_prime_multiset(len(ls.blocks[start]))) > 1:
+            decomp = refine_block(chain, level, cap=cap)
         if decomp is None:
-            blocks.append(block)
-            ann.append(BlockAnnotation(level=a.level))
+            blocks += ls.blocks[start:stop]
+            ann += [BlockAnnotation(level=level)] * (stop - start)
             continue
         for f in decomp.factors:
             for entries, w in _cyclic_blocks(f.generator, f.size):
                 blocks.append(entries)
-                ann.append(BlockAnnotation(level=a.level, set_size=f.size, step=w))
+                ann.append(BlockAnnotation(level=level, set_size=f.size, step=w))
     return LogSignature(degree=ls.degree, blocks=tuple(blocks), group=ls.group,
                         provenance=Provenance("refined", tuple(ann)))
 

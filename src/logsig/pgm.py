@@ -17,8 +17,9 @@ from .chain import StabilizerChain
 from .construct import chain_ls
 from .factorize import TameIndexer, factorize_tame, reconstruct
 from .perm import Permutation, _digits_of, _images, _value_of
-from .signature import (LogSignature, LsFormatError, _ls_from_obj, _ls_text,
-                        _parse_json, _read_text, _with_members, _write_text)
+from .signature import (LogSignature, LsFormatError, _chain_runs, _ls_from_obj,
+                        _ls_text, _parse_json, _read_text, _with_members,
+                        _write_text)
 
 __all__ = ["PgmKey", "randomize_ls", "keygen", "encrypt", "decrypt",
            "write_key", "read_key", "KEY_FORMAT"]
@@ -27,37 +28,40 @@ KEY_FORMAT = "pgm-key-1"
 
 
 def randomize_ls(ls: LogSignature, chain: StabilizerChain, seed: int) -> LogSignature:
-    """Diversify a transversal signature without losing its structure.
+    """Diversify a chain or refined signature without losing its structure.
 
-    Per block: a seeded shuffle of the entries, then every entry of a
-    non-final level is multiplied on the right by a seeded element of the
-    next level's group.  Right multiplication by a stabilizer element keeps
-    each entry's base-point image, so cosets, tameness and the structural
-    verdict are all preserved; only the digit assignment changes.
+    Each block's level is that of its run
+    (:func:`~logsig.signature._chain_runs`), read off the entries; the tag
+    and annotations are not read, and a signature without such runs raises
+    ValueError.  Per block: a seeded shuffle of the entries, then, in the
+    last block of a run, every entry is multiplied on the right by a seeded
+    element of the next level's group.  Right multiplication by a
+    stabilizer element keeps each product's base-point images, so cosets,
+    tameness and the structural verdict are all preserved; only the digit
+    assignment changes.  Every block of a chain signature is its run's
+    last.
 
     The element at a drawn index is the one :meth:`StabilizerChain.element_at`
     gives, the product of the transversal elements its digits select, but
     composed through :func:`~logsig.perm._images`: keys are set up, not
     served per element.
     """
-    ann = ls.provenance.annotations
-    if ls.provenance.tag != "chain" or ann is None:
-        raise ValueError("randomization needs a chain-provenance signature")
     rng = random.Random(seed)
     blocks = []
-    for block, a in zip(ls.blocks, ann):
-        entries = list(block)
-        rng.shuffle(entries)
-        sub = chain.subchain(a.level + 1)
-        if sub.order > 1:
-            sizes = [len(lv.orbit) for lv in sub.levels]
-            reps = [[lv.transversal[p].img for p in lv.orbit] for lv in sub.levels]
-            for i, e in enumerate(entries):
-                raw = e.img
-                for t, d in zip(reps, _digits_of(rng.randrange(sub.order), sizes)):
-                    raw = _images(raw, t[d])
-                entries[i] = Permutation._wrap(raw)
-        blocks.append(tuple(entries))
+    for start, stop, level in _chain_runs(ls, chain):
+        sub = chain.subchain(level + 1)
+        sizes = [len(lv.orbit) for lv in sub.levels]
+        reps = [[lv.transversal[p].img for p in lv.orbit] for lv in sub.levels]
+        for bi in range(start, stop):
+            entries = list(ls.blocks[bi])
+            rng.shuffle(entries)
+            if bi == stop - 1 and sub.order > 1:
+                for i, e in enumerate(entries):
+                    raw = e.img
+                    for t, d in zip(reps, _digits_of(rng.randrange(sub.order), sizes)):
+                        raw = _images(raw, t[d])
+                    entries[i] = Permutation._wrap(raw)
+            blocks.append(tuple(entries))
     return LogSignature(degree=ls.degree, blocks=tuple(blocks), group=ls.group,
                         provenance=ls.provenance)
 

@@ -459,8 +459,23 @@ def _level_table(sets, point: int, degree: int) -> dict:
 
 def _run_levels(ls: LogSignature, limit: float = inf):
     """The one run index of a signature, read off its entries alone:
-    ``(levels, fault)``, a ``(point, table)`` pair per run for
-    :func:`~logsig.perm._sift`, each table the run's :func:`_level_table`.
+    ``(levels, fault)``, a ``(point, table)`` pair per run of
+    :func:`_runs` for :func:`~logsig.perm._sift`, each table the run's
+    :func:`_level_table`.  At degree 0 the one run is keyed by the empty
+    tuple of images, as a merged level (:func:`_sift_levels`) is keyed by
+    a tuple.  ``fault`` is :func:`_runs`' own, and the levels are empty
+    when it is not ""."""
+    runs, fault = _runs(ls, limit)
+    blocks, n = ls.blocks, ls.degree
+    if runs and runs[0][2] is None:  # degree 0: the images of no point
+        e = _identity_raw(0)
+        return [(lambda raw: (), {(): ((0,) * len(blocks), e, e)})], ""
+    return [(point, _level_table(blocks[a:b], point, n)) for a, b, point in runs], fault
+
+
+def _runs(ls: LogSignature, limit: float = inf):
+    """The runs of a signature, read off its entries alone, without their
+    tables: ``(runs, fault)``, a ``(start, stop, point)`` triple per run.
 
     A run is a stretch ``blocks[start:stop]`` with a point that every
     entry of ``blocks[stop:]`` fixes and that the run's products send to
@@ -471,13 +486,12 @@ def _run_levels(ls: LogSignature, limit: float = inf):
     base.  Each run is the shortest that holds more than one product and
     has such a point, which keeps every split that exists reachable;
     one-entry blocks at the end join the last run.  Blocks of one entry
-    alone are one run at point 0, or at degree 0 one keyed by the empty
-    tuple of images, as a merged level (:func:`_sift_levels`) is keyed by
-    a tuple.  ``fault`` is "" when runs cover the blocks; otherwise it
-    names the first block at which no run can start and why (its products
-    outnumber the degree before a point separates them, or no point does),
-    or says the runs would hold more than ``limit`` products, and the
-    levels are empty.
+    alone are one run at point 0, or at degree 0 at point None.
+    ``fault`` is "" when runs cover the blocks; otherwise it names the
+    first block at which no run can start and why (its products outnumber
+    the degree before a point separates them, or no point does), or says
+    the runs would hold more than ``limit`` products, and the runs are
+    empty.
     """
     blocks, n = ls.blocks, ls.degree
     fixed = _fixed_points(blocks, range(n))
@@ -507,12 +521,34 @@ def _run_levels(ls: LogSignature, limit: float = inf):
     if start < len(blocks):  # one-entry blocks, which fix every run's point
         if runs:
             runs[-1] = (runs[-1][0], len(blocks), runs[-1][2])
-        elif n:
-            runs.append((0, len(blocks), 0))
-        else:  # degree 0: one level, keyed by the images of no point
-            e = _identity_raw(0)
-            return [(lambda raw: (), {(): ((0,) * len(blocks), e, e)})], ""
-    return [(point, _level_table(blocks[a:b], point, n)) for a, b, point in runs], ""
+        else:
+            runs.append((0, len(blocks), 0 if n else None))
+    return runs, ""
+
+
+def _chain_runs(ls: LogSignature, chain: StabilizerChain) -> list:
+    """The runs of :func:`_runs` as ``(start, stop, level)``, each with the
+    chain level whose base point is its point, for a signature of members
+    whose block sizes multiply to |G| (:func:`_member_fault`) and whose
+    run points are, in order, the base points of the chain's levels with
+    more than one orbit point, as in every chain, refined and key
+    signature.  The blocks of a run then lie in its level group and their
+    products cover its orbit.  Any other signature raises ValueError
+    naming the fault."""
+    if ls.degree != chain.degree:
+        raise ValueError("degree mismatch")
+    fault = _member_fault(ls, chain)
+    if not fault:
+        runs, fault = _runs(ls)
+    if fault:
+        raise ValueError(fault)
+    levels = [i for i, lv in enumerate(chain.levels) if len(lv.orbit) > 1]
+    points = [point for _, _, point in runs]
+    base = [chain.levels[i].point for i in levels]
+    if points != base:
+        raise ValueError("the run points %s are not the base points %s of the "
+                         "chain's levels" % (points, base))
+    return [(a, b, i) for (a, b, _), i in zip(runs, levels)]
 
 
 def _sift_levels(levels, degree: int) -> list:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import time
@@ -8,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 import logsig.chain
 import logsig.construct
-from logsig import (CyclicSetSpec, GeneratorSet, Permutation,
-                    ProductDecomposition, build_chain, build_mls, chain_ls,
-                    composition_series_solvable, factor_integer, is_minimal,
-                    load_group, load_verified_chain, ls_length, minimal_length,
-                    mls_cyclic, mls_solvable, parse_cycles, refine_block,
-                    refine_ls, sharply_transitive_check, verify_exhaustive,
+from logsig import (BlockAnnotation, CyclicSetSpec, GeneratorSet, LogSignature,
+                    Permutation, ProductDecomposition, Provenance, build_chain,
+                    build_mls, chain_ls, composition_series_solvable, dumps_ls,
+                    factor_integer, is_minimal, load_group, load_verified_chain,
+                    ls_length, minimal_length, mls_cyclic, mls_solvable,
+                    parse_cycles, randomize_ls, refine_block, refine_ls,
+                    sharply_transitive_check, verify_exhaustive,
                     verify_structural)
 from logsig.construct import (DEFAULT_SEARCH_CAP, _Candidates, _cover_search,
                               _prime_multiset, _size_trials)
@@ -187,6 +189,19 @@ def test_size_mismatch_raises(m11):
 def test_plain_sets_need_a_level(m11):
     with pytest.raises(ValueError, match="explicit level"):
         sharply_transitive_check([chain_ls(m11).blocks[0]], m11)
+
+
+@pytest.mark.parametrize("level", [-1, 4, 9])
+def test_out_of_range_level(m11, level):
+    # -1 would otherwise be read as the last level, whose transversal passes
+    last = chain_ls(m11).blocks[-1]
+    checks = [lambda: sharply_transitive_check([last], m11, level=level),
+              lambda: sharply_transitive_check(
+                  ProductDecomposition((), level), m11),
+              lambda: refine_block(m11, level)]
+    for check in checks:
+        with pytest.raises(IndexError, match="level %d out of range" % level):
+            check()
 
 
 def test_repeated_image_sets_rejected(m11):
@@ -698,6 +713,56 @@ def test_refine_ls_keeps_unrefinable_blocks_verifiable(m11):
 def test_refine_ls_requires_chain_provenance(s4):
     with pytest.raises(ValueError):
         refine_ls(mls_solvable(s4), s4)
+
+
+# the provenance of a chain signature rewritten three ways: the first two
+# levels swapped, every level 99, and a manual tag with no annotations
+REWRITES = {
+    "permuted": lambda ann: Provenance("chain", ann[1::-1] + ann[2:]),
+    "all-99": lambda ann: Provenance("chain", (BlockAnnotation(99),) * len(ann)),
+    "manual": lambda ann: Provenance("manual"),
+}
+
+
+def rewritten(ls, how):
+    return dataclasses.replace(ls, provenance=REWRITES[how](ls.provenance.annotations))
+
+
+@pytest.mark.parametrize("how", sorted(REWRITES))
+@pytest.mark.parametrize("name", ["m11", "m24"])
+def test_refine_and_randomize_read_levels_off_the_runs(request, name, how):
+    chain = request.getfixturevalue(name)
+    ls = chain_ls(chain)
+    assert dumps_ls(refine_ls(rewritten(ls, how), chain)) == dumps_ls(refine_ls(ls, chain))
+    for seed in (0, 42):
+        assert (randomize_ls(rewritten(ls, how), chain, seed).blocks
+                == randomize_ls(ls, chain, seed).blocks)
+
+
+def test_refine_and_randomize_reject_runs_off_the_chain_levels(m11, m12):
+    # another group's signature, and one whose runs sit on another base
+    other = build_chain(m11.generators, base_hint=[3])
+    for f in (refine_ls, lambda ls, chain: randomize_ls(ls, chain, 1)):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            f(chain_ls(m12), m11)
+        with pytest.raises(ValueError, match="not the base points"):
+            f(chain_ls(m11), other)
+
+
+def test_refine_ls_keeps_a_run_of_two_blocks(m12):
+    # refined M12's level-0 blocks (2, 2, 3) with the first two merged into
+    # one block of their 4 products: a run of a composite block and a prime
+    # one, which is kept as it is, annotated with its level
+    refined = build_mls(m12)
+    b = refined.blocks
+    blocks = (tuple(x * y for x in b[0] for y in b[1]),) + b[2:]
+    levels = [a.level for a in refined.provenance.annotations[1:]]
+    ls = LogSignature(m12.degree, blocks, m12.name,
+                      Provenance("chain", tuple(map(BlockAnnotation, levels))))
+    assert verify_structural(ls, m12).ok
+    out = refine_ls(ls, m12)
+    assert out.blocks == blocks
+    assert out.provenance == Provenance("refined", ls.provenance.annotations)
 
 
 def test_size_trials_order():

@@ -139,3 +139,13 @@ def test_every_dataclass_field_is_read():
             unread += ["%s: %s.%s" % (name, cls.name, stmt.target.id) for stmt in cls.body
                        if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read]
     assert unread == []
+
+
+def test_annotations_are_read_only_by_the_signature_module():
+    # annotations are metadata: the constructor checks their count and the
+    # file format writes and reads them, but no level or verdict is taken
+    # from them; each block's level is read off its run
+    readers = {name for name, tree in MODULES.items() for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute) and n.attr == "annotations"
+               and isinstance(n.ctx, ast.Load)}
+    assert readers == {"signature.py"}

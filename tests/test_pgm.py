@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from logsig import (LsFormatError, PgmKey, TameIndexer, build_chain, chain_ls,
-                    decrypt, dumps_ls, encrypt, keygen, load_group, randomize_ls, read_key,
-                    verify_structural, write_key)
+from logsig import (LsFormatError, PgmKey, TameIndexer, build_chain, build_mls,
+                    chain_ls, decrypt, dumps_ls, encrypt, keygen, load_group,
+                    randomize_ls, read_key, verify_structural, write_key)
 
 
 def test_randomize_is_deterministic(m11):
@@ -59,6 +59,24 @@ def test_randomize_needs_chain_provenance(s4):
     from logsig import mls_solvable
     with pytest.raises(ValueError):
         randomize_ls(mls_solvable(s4), s4, 1)
+
+
+@pytest.mark.parametrize("name", ["m11", "m12", "m24"])
+def test_randomize_refined_signatures(request, name):
+    # only a run's last block is multiplied on the right; the others are
+    # shuffled, so their entries stay as they are
+    chain = request.getfixturevalue(name)
+    refined = build_mls(chain)
+    levels = [a.level for a in refined.provenance.annotations]
+    last = {i for i, level in enumerate(levels) if levels[i + 1:i + 2] != [level]}
+    for seed in (0, 7):
+        rls = randomize_ls(refined, chain, seed)
+        assert rls != refined and rls.block_sizes == refined.block_sizes
+        assert verify_structural(rls, chain).ok
+        TameIndexer(rls, chain)
+        for bi, (block, was) in enumerate(zip(rls.blocks, refined.blocks)):
+            if bi not in last:
+                assert set(block) == set(was)
 
 
 def test_keygen_deterministic_and_distinct(m11):
