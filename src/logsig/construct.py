@@ -11,8 +11,8 @@ from math import prod
 
 from .arith import factor_integer
 from .chain import GeneratorSet, StabilizerChain, build_chain, derived_series
-from .perm import (Permutation, _join, _kept, _order_raw, _products, _raw,
-                   _through)
+from .perm import (Permutation, _identity_raw, _images, _join, _kept, _order_raw,
+                   _products, _raw, _through)
 from .signature import (BlockAnnotation, LogSignature, Provenance, _chain_runs,
                         _level_table)
 
@@ -378,7 +378,7 @@ def refine_ls(ls: LogSignature, chain: StabilizerChain,
             decomp = refine_block(chain, level, cap=cap)
         if decomp is None:
             blocks += ls.blocks[start:stop]
-            ann += [BlockAnnotation(level=level)] * (stop - start)
+            ann += _kept_annotations(ls.blocks[start:stop], level)
             continue
         for f in decomp.factors:
             for entries, w in _cyclic_blocks(f.generator, f.size):
@@ -386,6 +386,50 @@ def refine_ls(ls: LogSignature, chain: StabilizerChain,
                 ann.append(BlockAnnotation(level=level, set_size=f.size, step=w))
     return LogSignature(degree=ls.degree, blocks=tuple(blocks), group=ls.group,
                         provenance=Provenance("refined", tuple(ann)))
+
+
+def _kept_annotations(run, level: int) -> list[BlockAnnotation]:
+    """The annotations of a run of blocks that :func:`refine_ls` keeps,
+    read off the entries, as :func:`_cyclic_blocks` would have annotated
+    them.  Consecutive power blocks (:func:`_power_end`) are one cyclic
+    set while each block's entry 1 is the previous block's entry 1 raised
+    to the previous block's size.  A power block records its set's size,
+    the product of the set's block sizes, and as its step the product of
+    the sizes before it in the set.  Every other block, and a run of one
+    block, a full-size level block, records its level alone."""
+    ann = [BlockAnnotation(level=level)] * len(run)
+    if len(run) == 1:
+        return ann
+    ends = [_power_end(block) for block in run]
+    sets: list[list[int]] = []  # the positions of each cyclic set's blocks
+    for i, end in enumerate(ends):
+        if end is None:
+            continue
+        if sets and sets[-1][-1] == i - 1 and run[i][1].img == ends[i - 1]:
+            sets[-1].append(i)
+        else:
+            sets.append([i])
+    for members in sets:
+        sizes = [len(run[i]) for i in members]
+        step = 1
+        for i, s in zip(members, sizes):
+            ann[i] = BlockAnnotation(level=level, set_size=prod(sizes), step=step)
+            step *= s
+    return ann
+
+
+def _power_end(block):
+    """x^k for a power block (x^0, x^1, ..., x^(k-1)) of k >= 2 entries, x
+    its entry 1, as a raw image array; None for any other block."""
+    if len(block) < 2:
+        return None
+    x = block[1].img
+    cur = _identity_raw(len(x))
+    for e in block:
+        if e.img != cur:
+            return None
+        cur = _images(x, cur)
+    return cur
 
 
 def composition_series_solvable(chain: StabilizerChain) -> CompositionSeries:

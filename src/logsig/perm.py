@@ -23,7 +23,7 @@ class CycleFormatError(ValueError):
 # Image arrays are stored as ``bytes`` for degree <= 256 and as a tuple of
 # ints otherwise.  Both are hashable, compact and O(1)-indexable.  The
 # helpers below are the only places that care which one they got, apart
-# from the exhaustive oracle's key packing (``signature.verify_exhaustive``
+# from the exhaustive oracle's key packing (``signature._class_walk``
 # and ``signature._keys``) and the membership shortcut that hashes only
 # bytes (``StabilizerChain._forwards``).
 

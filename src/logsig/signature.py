@@ -160,16 +160,126 @@ def is_minimal(ls: LogSignature, f: PrimeFactorization) -> bool:
 
 def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
                       budget: int = DEFAULT_BUDGET) -> VerificationReport:
-    """Enumerate every product of the signature and check pairwise distinctness.
+    """Check that the signature's products are pairwise distinct, as if
+    every one were enumerated.
 
     A block entry outside the chain's group fails the report; for members,
     distinctness together with a product count equal to the group order is
-    equivalent to exactness.  A member is fixed by its images of the chain's
-    base, so two products are equal exactly when their base images are, and
-    only those are computed and stored.  For degree <= 256 a product's key
-    is its base images packed into 8-byte ints (the base padded to a
-    multiple of 8 points by repeating one); for degree > 256 it is the
-    tuple of base images.
+    equivalent to exactness.  The budget counts products: a check of more
+    than ``budget`` raises, whatever it would cost.  A member is fixed by
+    its images of the chain's base, so two products are equal exactly when
+    their base images are, and only base images are computed.
+
+    Distinctness is first proven block by block from the right
+    (:func:`_distinct_from`).  At block u, let T be the products of the
+    later blocks, already shown distinct, ``pin`` the base points every
+    later entry fixes, q the first base point some later entry moves and
+    Y its images under T.  A product e·t of an entry e of block u and t in
+    T sends ``pin`` where e does and q to e(t(q)), so e·t = e'·t' forces
+    equal keys (e(y), e(pin)) with y = t(q), y' = t'(q) in Y.  When those
+    keys are distinct over the block's entries e and all y in Y (at once
+    when the entries' images of ``pin`` are), e = e' and then t = t': the
+    products of ``blocks[u:]`` are distinct.  So a signature whose every
+    block passes, as every exact chain, refined and cyclic signature in
+    the catalog does, passes with no product expanded, and the report
+    counts all |G| products as checked.
+
+    At the first block whose keys repeat, or earlier where counting alone
+    shows that they will, the check is handed over to the class walk
+    (:func:`_class_walk`), which alone decides it and names the least
+    witness in rank order; it is told that the later blocks' products are
+    already distinct.  A group of order 1, of degree 0 too,
+    has one product and passes.
+    """
+    if ls.degree != chain.degree:
+        raise ValueError("degree mismatch")
+    total = ls.product_count()
+    fault = _member_fault(ls, chain)
+    if fault:
+        return VerificationReport(ok=False, method="exhaustive", products_checked=0,
+                                  detail=fault)
+    if total > budget:
+        raise VerificationBudgetError(
+            "%d products exceed the budget of %d; use verify_structural" % (total, budget))
+
+    if total == 1:  # one product repeats nothing, and a degree-0 group has no base
+        return VerificationReport(ok=True, method="exhaustive", products_checked=1)
+
+    raws = [[e.img for e in block] for block in ls.blocks]
+    base = list(chain.base)
+    # pinned[u]: the base points that every entry of blocks[u:] fixes
+    pinned = _fixed_points(ls.blocks, base)
+    proven = _distinct_from(raws, base, pinned)
+    if not proven:
+        return VerificationReport(ok=True, method="exhaustive", products_checked=total)
+    return _class_walk(ls, raws, base, pinned, proven)
+
+
+def _distinct_from(raws, base: list, pinned: list) -> int:
+    """The least u for which the products of ``raws[u:]`` are proven
+    distinct block by block from the right, as :func:`verify_exhaustive`
+    proves them: 0 when every block passes, and otherwise one past the
+    first block whose keys (e(y), e(pin)) repeat, or, once no pin is
+    left, one past the first block at which counting alone shows that
+    some earlier block's keys will.
+
+    Y, the images of q under the later blocks' products T, is carried
+    along: while q stays the same from one block to the next, Y becomes
+    the union of e(Y) over the block's entries e, one image step per
+    entry, which the key check reads too; when q changes to q', every
+    later entry fixes q', so Y becomes {e(q')}.  Y misses ``pin``, which
+    T fixes, so the entries that agree on ``pin`` send Y into the n -
+    |pin| points off their images of ``pin``: when they need more room,
+    the keys repeat, and no image is computed.  With no pin, which stays
+    so leftward, one group holds every entry, and a block that passes
+    multiplies |Y| by its size, so block 0's count is known first."""
+    mk = type(raws[0][0])
+    n = len(raws[0][0])
+    ys = q = None
+    for u in range(len(raws) - 1, -1, -1):
+        block, pin = raws[u], pinned[u + 1]
+        parts = None  # e(Y), one packed string per group that agrees on pin
+        # the entries' images of pin; an entry alone passes, as a bijection
+        sent = list(map(itemgetter(*pin), block)) if pin else ()
+        kinds = len(set(sent))
+        if kinds < len(block) > 1:
+            groups = [block]
+            if kinds > 1:
+                agree: dict = {}
+                for s, e in zip(sent, block):
+                    agree.setdefault(s, []).append(e)
+                groups = list(agree.values())
+            # with no pin, blocks that pass multiply |Y| by their sizes, so
+            # block 0 would need this room times the sizes before u: when
+            # that is too much, blocks[u + 1:] are all that can be proven
+            more = 1 if pin else prod(map(len, raws[:u]))
+            if max(map(len, groups)) * len(ys) * more > n - len(pin):
+                return u + 1
+            parts = [_join([_images(e, ys) for e in v], mk) for v in groups]
+            for s in parts:
+                if len(set(s)) < len(s):
+                    return u + 1
+        if not u:
+            break
+        nq = q if pinned[u] == pin else next(b for b in base if b not in pinned[u])
+        if nq != q:
+            ys, q = mk({e[nq] for e in block}), nq
+        elif q is not None:
+            if parts is None:
+                parts = [_images(e, ys) for e in block]
+            # one group's images passed the check, so they are Y's, once each
+            ys = parts[0] if len(parts) == 1 else mk(set(_join(parts, mk)))
+    return 0
+
+
+def _class_walk(ls: LogSignature, raws, base: list, pinned: list,
+                proven: int) -> VerificationReport:
+    """The exhaustive check of :func:`verify_exhaustive` by classes of
+    products, for a check that the blocks from the right did not decide;
+    the products of ``blocks[proven:]`` are known to be distinct.  For
+    degree <= 256 a product's key is its base images packed into 8-byte
+    ints (the base padded to a multiple of 8 points by repeating one); for
+    degree > 256 it is the tuple of base images.
 
     The trailing blocks (the tail) are expanded once into packed base
     images, grouped by their image y of the first base point b0.  The tail
@@ -184,15 +294,14 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
     (p(y), p(pinned)).  A head maps keys one to one, so its chunk of a
     class repeats a key exactly when its group does: each group is checked
     once, and a class fed by one head is done when that head's group is.
+    A tail inside ``blocks[proven:]`` has distinct products, so its
+    groups are not checked again.
 
     The class keys of all heads are one packed expansion: the points y and
     pinned of every group, padded to whole 8-byte words as the base keys
     are, mapped right to left through the leading blocks, one C-level
     image step per entry, with no head computed.  If no class key repeats
-    and no group repeats a key, the check passes there.  Where the tail of
-    an exact chain or refined signature ends at a level boundary, the
-    heads are coset representatives, distinct on the pinned points, so
-    the check is the tail plus one class key per head.  Otherwise the
+    and no group repeats a key, the check passes there.  Otherwise the
     classes are mapped from the packed keys, and only a class fed by two
     or more heads, or by a group that repeats a key, can repeat one.
     Such a class is walked, storing its keys; it sees its products in
@@ -200,8 +309,7 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
     one chunk per head.  At its first chunk that repeats a key, its chunks
     are scanned again for the first repeat, and the report names the
     least second rank over the classes.  Besides the packed tail and class
-    keys, the keys stored at once are one group's or one walked class's;
-    the budget still counts all |G| products.
+    keys, the keys stored at once are one group's or one walked class's.
 
     A class's first repeat lies in its first head's chunk when that
     head's group repeats a key, and no earlier than its second head's
@@ -211,34 +319,16 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
     and the walk stops at the first class whose bound is past c.  A head
     is made when the walk first reads it, from the kept product of its
     leading digits, so a failing check makes the few heads it reads and
-    one that walks every class about one composition per head.  A group
-    of order 1, of degree 0 too, has one product and passes.
+    one that walks every class about one composition per head.
     """
-    if ls.degree != chain.degree:
-        raise ValueError("degree mismatch")
     sizes = ls.block_sizes
     total = ls.product_count()
-    fault = _member_fault(ls, chain)
-    if fault:
-        return VerificationReport(ok=False, method="exhaustive", products_checked=0,
-                                  detail=fault)
-    if total > budget:
-        raise VerificationBudgetError(
-            "%d products exceed the budget of %d; use verify_structural" % (total, budget))
-
-    if total == 1:  # one product repeats nothing, and a degree-0 group has no base
-        return VerificationReport(ok=True, method="exhaustive", products_checked=1)
-
-    raws = [[e.img for e in block] for block in ls.blocks]
     ident = _identity_raw(ls.degree)
     mk = type(ident)
-    base = list(chain.base)
     # b0 goes last, into a key's high byte, so the low bytes vary in a class
     pad = -len(base) % 8 if mk is bytes else 0
     points = base[1:] + base[-1:] * pad + base[:1]
     width = len(points)
-    # pinned[u]: the base points that every entry of blocks[u:] fixes
-    pinned = _fixed_points(ls.blocks, base)
     # expand the trailing blocks right to left into packed base images,
     # grouped by b0's image y (each string's last point), in rank order:
     # up to the balance point, then on to the next block that moves a
@@ -255,10 +345,11 @@ def verify_exhaustive(ls: LogSignature, chain: StabilizerChain,
                 parts.setdefault(s[-1], []).append(s)
         tails = {y: _join(v, mk) for y, v in parts.items()}
     # a head maps keys one to one, so the chunk p·T_y of a head p repeats a
-    # key iff its group T_y does: each group is checked once, here
+    # key iff its group T_y does: each group is checked once, here, unless
+    # the tail's products are already known to be distinct
     ys, groups = list(tails), list(tails.values())
-    distinct = [len(t) == width or len(dict.fromkeys(_keys(t, width))) * width == len(t)
-                for t in groups]
+    distinct = [h >= proven or len(t) == width
+                or len(dict.fromkeys(_keys(t, width))) * width == len(t) for t in groups]
     # every tail product fixes the points of pin, so a product maps them as
     # its head p does: p sends group y into class (p(y), p(pin)).  The
     # points y and pin of every group, padded as the base is, are expanded
@@ -588,15 +679,21 @@ def _sift_levels(levels, degree: int) -> list:
 
 def _fixed_points(blocks, points) -> list:
     """``fixed[u]``: the points of ``points`` that every entry of
-    ``blocks[u:]`` fixes, in order, for u from 0 to ``len(blocks)``."""
+    ``blocks[u:]`` fixes, in order, for u from 0 to ``len(blocks)``.  An
+    entry that fixes them all is passed by one C-level comparison of its
+    images of them."""
     f = list(points)
     fixed = [f]
     for block in reversed(blocks):
-        for e in block:
-            if not f:
-                break
-            img = e.img
-            f = [x for x in f if img[x] == x]
+        if f:
+            get, want = itemgetter(*f), tuple(f) if len(f) > 1 else f[0]
+            for e in block:
+                img = e.img
+                if get(img) != want:
+                    f = [x for x in f if img[x] == x]
+                    if not f:
+                        break
+                    get, want = itemgetter(*f), tuple(f) if len(f) > 1 else f[0]
         fixed.append(f)
     fixed.reverse()
     return fixed

@@ -752,7 +752,10 @@ def test_refine_and_randomize_reject_runs_off_the_chain_levels(m11, m12):
 def test_refine_ls_keeps_a_run_of_two_blocks(m12):
     # refined M12's level-0 blocks (2, 2, 3) with the first two merged into
     # one block of their 4 products: a run of a composite block and a prime
-    # one, which is kept as it is, annotated with its level
+    # one, which is kept as it is.  The merged block is no power block and
+    # is annotated with its level alone; the block of 3 was the last of a
+    # cyclic set of 6 and is now a set of its own.  The later runs are kept
+    # too, and their power blocks keep the annotations build_mls gave them
     refined = build_mls(m12)
     b = refined.blocks
     blocks = (tuple(x * y for x in b[0] for y in b[1]),) + b[2:]
@@ -762,7 +765,41 @@ def test_refine_ls_keeps_a_run_of_two_blocks(m12):
     assert verify_structural(ls, m12).ok
     out = refine_ls(ls, m12)
     assert out.blocks == blocks
-    assert out.provenance == Provenance("refined", ls.provenance.annotations)
+    assert refined.provenance.annotations[2] == BlockAnnotation(0, set_size=6, step=2)
+    assert out.provenance == Provenance(
+        "refined", (BlockAnnotation(0), BlockAnnotation(0, set_size=3, step=1))
+        + refined.provenance.annotations[3:])
+
+
+@pytest.mark.parametrize("name", ["M11", "M12", "M22", "M24", "A10", "S10"])
+def test_refine_ls_of_a_refined_signature_is_the_same(name):
+    # every run of a refined signature is kept, and the set sizes and steps
+    # of its power blocks are read off the entries as refinement wrote them
+    chain = load_verified_chain(name)
+    refined = build_mls(chain)
+    assert any(a.set_size for a in refined.provenance.annotations)
+    assert refine_ls(refined, chain) == refined
+
+
+def test_refine_ls_annotates_a_one_block_run_with_its_level():
+    # S10's last level is one block (1, t) of a transposition t.  It is a
+    # power block, but a run of one block is a full-size level block, and
+    # build_mls has always written it with its level alone
+    s10 = load_verified_chain("S10")
+    last = chain_ls(s10).blocks[-1]
+    assert len(last) == 2 and last[0].is_identity()
+    assert build_mls(s10).provenance.annotations[-1] == BlockAnnotation(8)
+
+
+def test_refine_ls_annotates_a_trailing_one_entry_block_with_its_level(m11):
+    # a one-entry block joins the last run, whose power blocks keep their
+    # sets; the identity block is no power block
+    refined = build_mls(m11)
+    e = Permutation.identity(m11.degree)
+    ls = LogSignature(m11.degree, refined.blocks + ((e,),), m11.name, Provenance("manual"))
+    out = refine_ls(ls, m11)
+    assert out.blocks == ls.blocks
+    assert out.provenance.annotations == refined.provenance.annotations + (BlockAnnotation(3),)
 
 
 def test_size_trials_order():

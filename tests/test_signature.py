@@ -219,10 +219,85 @@ def test_exhaustive_matches_full_image_reference(m11, a5, monkeypatch):
             mp.setattr(signature, "_CHUNK", 1)
             if expect[0]:
                 assert verdict(bad, chain) == expect
+                # the class walk alone still passes every exact draw
+                hand_over(mp)
+                assert verdict(bad, chain) == expect
             else:
                 assert failing_verdict_and_tail(bad, chain, mp) == (expect, 0)
+        if expect[0]:
+            with monkeypatch.context() as mp:
+                hand_over(mp)
+                assert verdict(bad, chain) == expect
         outcomes.add(expect[0])
     assert outcomes == {True, False}
+
+
+def hand_over(monkeypatch):
+    """Prove no block from the right, so that every check is the class
+    walk's, with no suffix known to be distinct."""
+    monkeypatch.setattr(signature, "_distinct_from", lambda raws, base, pinned: len(raws))
+
+
+def walks(monkeypatch, allowed=True):
+    """The ``proven`` argument of each class walk the oracle starts; with
+    ``allowed`` false a walk raises."""
+    walk, calls = signature._class_walk, []
+
+    def counted_walk(ls, raws, base, pinned, proven):
+        calls.append(proven)
+        assert allowed, "the class walk ran"
+        return walk(ls, raws, base, pinned, proven)
+
+    monkeypatch.setattr(signature, "_class_walk", counted_walk)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["M11", "M12", "M22", "M24", "A10", "S10"])
+def test_exhaustive_proves_chain_and_refined_signatures_from_the_right(name, monkeypatch):
+    # every block passes: its entries send the points later entries fix
+    # apart, or send the images of the first point they move apart, so
+    # no tail is expanded and no class walked, M24's 244,823,040 products
+    # included
+    chain = load_verified_chain(name)
+    walks(monkeypatch, allowed=False)
+    for ls in (chain_ls(chain), build_mls(chain)):
+        assert ls.provenance.tag in ("chain", "refined")
+        assert verify_exhaustive(ls, chain, budget=10 ** 9) == VerificationReport(
+            ok=True, method="exhaustive", products_checked=chain.order)
+
+
+def test_exhaustive_proves_a_cyclic_signature_from_the_right(monkeypatch):
+    # C1000's power blocks fix no base point, so each block is keyed by the
+    # images of b0 alone, which grow to the 1,000 points of its orbit
+    c1000 = load_verified_chain("C1000")
+    ls = c1000_signature(c1000)
+    walks(monkeypatch, allowed=False)
+    assert verdict(ls, c1000) == (True, 1000, None)
+
+
+def test_exhaustive_tampered_m22_hands_over_at_block_0(m22, monkeypatch):
+    # the last block-0 entry b0[1] * b1[1] sends b0 where entry 1 does, and
+    # b1[1] maps Y, the orbit of b1 under the later blocks, onto itself:
+    # the keys (e(y), e(b0)) of the two entries repeat, so the check is
+    # handed over at block 0, the later blocks proven distinct, and the
+    # walk finds the witness.  Keying each block by q = b1 alone, not by
+    # its images under the later blocks, would pass this signature
+    calls = walks(monkeypatch)
+    assert verdict(tampered_m22(m22), m22) == (
+        False, 423_361, ((1, 1, 0, 0, 0), (21, 0, 0, 0, 0)))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("name", ["D300", "S4", "A4", "SL(2,3)", "D12"])
+def test_exhaustive_hands_nonabelian_solvable_signatures_over(name, monkeypatch):
+    # these exact series signatures hold a block whose keys repeat: the
+    # class walk decides them, and agrees with the reference
+    chain = load_verified_chain(name)
+    ls = build_mls(chain)
+    assert ls.provenance.tag == "solvable"
+    calls = walks(monkeypatch)
+    assert verdict(ls, chain) == full_image_reference(ls) == (True, chain.order, None)
+    assert len(calls) == 1 and 0 < calls[0] < len(ls.blocks)
 
 
 def tail_cut_after_block_1(ls, chain):
@@ -515,9 +590,9 @@ def test_exhaustive_m22_time_and_memory_budget(m22, tampered, expect):
 
 @pytest.mark.parametrize("name", ["A10", "S10"])
 def test_exhaustive_alternating_and_symmetric_chain_budget(name):
-    # the tail is cut at a level boundary, so each head feeds its own class
-    # and no class is walked: one tail group of 2,520 (A10) or 5,040 (S10)
-    # keys instead of walks of 181,440 or 362,880 keys per class
+    # every block passes from the right on its entries' images of the
+    # points later entries fix, so no tail is expanded: the class walk
+    # alone would store a tail group of 2,520 (A10) or 5,040 (S10) keys
     chain = load_verified_chain(name)
     ls = chain_ls(chain)
     start = time.perf_counter()

@@ -99,6 +99,7 @@ CASES = {
     "D300 chain": (_built("chain_ls", "D300"), None),
     "D300 solvable": (_built("build_mls", "D300"), None),
     "M24 chain": (_built("chain_ls", "M24"), 10 ** 9),
+    "M24 refined": (_built("build_mls", "M24"), 10 ** 9),
 }
 
 
